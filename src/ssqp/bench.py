@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-import scipy.optimize
 
 from .diagnostics import ReferenceSolution, degeneracy_report
 from .model import ConeSpec, ProblemDef, empty_cone
@@ -324,6 +323,10 @@ def make_eigencontrol(
     # Reduced oracle: minimize over the eigen-branch family (c phi, q_h).
     def reduced(c: float) -> float:
         return f(Z.vector(np.concatenate([c * phi, [q_h]])))
+
+    # scipy.optimize takes a quarter second to import; only this oracle
+    # needs it, so CLI processes that build no eigencontrol skip the cost
+    import scipy.optimize
 
     bracket = max(1.0, 2.0 * abs(u_d_amp))
     res = scipy.optimize.minimize_scalar(

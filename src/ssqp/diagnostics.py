@@ -11,16 +11,19 @@ estimate empirically.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .model import ConeSpec, ProblemDef
+from .model import ConeSpec, ProblemDef, nnls
 from .spaces import Functional, InnerProductSpace, PrimalVec
 
 logger = logging.getLogger(__name__)
+
+#: A stored multiplier is a member when its stationarity residual and its
+#: generator pairings vanish to this fraction of the size of their terms.
+MEMBERSHIP_TOL = 1e-8
 
 
 class InvalidReference(ValueError):
@@ -32,10 +35,12 @@ class ReferenceSolution:
     """Known solution z* plus the data describing its multiplier set.
 
     The multiplier set is {mu : j_star^T mu = -g_star, <mu, y_i> <= 0}.
-    `lambda_star` stores one feasible member (used as a reporting anchor,
-    not needed for projections).  Nonemptiness is certified at
-    construction by solving the stationarity system and checking the
-    residual.
+    `lambda_star` stores one member (a reporting anchor), certified at
+    construction by matrix-vector products: the stationarity residual and
+    the positive generator pairings must be at most MEMBERSHIP_TOL times
+    the size of the terms they sum.  The projector onto the set is
+    factored on the first projection and cached here, so the data must
+    not change after construction.
     """
 
     z_star: PrimalVec
@@ -43,15 +48,28 @@ class ReferenceSolution:
     g_star: np.ndarray
     cone: ConeSpec
     lambda_star: Functional
+    _projector: _Projector | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.j_star = np.asarray(self.j_star, dtype=float)
         self.g_star = np.asarray(self.g_star, dtype=float)
-        dist, _ = multiplier_distance(self, self.lambda_star)
-        scale = 1.0 + self.space_y.dual_norm(self.lambda_star)
-        if not np.isfinite(dist) or dist > 1e-8 * scale:
+        lam = self.lambda_star.coeffs
+        residual = np.abs(self.j_star.T @ lam + self.g_star).max()
+        scale = (1.0 + np.abs(self.g_star).max()
+                 + (np.abs(self.j_star).T @ np.abs(lam)).max())
+        pairing, polar_scale = 0.0, 1.0
+        if self.cone.m:
+            gens = self.cone.generator_matrix
+            pairing = (gens.T @ lam).max()
+            polar_scale += (np.abs(gens).T @ np.abs(lam)).max()
+        # written so that NaN data fails too
+        if not (residual <= MEMBERSHIP_TOL * scale
+                and pairing <= MEMBERSHIP_TOL * polar_scale):
             raise InvalidReference(
-                f"stored multiplier is {dist:.3e} away from the multiplier set"
+                "stored multiplier is not in the multiplier set: stationarity "
+                f"residual {residual:.3e}, largest generator pairing {pairing:.3e}"
             )
 
     @property
@@ -59,40 +77,120 @@ class ReferenceSolution:
         return self.lambda_star.space
 
 
+@dataclass(frozen=True)
+class _Projector:
+    """The multiplier set in whitened coordinates w = L^{-1} mu, M_Y = L L^T.
+
+    There the set is {anchor + basis t : polar t <= bound}.  With
+    B = L^T j_star, `anchor` is the minimum-norm solution of B^T w = -g*
+    and `basis` (k columns) an orthonormal basis of the null space of B^T;
+    the rows of `polar` are the whitened generators whose pairing varies
+    on the set, seen from that null space, and `bound` keeps those
+    pairings nonpositive, or at the value lambda* takes if that is larger.
+    `mu_anchor` and `mu_basis` are L anchor and L basis.
+    """
+
+    anchor: np.ndarray
+    basis: np.ndarray
+    mu_anchor: np.ndarray
+    mu_basis: np.ndarray
+    polar: np.ndarray
+    bound: np.ndarray
+
+
+def _factor_multiplier_set(ref: ReferenceSolution) -> _Projector:
+    """Rank-revealing QR of the whitened Jacobian, once per reference.
+
+    Membership is decided once, at construction, so the projector never
+    rejects: a pairing constant on the set was checked there, and each
+    other pairing inequality is relaxed just enough that the certified
+    member satisfies it, which is rounding unless lambda* carries a
+    certified positive pairing.
+    """
+    Y = ref.space_y
+    B = Y.whiten(ref.j_star)
+    Q, R, piv = scipy.linalg.qr(B, overwrite_a=True, pivoting=True)
+    diag = np.abs(np.diag(R))
+    # numpy.linalg.lstsq's default cut-off, with |R_00| as the largest
+    # singular value
+    rcond = np.finfo(float).eps * max(B.shape)
+    rank = int(np.count_nonzero(diag > rcond * diag[0]))
+    # B[:, piv] = Q R, so B^T w = -g* reads R^T (Q^T w) = -g*[piv]
+    coords = scipy.linalg.solve_triangular(
+        R[:rank, :rank], -ref.g_star[piv[:rank]], trans="T"
+    )
+    anchor = Q[:, :rank] @ coords
+    basis = Q[:, rank:].copy()  # keeps k columns, not all of Q
+    W = ref.cone.whitened_generators
+    polar = W.T @ basis
+    # the computed null space is off by an angle of about rcond * cond(R),
+    # so a generator inside range(B) shows a pairing gradient that small
+    cond = diag[0] / diag[rank - 1] if rank else 1.0
+    movable = (np.linalg.norm(polar, axis=1)
+               > rcond * cond * np.linalg.norm(W, axis=0))
+    polar = polar[movable]
+    t_star = basis.T @ Y.whiten_dual(ref.lambda_star.coeffs)
+    return _Projector(
+        anchor=anchor,
+        basis=basis,
+        mu_anchor=Y.unwhiten_dual(anchor),
+        mu_basis=Y.unwhiten_dual(basis),
+        polar=polar,
+        bound=np.maximum(-(W.T @ anchor)[movable], polar @ t_star),
+    )
+
+
 def multiplier_distance(
     ref: ReferenceSolution, lam: Functional
 ) -> tuple[float, Functional]:
     """Dual-norm projection of lam onto the multiplier set at z*.
 
-    Minimizes |lam - mu|_{Y*} subject to j_star^T mu = -g_star, and for a
-    nontrivial cone additionally <mu, y_i> <= 0 via enumeration of active
-    inequality subsets.  Returns (distance, projection).
+    Minimizes |lam - mu|_{Y*} subject to j_star^T mu = -g_star and, for a
+    nontrivial cone, <mu, y_i> <= 0.  In whitened coordinates the affine
+    part is anchor + span(basis), so a projection costs one triangular
+    solve and k matrix-vector products; pairing constraints turn the k
+    null-space coordinates into a least-distance problem.  The factored
+    set is cached on `ref` by the first call.  Returns (distance,
+    projection).
     """
-    Y = ref.space_y
-    m = ref.cone.m
-    best: tuple[float, Functional] | None = None
-    res_scale = 1.0 + float(np.abs(ref.g_star).max())
-    for size in range(m + 1):
-        for subset in combinations(range(m), size):
-            C = ref.j_star.T
-            b = -ref.g_star
-            if subset:
-                C = np.vstack([C, ref.cone.generator_matrix[:, list(subset)].T])
-                b = np.concatenate([b, np.zeros(len(subset))])
-            # mu = lam - M C^T nu with (C M C^T) nu = C lam - b.
-            CM = C @ Y.mass
-            nu, *_ = np.linalg.lstsq(CM @ C.T, C @ lam.coeffs - b, rcond=None)
-            mu = lam.coeffs - Y.mass @ (C.T @ nu)
-            if np.abs(C @ mu - b).max() > 1e-9 * res_scale:
-                continue
-            if m and (ref.cone.generator_matrix.T @ mu > 1e-9).any():
-                continue
-            dist = Y.dual_norm_arr(lam.coeffs - mu)
-            if best is None or dist < best[0]:
-                best = (dist, Functional(Y, mu))
-    if best is None:
-        raise InvalidReference("multiplier set is empty (inconsistent system)")
-    return best
+    proj = ref._projector
+    if proj is None:
+        proj = ref._projector = _factor_multiplier_set(ref)
+    v = ref.space_y.whiten_dual(lam.coeffs)
+    t = proj.basis.T @ v
+    if proj.polar.size:
+        t = t + _least_distance(-proj.polar, proj.polar @ t - proj.bound)
+    dist = float(np.linalg.norm(v - proj.anchor - proj.basis @ t))
+    return dist, Functional(ref.space_y, proj.mu_anchor + proj.mu_basis @ t)
+
+
+def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Shortest x with G x >= h for a feasible system (Lawson & Hanson
+    1974, ch. 23).
+
+    Rows are scaled to unit normals.  For E = [G^T; h^T / max h] and
+    f = e_{k+1}, the nonnegative least-squares solution u has residual
+    r = E u - f with x = -max(h) r[:k] / r[k] and
+    -r[k] = 1 / (1 + |x|^2 / max(h)^2); the constraints where u > 0 hold
+    with equality at x.
+    """
+    k = G.shape[1]
+    if h.max() <= 0.0:
+        return np.zeros(k)
+    norms = np.linalg.norm(G, axis=1)
+    G = G / norms[:, None]
+    h = h / norms
+    E = np.vstack([G.T, h / h.max()])
+    f = np.zeros(k + 1)
+    f[k] = 1.0
+    u, _ = nnls(E, f)
+    # x lies in the span of the rows where u > 0 and meets them with
+    # equality: re-solve that small system, which is more accurate than
+    # the quotient of residual entries and stays defined when a set
+    # pinched to a point makes r[k] vanish
+    active = u > 0.0
+    x, *_ = np.linalg.lstsq(G[active], h[active], rcond=None)
+    return x
 
 
 def coercivity_margin(H, J, massZ, massY, rho: float) -> float:
@@ -139,11 +237,8 @@ def degeneracy_report(
     rank_tol = rank_tol_factor * largest.
     """
     J = np.asarray(p.jac_G(z), dtype=float)
-    Lz = scipy.linalg.cholesky(p.Z.mass, lower=True)
-    Ly = scipy.linalg.cholesky(p.Y.mass, lower=True)
-    B = Ly.T @ J
-    # whiten the domain: Jt = B Lz^{-T}
-    Jt = scipy.linalg.solve_triangular(Lz, B.T, lower=True).T
+    # Jt = L_Y^T J L_Z^{-T} for the metric factors M = L L^T
+    Jt = p.Z.whiten_dual(p.Y.whiten(J).T).T
     svals = np.linalg.svd(Jt, compute_uv=False)
     rank_tol = rank_tol_factor * (svals[0] if svals.size else 0.0)
     surjective = svals.size >= p.Y.dim and bool(svals[p.Y.dim - 1] > rank_tol)

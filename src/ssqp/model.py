@@ -13,19 +13,19 @@ them against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
 from .spaces import DimensionMismatch, Functional, InnerProductSpace, PrimalVec
 
-#: Exact cone projections enumerate active subsets; 2^m stays desk-scale.
+#: Cone problems are supported up to this many generators: the subproblem's
+#: last-resort pattern search enumerates all 2^m activity patterns.
 MAX_CONE_GENERATORS = 12
 
 
 class UnsupportedConeSize(ValueError):
-    """Cone projection by subset enumeration is capped at 12 generators."""
+    """Cone problems are capped at MAX_CONE_GENERATORS generators."""
 
 
 @dataclass
@@ -52,6 +52,9 @@ class ConeSpec:
         massed = self.space.mass @ self.generator_matrix
         self.gram = self.generator_matrix.T @ massed
         self._massed_generators = massed
+        #: L^T y_i for M_Y = L L^T: Y-distances to the cone become
+        #: Euclidean, and <mu, y_i> = (L^T y_i) . (L^{-1} mu).
+        self.whitened_generators = self.space.whiten(self.generator_matrix)
         if m:
             eigs = np.linalg.eigvalsh(self.gram)
             if eigs[0] <= 1e-10 * eigs[-1]:
@@ -118,7 +121,7 @@ class ProblemDef:
         Stationarity is the Z* dual norm of the Lagrangian gradient.  For
         K = {0}, feasibility is |G(z)|_Y.  Otherwise it is the Y-distance
         of G(z) to the complementarity face {sum c_i y_i : c_i >= 0,
-        c_i <l, y_i> = 0}, computed by enumerating active subsets, and the
+        c_i <l, y_i> = 0}, computed by nonnegative least squares, and the
         polar violation records any positive generator pairing.
         """
         stationarity = self.Z.dual_norm(self.lagrangian_grad(z, lam))
@@ -128,7 +131,7 @@ class ProblemDef:
             return KKTResidual(stationarity, self.Y.norm(gval), 0.0)
         if m > MAX_CONE_GENERATORS:
             raise UnsupportedConeSize(
-                f"cone projection supports at most {MAX_CONE_GENERATORS} "
+                f"cone problems support at most {MAX_CONE_GENERATORS} "
                 f"generators, got {m}"
             )
         pairings = self.cone.pairings(lam)
@@ -143,22 +146,28 @@ class ProblemDef:
 def _cone_face_distance(cone: ConeSpec, r: PrimalVec, allowed: list[int]) -> float:
     """Y-distance of r to {sum_{i in allowed} c_i y_i : c_i >= 0}.
 
-    Exact projection by enumerating support subsets of the allowed
-    generators (they are linearly independent, so each subset gives one
-    candidate via a Gram solve).
+    In whitened coordinates this is the residual norm of a nonnegative
+    least-squares problem.  The norm of the residual vector is accurate
+    to rounding in |r|; |r|^2 - c^T b would lose half the digits.
     """
-    rnorm2 = cone.space.norm_arr(r.coords) ** 2
-    b = cone._massed_generators.T @ r.coords
-    best = rnorm2
-    for size in range(1, len(allowed) + 1):
-        for subset in combinations(allowed, size):
-            idx = list(subset)
-            c = np.linalg.solve(cone.gram[np.ix_(idx, idx)], b[idx])
-            if (c < -1e-12).any():
-                continue
-            dist2 = rnorm2 - c @ b[idx]
-            best = min(best, dist2)
-    return float(np.sqrt(max(best, 0.0)))
+    b = cone.space.whiten(r.coords)
+    if not allowed:
+        return float(np.linalg.norm(b))
+    return nnls(cone.whitened_generators[:, allowed], b)[1]
+
+
+def nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """min |A x - b| over x >= 0 (Lawson & Hanson); returns (x, |A x - b|).
+
+    The one projection engine of the package: cone-face distances and the
+    polar part of multiplier-set projections both reduce to it once the
+    metric is whitened away.
+    """
+    # scipy.optimize takes a quarter second to import; only cones need it
+    from scipy.optimize import nnls as lawson_hanson
+
+    x, rnorm = lawson_hanson(A, b)
+    return x, float(rnorm)
 
 
 @dataclass

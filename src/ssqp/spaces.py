@@ -14,7 +14,8 @@ import ast
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve, solve_triangular
+from scipy.linalg.blas import dtrmm
 
 
 class DimensionMismatch(ValueError):
@@ -138,6 +139,41 @@ class InnerProductSpace:
     def dual_norm_arr(self, coeffs) -> float:
         a = _as_float_vector(coeffs, self._dim, "coeffs")
         return float(np.sqrt(max(a @ self.solve_mass(a), 0.0)))
+
+    # -- whitening by the cached factor M = L L^T ---------------------------
+    #
+    # x -> L^T x maps the space isometrically onto Euclidean R^dim, and
+    # l -> L^{-1} l does the same for its dual; each accepts a vector or a
+    # matrix of columns.
+
+    def whiten(self, coords) -> np.ndarray:
+        """L^T x, so that |x| is the Euclidean norm of the result."""
+        return self._triangular_product(coords, trans=True)
+
+    def whiten_dual(self, coeffs) -> np.ndarray:
+        """L^{-1} l, so that |l|_* is the Euclidean norm of the result."""
+        return solve_triangular(self._chol[0], self._leading(coeffs), lower=True)
+
+    def unwhiten_dual(self, w) -> np.ndarray:
+        """L w, the inverse of `whiten_dual`."""
+        return self._triangular_product(w, trans=False)
+
+    def _leading(self, x) -> np.ndarray:
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim not in (1, 2) or arr.shape[0] != self._dim:
+            raise DimensionMismatch(
+                f"expected leading dimension {self._dim}, got {arr.shape}"
+            )
+        return arr
+
+    def _triangular_product(self, x, trans: bool) -> np.ndarray:
+        # cho_factor leaves junk above the diagonal; trmm reads only below
+        arr = self._leading(x)
+        cols = arr.reshape(self._dim, -1)
+        if cols.shape[1] == 0:
+            return arr.copy()
+        out = dtrmm(1.0, self._chol[0], cols, lower=1, trans_a=int(trans))
+        return out.reshape(arr.shape)
 
 
 @dataclass

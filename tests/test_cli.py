@@ -291,3 +291,22 @@ class TestList:
         assert code == 0
         names = out.strip().splitlines()
         assert names == ssqp.bench.list_benchmarks()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs a quarter second per process; only the
+    # eigencontrol oracle and cone problems need it, and import it late
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(ssqp.bench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ssqp.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ssqp.bench import get_benchmark, make_degenerate_line
+from ssqp.bench import get_benchmark, make_degenerate_line, make_eigencontrol
 from ssqp.diagnostics import (
     InvalidReference,
     ReferenceSolution,
@@ -11,7 +11,7 @@ from ssqp.diagnostics import (
     error_estimate_ratio,
     multiplier_distance,
 )
-from ssqp.model import empty_cone
+from ssqp.model import ConeSpec, empty_cone
 from ssqp.spaces import InnerProductSpace
 
 
@@ -79,6 +79,80 @@ class TestMultiplierDistance:
                 cone=empty_cone(Y),
                 lambda_star=Y.zero_functional(),
             )
+
+
+class TestMultiplierDistanceFarFromSet:
+    """The set is span{sin(pi x)} on eigencontrol.  Far from it, a
+    projection through the normal equations, which square the condition
+    number of the stationarity system, fails its own residual check and
+    reports an empty set."""
+
+    @pytest.mark.parametrize("n, amp", [(49, 1.0), (49, 1e-6), (200, 1e-2),
+                                        (200, 3.0)])
+    def test_eigencontrol_closed_form(self, n, amp):
+        bm = make_eigencontrol(n=n)
+        Y = bm.problem.Y
+        h = 1.0 / (n + 1)
+        x = h * np.arange(1, n + 1)
+        phi = np.sin(np.pi * x)
+        lam = bm.reference.lambda_star.coeffs + amp * np.sin(2 * np.pi * x)
+        on_line = (lam @ phi) / (phi @ phi) * phi
+        # M_Y = h I, so the Y*-norm is the Euclidean norm over sqrt(h)
+        expected = np.linalg.norm(lam - on_line) / np.sqrt(h)
+        dist, proj = multiplier_distance(bm.reference, Y.functional(lam))
+        assert dist == pytest.approx(expected, rel=1e-12)
+        assert_allclose(proj.coeffs, on_line, rtol=0, atol=1e-12 * (1 + amp))
+
+
+class TestPairingConstantOnTheSet:
+    """A generator inside the range of j_star has the same pairing with
+    every member, so certification alone decides it; projections must not
+    re-reject it for rounding, even when j_star is ill-conditioned."""
+
+    @staticmethod
+    def reference(k, cond, pairing, seed):
+        rng = np.random.default_rng(seed)
+        ny = 4
+        q, _ = np.linalg.qr(rng.standard_normal((ny, ny)))
+        Y = InnerProductSpace((q * rng.uniform(0.5, 2.0, ny)) @ q.T)
+        u, _ = np.linalg.qr(rng.standard_normal((ny, ny)))
+        v, _ = np.linalg.qr(rng.standard_normal((ny - k, ny - k)))
+        j_star = (u[:, : ny - k] * np.geomspace(1.0, 1.0 / cond, ny - k)) @ v.T
+        lam_star = rng.standard_normal(ny)
+        g_star = -j_star.T @ lam_star
+        # <mu, j_star c> = -g* . c for every member mu
+        c = rng.standard_normal(ny - k)
+        c -= (g_star @ c + pairing) / (g_star @ g_star) * g_star
+        ref = ReferenceSolution(
+            z_star=InnerProductSpace.identity(ny - k).zero_vector(),
+            j_star=j_star,
+            g_star=g_star,
+            cone=ConeSpec(Y, (Y.vector(j_star @ c),)),
+            lambda_star=Y.functional(lam_star),
+        )
+        return ref, u[:, ny - k:], rng
+
+    @pytest.mark.parametrize("k, cond, pairing", [
+        (0, 1.0, 1e-10), (1, 1.0, 1e-10), (1, 1e6, 0.0), (2, 1e6, 0.0),
+    ])
+    def test_projects_onto_the_affine_set(self, k, cond, pairing):
+        for seed in range(20):
+            ref, null, rng = self.reference(k, cond, pairing, seed)
+            Y = ref.space_y
+            for _ in range(5):
+                offset = rng.standard_normal(Y.dim)
+                dist, proj = multiplier_distance(
+                    ref, Y.functional(ref.lambda_star.coeffs + offset))
+                # the set is lambda* + span(null), whitened by L^{-1}
+                L = np.linalg.cholesky(Y.mass)
+                a = np.linalg.solve(L, offset)
+                n = np.linalg.solve(L, null)
+                t = np.linalg.lstsq(n, a, rcond=None)[0]
+                expected = np.linalg.norm(a - n @ t)
+                assert dist == pytest.approx(expected, rel=1e-12 * cond,
+                                             abs=1e-14 * cond)
+                assert_allclose(proj.coeffs, ref.lambda_star.coeffs + null @ t,
+                                rtol=0, atol=1e-12 * cond)
 
 
 class TestCoercivityMargin:

@@ -247,6 +247,49 @@ class TestKKTResidual:
         expect = np.linalg.norm(gval - np.array([max(gval[0], 0.0), 0.0, 0.0]))
         assert kkt.feasibility == pytest.approx(expect, rel=1e-12)
 
+    def test_vanishes_at_exact_off_vertex_cone_solutions(self):
+        # min |x - c|_H^2 / 2 over x in cone(y_1..y_6) in R^12: the exact
+        # solution x* = Y w comes from NNLS on the H-whitened generators
+        # and lam* = -H (x* - c).  Off the cone vertex |G(x*)| is O(1), so
+        # a face distance computed as sqrt(|r|^2 - c^T b) would leave a
+        # rounding floor near sqrt(eps) here.
+        import scipy.optimize
+
+        rng = np.random.default_rng(2024)
+        dim, m = 12, 6
+
+        def spd():
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            a = (q * rng.uniform(0.5, 2.0, dim)) @ q.T
+            return 0.5 * (a + a.T)
+
+        worst = 0.0
+        for _ in range(24):
+            H, mass_y = spd(), spd()
+            L = np.linalg.cholesky(H)
+            while True:
+                gens = rng.standard_normal((dim, m))
+                center = rng.standard_normal(dim)
+                w, _ = scipy.optimize.nnls(L.T @ gens, L.T @ center)
+                if w.max() > 1e-6:
+                    break
+            x_star = gens @ w
+            Z, Y = InnerProductSpace(H), InnerProductSpace(mass_y)
+            cone = ConeSpec(Y, tuple(Y.vector(g) for g in gens.T))
+            p = ProblemDef(
+                Z, Y, cone,
+                f=lambda z: 0.0,
+                grad_f=lambda z, H=H, c=center: Functional(Z, H @ (z.coords - c)),
+                G=lambda z: PrimalVec(Y, z.coords.copy()),
+                jac_G=lambda z: np.eye(dim),
+                hess_L=lambda z, lam, H=H: H,
+            )
+            lam_star = Y.functional(-H @ (x_star - center))
+            kkt = p.kkt_residual(Z.vector(x_star), lam_star)
+            assert kkt.polar_violation <= 1e-12
+            worst = max(worst, kkt.feasibility)
+        assert worst <= 1e-12
+
 
 class TestValidation:
     @pytest.mark.parametrize("name", list_benchmarks())
