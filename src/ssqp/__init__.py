@@ -29,10 +29,7 @@ from .model import (
     KKTResidual,
     ProblemDef,
     UnsupportedConeSize,
-    cone_coords,
     empty_cone,
-    kkt_residual,
-    lagrangian_grad,
     validate_problem,
 )
 from .solver import (

@@ -20,6 +20,7 @@ by the KKT residual when the benchmark is built.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -355,7 +356,11 @@ def make_eigencontrol(
 
     z_trivial = Z.vector(np.concatenate([np.zeros(n), [q_d]]))
     eigen_ref = certify(z_star)
-    trivial_ref = certify(z_trivial)
+    # with the default u_d_amp = 0 the eigen branch sits at the trivial point
+    if np.array_equal(z_trivial.coords, z_star.coords):
+        trivial_ref = eigen_ref
+    else:
+        trivial_ref = certify(z_trivial)
     reference = eigen_ref if eigen_ref is not None else trivial_ref
     if reference is not None and reference is trivial_ref:
         z_star = z_trivial
@@ -391,7 +396,7 @@ def make_eigencontrol(
 _REGISTRY = {
     "degenerate-line": make_degenerate_line,
     "cone-active": make_cone_instance,
-    "eigencontrol-n49": lambda: make_eigencontrol(n=49),
+    "eigencontrol-n49": functools.partial(make_eigencontrol, n=49),
 }
 
 
@@ -408,10 +413,4 @@ def get_benchmark(name: str, **overrides) -> BenchmarkProblem:
         raise KeyError(
             f"unknown benchmark {name!r}; available: {', '.join(_REGISTRY)}"
         ) from None
-    if overrides and name.startswith("eigencontrol"):
-        params = {"n": 49, "alpha": 1.0, "q_d": None, "u_d_mode": 1, "u_d_amp": 0.0}
-        params.update(overrides)
-        return make_eigencontrol(**params)
-    if overrides:
-        return _REGISTRY[name](**overrides)  # type: ignore[call-arg]
-    return factory()
+    return factory(**overrides)

@@ -17,7 +17,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,37 +36,68 @@ _EXIT_BY_STATUS = {
     solver.SolveStatus.SUBPROBLEM_FAILURE: 3,
 }
 
-_RHO_DEFAULT = 0.05
 _DIAGNOSE_RHO_GRID = [10.0**-k for k in range(1, 7)]
+
+
+#: --rho-rule choices, each building its solver rule from the run settings
+RHO_RULES = {
+    "proportional": lambda cfg: solver.ErrorProportional(theta=cfg.theta),
+    "fixed": lambda cfg: solver.Fixed(rho=cfg.rho),
+    "oracle": lambda cfg: solver.TrueErrorOracle(sigma0=cfg.sigma0),
+}
+
+#: The [eigencontrol] keys, each also a flag: its type, and whether the
+#: INI file may give it as `auto`, the benchmark's own default.
+EIGENCONTROL_KEYS = {
+    "n": (int, False),
+    "alpha": (float, False),
+    "q_d": (float, True),
+    "u_d_mode": (int, False),
+    "u_d_amp": (float, False),
+}
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _setting(section: str, default, choices=None, flag: bool = True):
+    """A RunConfig field read from `[section]` of the INI file and, when
+    `flag`, from the --flag of the same name; its type is the default's."""
+    kind = str if default is None else type(default)
+    return field(default=default, metadata={
+        "section": section, "kind": kind, "choices": choices, "flag": flag,
+    })
+
+
 @dataclass
 class RunConfig:
-    benchmark: str = "degenerate-line"
-    start_offset: str = "default"
-    lambda0: str = "auto"
-    output: str = "csv"
-    seed: int = 0
-    rho_rule: str = "proportional"
-    theta: float = 1.0
-    rho: float = _RHO_DEFAULT
-    sigma0: float = 1.0
-    sigma1: float = 1.0
-    tol: float = 1e-12
-    max_iter: int = 50
-    mass_z: str | None = None
-    mass_y: str | None = None
+    """Every run setting, declared once, in --help order."""
+
+    benchmark: str = _setting("run", "degenerate-line")
+    rho_rule: str = _setting("options", "proportional", choices=list(RHO_RULES))
+    theta: float = _setting("options", 1.0)
+    rho: float = _setting("options", 0.05)
+    sigma0: float = _setting("options", 1.0)
+    sigma1: float = _setting("options", 1.0)
+    tol: float = _setting("options", 1e-12)
+    max_iter: int = _setting("options", 50)
+    start_offset: str = _setting("run", "default")
+    lambda0: str = _setting("run", "auto")
+    output: str = _setting("run", "csv", choices=["csv", "json"])
+    seed: int = _setting("run", 0)
+    mass_z: str | None = _setting("metric", None, flag=False)
+    mass_y: str | None = _setting("metric", None, flag=False)
     eigencontrol: dict = field(default_factory=dict)
 
 
 def fmt(value) -> str:
-    """16 significant digits, scientific; empty for missing values."""
+    """Table cell: strings and integers as they are, other numbers with 16
+    significant digits in scientific notation, empty for missing values."""
     if value is None:
         return ""
+    if isinstance(value, (str, int)):
+        return str(value)
     return f"{float(value):.15e}"
 
 
@@ -92,63 +123,27 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"malformed config file: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    run = parser["run"] if parser.has_section("run") else {}
-    for key in ("benchmark", "start_offset", "lambda0", "output"):
-        if key in run:
-            setattr(cfg, key, run[key])
-    if "seed" in run:
-        cfg.seed = int(run["seed"])
-    opts = parser["options"] if parser.has_section("options") else {}
-    if "rho_rule" in opts:
-        cfg.rho_rule = opts["rho_rule"]
-    for key in ("theta", "rho", "sigma0", "sigma1", "tol"):
-        if key in opts:
-            setattr(cfg, key, float(opts[key]))
-    if "max_iter" in opts:
-        cfg.max_iter = int(opts["max_iter"])
-    if parser.has_section("metric"):
-        cfg.mass_z = parser["metric"].get("mass_z", None)
-        cfg.mass_y = parser["metric"].get("mass_y", None)
+    for f in fields(RunConfig):
+        section = f.metadata.get("section")
+        if section is not None and parser.has_option(section, f.name):
+            setattr(cfg, f.name, f.metadata["kind"](parser[section][f.name]))
     if parser.has_section("eigencontrol"):
         sec = parser["eigencontrol"]
-        eig: dict = {}
-        if "n" in sec:
-            eig["n"] = int(sec["n"])
-        if "alpha" in sec:
-            eig["alpha"] = float(sec["alpha"])
-        if "q_d" in sec and sec["q_d"].strip().lower() != "auto":
-            eig["q_d"] = float(sec["q_d"])
-        if "u_d_mode" in sec:
-            eig["u_d_mode"] = int(sec["u_d_mode"])
-        if "u_d_amp" in sec:
-            eig["u_d_amp"] = float(sec["u_d_amp"])
-        cfg.eigencontrol = eig
+        cfg.eigencontrol = {
+            key: kind(sec[key])
+            for key, (kind, auto) in EIGENCONTROL_KEYS.items()
+            if key in sec and not (auto and sec[key].strip().lower() == "auto")
+        }
     return cfg
 
 
 def apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    simple = {
-        "benchmark": "benchmark",
-        "start_offset": "start_offset",
-        "lambda0": "lambda0",
-        "output": "output",
-        "seed": "seed",
-        "rho_rule": "rho_rule",
-        "theta": "theta",
-        "rho": "rho",
-        "sigma0": "sigma0",
-        "sigma1": "sigma1",
-        "tol": "tol",
-        "max_iter": "max_iter",
-    }
-    for arg_name, cfg_name in simple.items():
-        value = getattr(args, arg_name, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, cfg_name, value)
-    eig_flags = {"n": "n", "alpha": "alpha", "q_d": "q_d",
-                 "u_d_mode": "u_d_mode", "u_d_amp": "u_d_amp"}
-    for arg_name, key in eig_flags.items():
-        value = getattr(args, arg_name, None)
+            setattr(cfg, f.name, value)
+    for key in EIGENCONTROL_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             cfg.eigencontrol[key] = value
     return cfg
@@ -175,17 +170,12 @@ def build_benchmark(cfg: RunConfig) -> bench.BenchmarkProblem:
 
 
 def make_options(cfg: RunConfig) -> solver.SolverOptions:
-    if cfg.rho_rule == "proportional":
-        rule: solver.RhoRule = solver.ErrorProportional(theta=cfg.theta)
-    elif cfg.rho_rule == "fixed":
-        rule = solver.Fixed(rho=cfg.rho)
-    elif cfg.rho_rule == "oracle":
-        rule = solver.TrueErrorOracle(sigma0=cfg.sigma0)
-    else:
+    if cfg.rho_rule not in RHO_RULES:
         raise ConfigError(f"unknown rho rule {cfg.rho_rule!r}")
     try:
         return solver.SolverOptions(
-            tol=cfg.tol, max_iter=cfg.max_iter, rho_rule=rule, sigma1=cfg.sigma1
+            tol=cfg.tol, max_iter=cfg.max_iter,
+            rho_rule=RHO_RULES[cfg.rho_rule](cfg), sigma1=cfg.sigma1,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -229,25 +219,30 @@ def resolve_start(bm: bench.BenchmarkProblem, cfg: RunConfig,
     return z0, lam0
 
 
+def _row(header: str, values) -> dict:
+    """One table row, keyed by the columns of `header` in order."""
+    return dict(zip(header.split(","), values, strict=True))
+
+
+def _print_rows(header: str, rows: list[dict]) -> None:
+    """CSV table: the header, then each row's cells in header order."""
+    print(header)
+    for row in rows:
+        print(",".join(fmt(row[name]) for name in header.split(",")))
+
+
 def _history_fields(report: solver.SolveReport) -> list[dict]:
     src = [r.total_err if r.total_err is not None else r.kkt.total
            for r in report.history]
     orders = dict(solver.observed_order_entries(src))
-    rows = []
-    for rec in report.history:
-        rows.append({
-            "k": rec.k,
-            "rho": rec.rho,
-            "kkt_stationarity": rec.kkt.stationarity,
-            "kkt_feasibility": rec.kkt.feasibility,
-            "kkt_polar": rec.kkt.polar_violation,
-            "kkt_total": rec.kkt.total,
-            "err_z": rec.err_z,
-            "dist_lambda": rec.dist_lambda,
-            "total_err": rec.total_err,
-            "order": orders.get(rec.k),
-        })
-    return rows
+    return [
+        _row(CSV_HEADER, (
+            rec.k, rec.rho, rec.kkt.stationarity, rec.kkt.feasibility,
+            rec.kkt.polar_violation, rec.kkt.total, rec.err_z,
+            rec.dist_lambda, rec.total_err, orders.get(rec.k),
+        ))
+        for rec in report.history
+    ]
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -269,14 +264,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(CSV_HEADER)
-        for row in rows:
-            print(",".join([
-                str(row["k"]), fmt(row["rho"]), fmt(row["kkt_stationarity"]),
-                fmt(row["kkt_feasibility"]), fmt(row["kkt_polar"]),
-                fmt(row["kkt_total"]), fmt(row["err_z"]), fmt(row["dist_lambda"]),
-                fmt(row["total_err"]), fmt(row["order"]),
-            ]))
+        _print_rows(CSV_HEADER, rows)
     if report.status is solver.SolveStatus.SUBPROBLEM_FAILURE:
         _log(f"subproblem failure at iteration {report.failure_index}: "
              f"{report.failure_message}")
@@ -284,20 +272,19 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _sweep_row(cfg: RunConfig, parameter: str, value: float) -> dict:
-    row_cfg = RunConfig(**{**cfg.__dict__, "eigencontrol": dict(cfg.eigencontrol)})
-    radius = None
+    row_cfg, radius = cfg, None
     if parameter == "theta":
-        row_cfg.rho_rule, row_cfg.theta = "proportional", value
+        row_cfg = replace(cfg, rho_rule="proportional", theta=value)
     elif parameter == "rho_fixed":
-        row_cfg.rho_rule, row_cfg.rho = "fixed", value
+        row_cfg = replace(cfg, rho_rule="fixed", rho=value)
     elif parameter == "sigma1":
-        row_cfg.sigma1 = value
+        row_cfg = replace(cfg, sigma1=value)
     elif parameter == "start_radius":
         radius = value
     elif parameter == "n":
-        if not row_cfg.benchmark.startswith("eigencontrol"):
+        if not cfg.benchmark.startswith("eigencontrol"):
             raise ConfigError("sweep over n applies to eigencontrol benchmarks")
-        row_cfg.eigencontrol["n"] = int(value)
+        row_cfg = replace(cfg, eigencontrol={**cfg.eigencontrol, "n": int(value)})
     else:
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
     bm = build_benchmark(row_cfg)
@@ -306,14 +293,10 @@ def _sweep_row(cfg: RunConfig, parameter: str, value: float) -> dict:
     report = solver.run(bm.problem, z0, lam0, opts, reference=bm.reference)
     # orders whose stencils fit inside the last three steps of the run
     tail = report.observed_orders[-2:]
-    return {
-        "parameter": parameter,
-        "value": value,
-        "status": report.status.value,
-        "iterations": len(report.history) - 1,
-        "final_kkt_total": report.history[-1].kkt.total,
-        "min_order": min(tail) if tail else None,
-    }
+    return _row(SWEEP_HEADER, (
+        parameter, value, report.status.value, len(report.history) - 1,
+        report.history[-1].kkt.total, min(tail) if tail else None,
+    ))
 
 
 def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> int:
@@ -323,13 +306,7 @@ def cmd_sweep(cfg: RunConfig, parameter: str, grid: list[float]) -> int:
     if cfg.output == "json":
         print(json.dumps({"sweep": parameter, "rows": rows}, indent=2))
     else:
-        print(SWEEP_HEADER)
-        for row in rows:
-            print(",".join([
-                row["parameter"], fmt(row["value"]), row["status"],
-                str(row["iterations"]), fmt(row["final_kkt_total"]),
-                fmt(row["min_order"]),
-            ]))
+        _print_rows(SWEEP_HEADER, rows)
     return 0
 
 
@@ -400,24 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, help="INI configuration file")
-        p.add_argument("--benchmark", default=None)
-        p.add_argument("--rho-rule", dest="rho_rule", default=None,
-                       choices=["proportional", "fixed", "oracle"])
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--rho", type=float, default=None)
-        p.add_argument("--sigma0", type=float, default=None)
-        p.add_argument("--sigma1", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-        p.add_argument("--start-offset", dest="start_offset", default=None)
-        p.add_argument("--lambda0", default=None)
-        p.add_argument("--output", default=None, choices=["csv", "json"])
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--q-d", dest="q_d", type=float, default=None)
-        p.add_argument("--u-d-mode", dest="u_d_mode", type=int, default=None)
-        p.add_argument("--u-d-amp", dest="u_d_amp", type=float, default=None)
+        for f in fields(RunConfig):
+            if f.metadata.get("flag"):
+                p.add_argument("--" + f.name.replace("_", "-"), default=None,
+                               type=f.metadata["kind"], choices=f.metadata["choices"])
+        for key, (kind, _) in EIGENCONTROL_KEYS.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind, default=None)
 
     solve_p = sub.add_parser("solve", help="run one solve, emit iterate table")
     add_common(solve_p)
@@ -451,12 +416,9 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "sweep":
-            grid = [float(v) for v in args.grid.split(",") if v.strip()]
-            return cmd_sweep(cfg, args.sweep, grid)
+            return cmd_sweep(cfg, args.sweep, _parse_vector(args.grid).tolist())
         if args.command == "diagnose":
-            grid = None
-            if args.grid:
-                grid = [float(v) for v in args.grid.split(",") if v.strip()]
+            grid = _parse_vector(args.grid).tolist() if args.grid else None
             return cmd_diagnose(cfg, grid)
     except (ValueError, KeyError) as exc:
         _log(f"error: {exc}")

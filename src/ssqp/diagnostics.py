@@ -250,16 +250,18 @@ def error_estimate_ratio(
 ) -> float:
     """Largest ratio (true error) / (computable residual) over samples.
 
-    Each sample is a (z, lam) pair; the computable residual is
-    |L'_z(z, lam)|_{Z*} + |G(z)|_Y.  Samples at the reference itself
-    (0/0) are skipped; a vanishing residual with nonzero error yields
-    infinity.
+    Each sample is a (z, lam) pair; the computable residual is the KKT
+    stationarity plus feasibility residual at (z, lam), which is
+    |L'_z(z, lam)|_{Z*} + |G(z)|_Y for K = {0}.  Samples at the reference
+    itself (0/0) are skipped; a vanishing residual with nonzero error
+    yields infinity.
     """
     worst = 0.0
     for i, (z, lam) in enumerate(samples):
         num = p.Z.norm_arr(z.coords - ref.z_star.coords)
         num += multiplier_distance(ref, lam)[0]
-        den = p.Z.dual_norm(p.lagrangian_grad(z, lam)) + p.Y.norm(p.G(z))
+        kkt = p.kkt_residual(z, lam)
+        den = kkt.stationarity + kkt.feasibility
         if den <= 1e-15:
             if num <= 1e-13:
                 continue

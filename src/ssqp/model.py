@@ -183,18 +183,6 @@ class KKTResidual:
         return self.stationarity + self.feasibility + self.polar_violation
 
 
-def lagrangian_grad(p: ProblemDef, z: PrimalVec, lam: Functional) -> Functional:
-    return p.lagrangian_grad(z, lam)
-
-
-def cone_coords(cone: ConeSpec, r: PrimalVec) -> tuple[np.ndarray, float]:
-    return cone.coords(r)
-
-
-def kkt_residual(p: ProblemDef, z: PrimalVec, lam: Functional) -> KKTResidual:
-    return p.kkt_residual(z, lam)
-
-
 def validate_problem(
     p: ProblemDef,
     points=None,

@@ -2,9 +2,10 @@
 
 Each iteration tests the computable KKT residual, picks the stabilization
 weight rho_k and solves one saddle-point subproblem.  The default rho rule
-is proportional to the computable error proxy |L'_z|_{Z*} + |G|_Y, clamped
-to [rho_min, sigma1]; a fixed rule and a true-error oracle rule (for test
-harnesses with a registered reference solution) are also available.
+is proportional to the computable error proxy, the KKT stationarity plus
+feasibility residual, clamped to [rho_min, sigma1]; a fixed rule and a
+true-error oracle rule (for test harnesses with a registered reference
+solution) are also available.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ from .subproblem import (
 
 @dataclass(frozen=True)
 class ErrorProportional:
-    """rho_k = clamp(theta * (|L'_z| + |G|), rho_min, sigma1)."""
+    """rho_k = clamp(theta * eta, rho_min, sigma1).
+
+    eta is the KKT stationarity plus feasibility residual: |L'_z|_{Z*} plus
+    the Y-distance of G(z) to the complementarity face of K, which is
+    |G(z)|_Y for K = {0}.
+    """
 
     theta: float = 1.0
 
@@ -113,13 +119,18 @@ def rho_rule(
     lam: Functional,
     opts: SolverOptions,
     reference: ReferenceSolution | None = None,
+    kkt: KKTResidual | None = None,
 ) -> float:
-    """Stabilization weight at (z, lam) under the configured rule."""
+    """Stabilization weight at (z, lam) under the configured rule.
+
+    `kkt` is the KKT residual at (z, lam) when the caller has it already.
+    """
     rule = opts.rho_rule
     if isinstance(rule, Fixed):
-        return rule.rho
+        return float(rule.rho)
     if isinstance(rule, ErrorProportional):
-        eta = p.Z.dual_norm(p.lagrangian_grad(z, lam)) + p.Y.norm(p.G(z))
+        kkt = kkt if kkt is not None else p.kkt_residual(z, lam)
+        eta = kkt.stationarity + kkt.feasibility
         return float(np.clip(rule.theta * eta, opts.rho_min, opts.sigma1))
     if isinstance(rule, TrueErrorOracle):
         if reference is None:
@@ -169,6 +180,29 @@ def _project_into_polar(p: ProblemDef, lam: Functional) -> Functional:
     return Functional(p.Y, lam.coeffs - shift)
 
 
+def _callback_fault(p: ProblemDef, z: PrimalVec, lam: Functional,
+                    exc: ValueError) -> str:
+    """Name the callback whose output at (z, lam) caused `exc`.
+
+    Called only once an evaluation has failed, so each output is computed
+    again and checked for shape and finiteness here rather than on every
+    iterate.  Re-raises `exc` when every callback output is sound.
+    """
+    outputs = (
+        ("grad_f", lambda: p.grad_f(z).coeffs, (p.Z.dim,)),
+        ("G", lambda: p.G(z).coords, (p.Y.dim,)),
+        ("jac_G", lambda: p.jac_G(z), (p.Y.dim, p.Z.dim)),
+        ("hess_L", lambda: p.hess_L(z, lam), (p.Z.dim, p.Z.dim)),
+    )
+    for name, evaluate, shape in outputs:
+        value = np.asarray(evaluate(), dtype=float)
+        if value.shape != shape:
+            return f"callback {name} returned shape {value.shape}, expected {shape}"
+        if not np.isfinite(value).all():
+            return f"callback {name} returned a value that is not finite"
+    raise exc
+
+
 def run(
     p: ProblemDef,
     z0: PrimalVec,
@@ -179,8 +213,10 @@ def run(
     """Run the stabilized SQP iteration from (z0, lam0).
 
     Stops on kkt.total <= tol (Converged), after max_iter subproblem
-    solves (MaxIter), or when a subproblem factorization fails
-    (SubproblemFailure, with the failing iteration index).  When a
+    solves (MaxIter), or when a subproblem factorization fails or a
+    callback returns a value that is not finite or has the wrong shape
+    (SubproblemFailure, with the failing iteration index; the history
+    then ends before that iterate if its KKT residual failed).  When a
     reference solution is given, per-iterate errors and the empirical
     error-estimate constant gamma_hat are recorded and convergence orders
     are measured on the true error; otherwise on the KKT residual.
@@ -196,8 +232,14 @@ def run(
     failure_index: int | None = None
     failure_message: str | None = None
     for k in range(opts.max_iter + 1):
-        kkt = p.kkt_residual(z, lam)
-        rho = rho_rule(p, z, lam, opts, reference)
+        try:
+            kkt = p.kkt_residual(z, lam)
+            if not math.isfinite(kkt.total):
+                raise ValueError(f"KKT residual is not finite at iteration {k}")
+        except ValueError as exc:
+            failure_message = _callback_fault(p, z, lam, exc)
+            break
+        rho = rho_rule(p, z, lam, opts, reference, kkt)
         rec = IterateRecord(k=k, z=z, lam=lam, rho=rho, kkt=kkt)
         if reference is not None:
             rec.err_z = p.Z.norm_arr(z.coords - reference.z_star.coords)
@@ -210,28 +252,32 @@ def run(
         if k == opts.max_iter:
             status = SolveStatus.MAX_ITER
             break
-        sys = SaddleSystem(
-            H=p.hess_L(z, lam),
-            J=p.jac_G(z),
-            g=p.grad_f(z).coeffs,
-            Gval=p.G(z).coords,
-            rho=rho,
-            lamk=lam,
-            zk=z,
-            spaceZ=p.Z,
-            spaceY=p.Y,
-        )
+        try:
+            sys = SaddleSystem(
+                H=p.hess_L(z, lam),
+                J=p.jac_G(z),
+                g=p.grad_f(z).coeffs,
+                Gval=p.G(z).coords,
+                rho=rho,
+                lamk=lam,
+                zk=z,
+                spaceZ=p.Z,
+                spaceY=p.Y,
+            )
+        except ValueError as exc:
+            failure_message = _callback_fault(p, z, lam, exc)
+            break
         try:
             if p.cone.m == 0:
                 sol = solve_equality(sys)
             else:
                 sol = solve_cone(sys, p.cone)
         except (SingularSubproblem, NoConvergence) as exc:
-            status = SolveStatus.SUBPROBLEM_FAILURE
-            failure_index = k
             failure_message = str(exc)
             break
         z, lam = sol.z_next, sol.lam_next
+    if failure_message is not None:
+        status, failure_index = SolveStatus.SUBPROBLEM_FAILURE, k
     if reference is not None:
         errs = [r.total_err for r in history]
     else:

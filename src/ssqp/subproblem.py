@@ -72,6 +72,8 @@ class SaddleSystem:
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
         scale = max(np.abs(self.H).max(), 1.0)
+        if not np.isfinite(scale):
+            raise ValueError("Hessian block is not finite")
         if np.abs(self.H - self.H.T).max() > 1e-10 * scale:
             raise ValueError("Hessian block is not symmetric to 1e-10")
 
@@ -108,8 +110,9 @@ def _saddle_rhs(sys: SaddleSystem, n_active: int = 0) -> np.ndarray:
     return rhs
 
 
-def _factor_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Bunch-Kaufman solve with a condition check and iterative refinement."""
+def _factor(A: np.ndarray, rhs: np.ndarray):
+    """Bunch-Kaufman solve of A x = rhs and the reciprocal 1-norm condition
+    estimate of A; returns (udut, ipiv, x, anorm, rcond)."""
     anorm = float(np.linalg.norm(A, 1))
     udut, ipiv, x, info = lapack.dsysv(A, rhs[:, None], lower=1)
     if info > 0:
@@ -119,6 +122,12 @@ def _factor_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info < 0:
         raise RuntimeError(f"dsysv: illegal argument {-info}")
     rcond, _ = lapack.dsycon(udut, ipiv, anorm, lower=1)
+    return udut, ipiv, x[:, 0], anorm, rcond
+
+
+def _factor_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Bunch-Kaufman solve with a condition check and iterative refinement."""
+    udut, ipiv, x, anorm, rcond = _factor(A, rhs)
     if rcond < RCOND_FLOOR:
         est = np.inf if rcond == 0.0 else 1.0 / rcond
         raise SingularSubproblem(
@@ -126,7 +135,6 @@ def _factor_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"(condition estimate {est:.2e})",
             condition_estimate=est,
         )
-    x = x[:, 0]
     # Two refinement sweeps recover accuracy lost to scale disparities.
     for _ in range(2):
         r = rhs - A @ x
@@ -159,11 +167,10 @@ def solve_equality(sys: SaddleSystem) -> SubproblemSolution:
 def saddle_condition_estimate(sys: SaddleSystem) -> float:
     """1-norm condition estimate of the assembled saddle matrix."""
     A = assemble_saddle_matrix(sys)
-    anorm = float(np.linalg.norm(A, 1))
-    udut, ipiv, _, info = lapack.dsysv(A, np.zeros((A.shape[0], 1)), lower=1)
-    if info > 0:
+    try:
+        *_, rcond = _factor(A, np.zeros(A.shape[0]))
+    except SingularSubproblem:
         return np.inf
-    rcond, _ = lapack.dsycon(udut, ipiv, anorm, lower=1)
     return np.inf if rcond == 0.0 else 1.0 / rcond
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -5,7 +6,17 @@ import numpy as np
 import pytest
 
 import ssqp.bench
-from ssqp.cli import CSV_HEADER, SWEEP_HEADER, main
+from ssqp.cli import (
+    CSV_HEADER,
+    EIGENCONTROL_KEYS,
+    SWEEP_HEADER,
+    RunConfig,
+    apply_flags,
+    build_parser,
+    load_config,
+    main,
+)
+from ssqp.spaces import Functional
 
 SCI = r"-?\d\.\d{15}e[+-]\d{2,3}"
 
@@ -83,6 +94,27 @@ class TestSolve:
         )
         assert code == 0
 
+    def test_bad_callback_output_exits_3(self, capsys, monkeypatch):
+        # grad_f turns infinite after the first step
+        bm = ssqp.bench.get_benchmark("degenerate-line")
+        grad_f = bm.problem.grad_f
+
+        def spoiled(z):
+            if abs(z.coords[0]) < 0.09:
+                return Functional(bm.problem.Z, [np.inf, 0.0])
+            return grad_f(z)
+
+        bare = dataclasses.replace(
+            bm, problem=dataclasses.replace(bm.problem, grad_f=spoiled),
+            reference=None,
+        )
+        monkeypatch.setattr(ssqp.cli.bench, "get_benchmark",
+                            lambda name, **kw: bare)
+        code, out, err = run_cli(capsys, "solve")
+        assert code == 3
+        assert err == ("subproblem failure at iteration 1: callback grad_f "
+                       "returned a value that is not finite\n")
+
     def test_oracle_rho_rule(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--benchmark", "degenerate-line",
                              "--rho-rule", "oracle", "--sigma0", "1.0")
@@ -157,6 +189,101 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["benchmark"] == "eigencontrol-n9"
+
+
+def setting(cfg: RunConfig, section: str, key: str):
+    """The parsed value of one setting; eigencontrol keys left unset read
+    as a missing-key marker."""
+    if section == "eigencontrol":
+        return cfg.eigencontrol.get(key, "<unset>")
+    return getattr(cfg, key)
+
+
+# section, key, INI text, parsed value
+INI_CASES = [
+    ("run", "benchmark", "cone-active", "cone-active"),
+    ("run", "start_offset", "0.05, 0.05", "0.05, 0.05"),
+    ("run", "lambda0", "-0.5,-0.5", "-0.5,-0.5"),
+    ("run", "output", "json", "json"),
+    ("run", "seed", "7", 7),
+    ("options", "rho_rule", "fixed", "fixed"),
+    ("options", "theta", "2.5", 2.5),
+    ("options", "rho", "0.01", 0.01),
+    ("options", "sigma0", "3", 3.0),
+    ("options", "sigma1", "0.5", 0.5),
+    ("options", "tol", "1e-9", 1e-9),
+    ("options", "max_iter", "30", 30),
+    ("metric", "mass_z", "identity", "identity"),
+    ("metric", "mass_y", "diagonal: [4, 1]", "diagonal: [4, 1]"),
+    ("eigencontrol", "n", "9", 9),
+    ("eigencontrol", "alpha", "2.0", 2.0),
+    ("eigencontrol", "q_d", "3.5", 3.5),
+    ("eigencontrol", "q_d", "auto", "<unset>"),
+    ("eigencontrol", "u_d_mode", "2", 2),
+    ("eigencontrol", "u_d_amp", "0.25", 0.25),
+]
+
+# flag arguments, section, key, parsed value
+FLAG_CASES = [
+    (["--benchmark", "cone-active"], "run", "benchmark", "cone-active"),
+    (["--rho-rule", "fixed"], "options", "rho_rule", "fixed"),
+    (["--theta", "2.5"], "options", "theta", 2.5),
+    (["--rho", "0.01"], "options", "rho", 0.01),
+    (["--sigma0", "3"], "options", "sigma0", 3.0),
+    (["--sigma1", "0.5"], "options", "sigma1", 0.5),
+    (["--tol", "1e-9"], "options", "tol", 1e-9),
+    (["--max-iter", "30"], "options", "max_iter", 30),
+    (["--start-offset", "0.05,0.05"], "run", "start_offset", "0.05,0.05"),
+    (["--lambda0=-0.5,-0.5"], "run", "lambda0", "-0.5,-0.5"),
+    (["--output", "json"], "run", "output", "json"),
+    (["--seed", "7"], "run", "seed", 7),
+    (["--n", "9"], "eigencontrol", "n", 9),
+    (["--alpha", "2.0"], "eigencontrol", "alpha", 2.0),
+    (["--q-d", "3.5"], "eigencontrol", "q_d", 3.5),
+    (["--u-d-mode", "2"], "eigencontrol", "u_d_mode", 2),
+    (["--u-d-amp", "0.25"], "eigencontrol", "u_d_amp", 0.25),
+]
+
+
+def ini_keys() -> set:
+    keys = {(f.metadata["section"], f.name) for f in dataclasses.fields(RunConfig)
+            if "section" in f.metadata}
+    return keys | {("eigencontrol", key) for key in EIGENCONTROL_KEYS}
+
+
+class TestSettings:
+    @pytest.mark.parametrize("section, key, text, expected", INI_CASES)
+    def test_ini_key_reaches_the_config(self, tmp_path, section, key, text,
+                                        expected):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        got = setting(load_config(str(path)), section, key)
+        assert got == expected
+        assert type(got) is type(expected)
+
+    @pytest.mark.parametrize("argv, section, key, expected", FLAG_CASES)
+    def test_flag_reaches_the_config(self, argv, section, key, expected):
+        args = build_parser().parse_args(["solve", *argv])
+        got = setting(apply_flags(RunConfig(), args), section, key)
+        assert got == expected
+        assert type(got) is type(expected)
+
+    def test_cases_cover_every_key(self):
+        assert {(sec, key) for sec, key, _, _ in INI_CASES} == ini_keys()
+        flagged = {(sec, key) for _, sec, key, _ in FLAG_CASES}
+        assert flagged == ini_keys() - {("metric", "mass_z"), ("metric", "mass_y")}
+
+    def test_metric_keys_have_no_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["solve", "--mass-z", "identity"])
+
+    def test_unknown_and_misplaced_keys_are_ignored(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[run]\nfoo = 1\ntol = 1e-3\n[options]\nseed = 4\nbar = x\n"
+            "[eigencontrol]\nbaz = 3\n[extra]\nbenchmark = cone-active\n"
+        )
+        assert load_config(str(path)) == RunConfig()
 
 
 class TestSweep:

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ssqp.bench import get_benchmark
+from ssqp.model import ConeSpec, ProblemDef
 from ssqp.solver import (
     ErrorProportional,
     Fixed,
@@ -13,6 +16,7 @@ from ssqp.solver import (
     rho_rule,
     run,
 )
+from ssqp.spaces import Functional, InnerProductSpace, PrimalVec
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +241,79 @@ class TestRun:
                      reference=degenerate.reference)
         tail = report.observed_orders[-1]
         assert abs(tail - 1.0) <= 0.3
+
+
+def test_proportional_rule_is_quadratic_off_the_cone_vertex():
+    # min |x - c|_H^2 / 2 over x in cone(y_1..y_6) in R^12 with the exact
+    # NNLS solution x* off the vertex, so G(x*) = x* != 0.  The rho rule
+    # must read the KKT feasibility (distance to the complementarity face),
+    # which vanishes at x*.  With |G(x)|_Y in its place rho stays at
+    # sigma1 and these instances take 13 to 73 steps at order 1; with the
+    # KKT feasibility they take 7 to 10.
+    import scipy.optimize
+
+    rng = np.random.default_rng(2025)
+    dim, m = 12, 6
+
+    def spd():
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        a = (q * rng.uniform(0.5, 2.0, dim)) @ q.T
+        return 0.5 * (a + a.T)
+
+    for _ in range(12):
+        H, mass_y = spd(), spd()
+        L = np.linalg.cholesky(H)
+        while True:
+            gens = rng.standard_normal((dim, m))
+            center = rng.standard_normal(dim)
+            w, _ = scipy.optimize.nnls(L.T @ gens, L.T @ center)
+            if w.max() > 1e-6:
+                break
+        Z, Y = InnerProductSpace(H), InnerProductSpace(mass_y)
+        p = ProblemDef(
+            Z, Y, ConeSpec(Y, tuple(Y.vector(g) for g in gens.T)),
+            f=lambda z: 0.0,
+            grad_f=lambda z, H=H, c=center: Functional(Z, H @ (z.coords - c)),
+            G=lambda z: PrimalVec(Y, z.coords.copy()),
+            jac_G=lambda z: np.eye(dim),
+            hess_L=lambda z, lam, H=H: H,
+        )
+        dz = rng.standard_normal(dim)
+        dz *= 0.1 / Z.norm_arr(dz)
+        report = run(p, Z.vector(gens @ w + dz), Y.zero_functional(),
+                     SolverOptions(tol=1e-10, max_iter=50))
+        assert report.status is SolveStatus.CONVERGED
+        assert len(report.history) - 1 <= 15
+
+
+def _spoiled(p: ProblemDef, name: str, bad) -> ProblemDef:
+    """p whose callback `name` returns bad(p) once |x1| < 0.09, which on
+    degenerate-line from x1 = 0.1 happens from iterate 1 on."""
+    good = getattr(p, name)
+
+    def callback(z, *args):
+        return bad(p) if abs(z.coords[0]) < 0.09 else good(z, *args)
+
+    return dataclasses.replace(p, **{name: callback})
+
+
+BAD_CALLBACKS = {
+    "G-nan": ("G", lambda p: PrimalVec(p.Y, [np.nan, 0.0])),
+    "hess_L-nan": ("hess_L", lambda p: np.full((2, 2), np.nan)),
+    "grad_f-inf": ("grad_f", lambda p: Functional(p.Z, [np.inf, 0.0])),
+    "jac_G-shape": ("jac_G", lambda p: np.zeros((2, 3))),
+    "hess_L-shape": ("hess_L", lambda p: np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CALLBACKS))
+def test_bad_callback_output_is_a_subproblem_failure(degenerate, case):
+    name, bad = BAD_CALLBACKS[case]
+    p = _spoiled(degenerate.problem, name, bad)
+    report = run(p, p.Z.vector([0.1, 0.1]), p.Y.functional([-0.6, -0.45]),
+                 SolverOptions(tol=1e-12))
+    assert report.status is SolveStatus.SUBPROBLEM_FAILURE
+    assert report.failure_index == 1
+    assert report.failure_message.startswith(f"callback {name} returned")
+    assert [r.k for r in report.history] in ([0], [0, 1])
+    assert all(np.isfinite(r.kkt.total) for r in report.history)
