@@ -51,7 +51,6 @@ from .spaces import (
     PrimalVec,
     ProductSpace,
     mass_from_spec,
-    product_space,
 )
 from .subproblem import (
     NoConvergence,

@@ -24,13 +24,21 @@ import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .diagnostics import ReferenceSolution, degeneracy_report
-from .model import ConeSpec, ProblemDef, empty_cone
-from .spaces import Functional, InnerProductSpace, PrimalVec, product_space
+from .model import ConeSpec, ProblemDef, empty_cone, to_dense
+from .spaces import Functional, InnerProductSpace, PrimalVec, ProductSpace
 
-#: Dense factorizations cap the discretization size.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+#: The build caps the discretization size, not the solve: eigencontrol's
+#: callbacks are sparse, but its reference certification (a dense
+#: least-squares solve), the notes' singular values and the metric
+#: factors are dense O(n^3) steps.
 MAX_GRID_POINTS = 2000
 
 
@@ -231,12 +239,13 @@ def make_cone_instance() -> BenchmarkProblem:
     )
 
 
-def fd_laplacian(n: int) -> np.ndarray:
-    """Central-difference Laplacian on n interior points of (0, 1)."""
+def fd_laplacian(n: int) -> sp.csr_matrix:
+    """Central-difference Laplacian on n interior points of (0, 1), as CSR."""
+    import scipy.sparse as sp
+
     h = 1.0 / (n + 1)
-    A = (np.diag(2.0 * np.ones(n)) - np.diag(np.ones(n - 1), 1)
-         - np.diag(np.ones(n - 1), -1)) / h**2
-    return A
+    off = -np.ones(n - 1)
+    return sp.diags([off, 2.0 * np.ones(n), off], [-1, 0, 1], format="csr") / h**2
 
 
 def fd_eigenvalue(n: int, mode: int) -> float:
@@ -270,11 +279,15 @@ def make_eigencontrol(
     if n < 3:
         raise ValueError("need at least 3 interior grid points")
     if n > MAX_GRID_POINTS:
-        raise ValueError(f"dense solves support at most {MAX_GRID_POINTS} points")
+        raise ValueError(f"the build supports at most {MAX_GRID_POINTS} points")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if not 1 <= u_d_mode <= n:
         raise ValueError(f"u_d_mode must lie in 1..{n}")
+    # scipy.sparse adds about 30 ms to every import of ssqp; only this
+    # benchmark's callbacks need it
+    import scipy.sparse as sp
+
     h = 1.0 / (n + 1)
     x_grid = h * np.arange(1, n + 1)
     A = fd_laplacian(n)
@@ -285,9 +298,9 @@ def make_eigencontrol(
     phi = np.sin(u_d_mode * np.pi * x_grid)
     u_d = u_d_amp * phi
 
-    state_space = InnerProductSpace(h * (np.eye(n) + A.T @ A))
+    state_space = InnerProductSpace(h * (np.eye(n) + (A.T @ A).toarray()))
     control_space = InnerProductSpace.identity(1)
-    Z = product_space([state_space, control_space])
+    Z = ProductSpace([state_space, control_space])
     Y = InnerProductSpace(h * np.eye(n))
 
     def split(z: PrimalVec) -> tuple[np.ndarray, float]:
@@ -307,17 +320,30 @@ def make_eigencontrol(
         u, q = split(z)
         return PrimalVec(Y, A @ u + q * u)
 
-    def jac_G(z: PrimalVec) -> np.ndarray:
-        u, q = split(z)
-        return np.hstack([A + q * np.eye(n), u[:, None]])
+    # The Jacobian [A + q I | u] and the arrow Hessian
+    # [[h I, lam], [lam^T, alpha]] keep their sparsity patterns, so each
+    # call only fills a data array in front of fixed CSR index arrays.
+    row_ends = A.indptr[1:]
+    jac_indptr = A.indptr + np.arange(n + 1)
+    jac_indices = np.insert(A.indices, row_ends, n)
+    on_diagonal = A.indices == np.repeat(np.arange(n), np.diff(A.indptr))
+    arrow_indptr = np.append(2 * np.arange(n + 1), 3 * n + 1)
+    arrow_indices = np.concatenate([
+        np.column_stack([np.arange(n), np.full(n, n)]).ravel(), np.arange(n + 1),
+    ])
+    h_diagonal = np.full(n, h)
 
-    def hess_L(z: PrimalVec, lam: Functional) -> np.ndarray:
-        H = np.zeros((n + 1, n + 1))
-        H[:n, :n] = h * np.eye(n)
-        H[:n, n] = lam.coeffs
-        H[n, :n] = lam.coeffs
-        H[n, n] = alpha
-        return H
+    def jac_G(z: PrimalVec) -> sp.csr_matrix:
+        u, q = split(z)
+        data = np.insert(A.data + q * on_diagonal, row_ends, u)
+        return sp.csr_matrix((data, jac_indices, jac_indptr), shape=(n, n + 1))
+
+    def hess_L(z: PrimalVec, lam: Functional) -> sp.csr_matrix:
+        data = np.concatenate([
+            np.column_stack([h_diagonal, lam.coeffs]).ravel(), lam.coeffs, [alpha],
+        ])
+        return sp.csr_matrix((data, arrow_indices, arrow_indptr),
+                             shape=(n + 1, n + 1))
 
     problem = ProblemDef(Z, Y, empty_cone(Y), f, grad_f, G, jac_G, hess_L)
 
@@ -341,7 +367,7 @@ def make_eigencontrol(
 
     def certify(z: PrimalVec) -> ReferenceSolution | None:
         # minimal-norm multiplier for the stationarity system at z
-        Jst = jac_G(z)
+        Jst = to_dense(jac_G(z))
         gst = grad_f(z).coeffs
         lam_coeffs, *_ = np.linalg.lstsq(Jst.T, -gst, rcond=None)
         if problem.kkt_residual(z, Y.functional(lam_coeffs)).total > 1e-9:

@@ -126,7 +126,14 @@ def load_config(path: str | None) -> RunConfig:
     for f in fields(RunConfig):
         section = f.metadata.get("section")
         if section is not None and parser.has_option(section, f.name):
-            setattr(cfg, f.name, f.metadata["kind"](parser[section][f.name]))
+            value = f.metadata["kind"](parser[section][f.name])
+            choices = f.metadata["choices"]
+            if choices is not None and value not in choices:
+                raise ConfigError(
+                    f"[{section}] {f.name} = {value!r} is not one of: "
+                    f"{', '.join(choices)}"
+                )
+            setattr(cfg, f.name, value)
     if parser.has_section("eigencontrol"):
         sec = parser["eigencontrol"]
         cfg.eigencontrol = {

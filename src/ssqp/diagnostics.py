@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .model import ConeSpec, ProblemDef, nnls
+from .model import ConeSpec, ProblemDef, nnls, to_dense
 from .spaces import Functional, InnerProductSpace, PrimalVec
 
 logger = logging.getLogger(__name__)
@@ -40,7 +40,8 @@ class ReferenceSolution:
     the positive generator pairings must be at most MEMBERSHIP_TOL times
     the size of the terms they sum.  The projector onto the set is
     factored on the first projection and cached here, so the data must
-    not change after construction.
+    not change after construction.  A scipy.sparse `j_star` is stored
+    dense, as the projector's QR needs.
     """
 
     z_star: PrimalVec
@@ -53,7 +54,7 @@ class ReferenceSolution:
     )
 
     def __post_init__(self) -> None:
-        self.j_star = np.asarray(self.j_star, dtype=float)
+        self.j_star = to_dense(self.j_star)
         self.g_star = np.asarray(self.g_star, dtype=float)
         lam = self.lambda_star.coeffs
         residual = np.abs(self.j_star.T @ lam + self.g_star).max()
@@ -202,8 +203,8 @@ def coercivity_margin(H, J, massZ, massY, rho: float) -> float:
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    H = np.asarray(H, dtype=float)
-    J = np.asarray(J, dtype=float)
+    H = to_dense(H)
+    J = to_dense(J)
     massZ = np.asarray(massZ, dtype=float)
     massY = np.asarray(massY, dtype=float)
     A = H + (J.T @ massY @ J) / rho
@@ -236,7 +237,7 @@ def degeneracy_report(
     qualification) holds when the smallest of the Y.dim values exceeds
     rank_tol = rank_tol_factor * largest.
     """
-    J = np.asarray(p.jac_G(z), dtype=float)
+    J = to_dense(p.jac_G(z))
     # Jt = L_Y^T J L_Z^{-T} for the metric factors M = L L^T
     Jt = p.Z.whiten_dual(p.Y.whiten(J).T).T
     svals = np.linalg.svd(Jt, compute_uv=False)

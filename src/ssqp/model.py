@@ -12,12 +12,16 @@ them against finite differences.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .spaces import DimensionMismatch, Functional, InnerProductSpace, PrimalVec
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Cone problems are supported up to this many generators: the subproblem's
 #: last-resort pattern search enumerates all 2^m activity patterns.
@@ -86,14 +90,53 @@ def empty_cone(space: InnerProductSpace) -> ConeSpec:
     return ConeSpec(space, ())
 
 
+def issparse(M) -> bool:
+    """scipy.sparse.issparse(M), without importing scipy.sparse.
+
+    No matrix is sparse before some code has imported scipy.sparse, so
+    problems with dense callbacks never pay for that import (about 30 ms
+    of every CLI process).
+    """
+    if isinstance(M, np.ndarray):
+        return False
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(M)
+
+
+def as_matrix(M) -> np.ndarray | sp.csr_matrix:
+    """A callback's matrix output: scipy.sparse as CSR, else a float array."""
+    if issparse(M):
+        import scipy.sparse as sp
+
+        return sp.csr_matrix(M, dtype=float)
+    return np.asarray(M, dtype=float)
+
+
+def to_dense(M) -> np.ndarray:
+    """A callback's matrix output as a dense float array."""
+    return M.toarray() if issparse(M) else np.asarray(M, dtype=float)
+
+
+@dataclass
+class Evaluation:
+    """The callback outputs at a point z that do not involve the
+    multiplier: f'(z) and G(z) as coefficient arrays, and G'(z)."""
+
+    g: np.ndarray
+    Gval: np.ndarray
+    J: np.ndarray | sp.csr_matrix
+
+
 @dataclass
 class ProblemDef:
     """Callbacks defining the optimization problem over spaces Z and Y.
 
     jac_G(z) maps Z coordinates to Y coordinates (Y.dim x Z.dim matrix);
     hess_L(z, lam) is the full Lagrangian Hessian, symmetric and affine in
-    the multiplier.  Callbacks must be pure so that distinct solves can
-    share a ProblemDef.
+    the multiplier.  Both may return a numpy array or a scipy.sparse
+    matrix; sparse output keeps the subproblem sparse, and its saddle
+    system is factored by sparse LU.  Callbacks must be pure so that
+    distinct solves can share a ProblemDef.
     """
 
     Z: InnerProductSpace
@@ -105,30 +148,40 @@ class ProblemDef:
     jac_G: Callable[[PrimalVec], np.ndarray]
     hess_L: Callable[[PrimalVec, Functional], np.ndarray]
 
-    def lagrangian_grad(self, z: PrimalVec, lam: Functional) -> Functional:
-        """Coefficients of f'(z) + G'(z)* lam as a Z functional."""
-        g = self.grad_f(z).coeffs
-        J = np.asarray(self.jac_G(z), dtype=float)
+    def evaluate(self, z: PrimalVec) -> Evaluation:
+        """grad_f, G and jac_G at z, one call each."""
+        return Evaluation(self.grad_f(z).coeffs, self.G(z).coords,
+                          self._jacobian(z))
+
+    def _jacobian(self, z: PrimalVec) -> np.ndarray | sp.csr_matrix:
+        J = as_matrix(self.jac_G(z))
         if J.shape != (self.Y.dim, self.Z.dim):
             raise DimensionMismatch(
                 f"jac_G returned shape {J.shape}, expected {(self.Y.dim, self.Z.dim)}"
             )
-        return Functional(self.Z, g + J.T @ lam.coeffs)
+        return J
 
-    def kkt_residual(self, z: PrimalVec, lam: Functional) -> "KKTResidual":
+    def lagrangian_grad(self, z: PrimalVec, lam: Functional) -> Functional:
+        """Coefficients of f'(z) + G'(z)* lam as a Z functional."""
+        g = self.grad_f(z).coeffs
+        return Functional(self.Z, g + self._jacobian(z).T @ lam.coeffs)
+
+    def kkt_residual(self, z: PrimalVec, lam: Functional,
+                     at: Evaluation | None = None) -> "KKTResidual":
         """Residual of the first-order conditions at (z, lam).
 
         Stationarity is the Z* dual norm of the Lagrangian gradient.  For
         K = {0}, feasibility is |G(z)|_Y.  Otherwise it is the Y-distance
         of G(z) to the complementarity face {sum c_i y_i : c_i >= 0,
         c_i <l, y_i> = 0}, computed by nonnegative least squares, and the
-        polar violation records any positive generator pairing.
+        polar violation records any positive generator pairing.  `at` is
+        `evaluate(z)` when the caller has it already.
         """
-        stationarity = self.Z.dual_norm(self.lagrangian_grad(z, lam))
-        gval = self.G(z)
+        at = at if at is not None else self.evaluate(z)
+        stationarity = self.Z.dual_norm_arr(at.g + at.J.T @ lam.coeffs)
         m = self.cone.m
         if m == 0:
-            return KKTResidual(stationarity, self.Y.norm(gval), 0.0)
+            return KKTResidual(stationarity, self.Y.norm_arr(at.Gval), 0.0)
         if m > MAX_CONE_GENERATORS:
             raise UnsupportedConeSize(
                 f"cone problems support at most {MAX_CONE_GENERATORS} "
@@ -139,18 +192,18 @@ class ProblemDef:
         # Complementarity allows c_i > 0 only where <lam, y_i> vanishes.
         active_tol = 1e-9 * (1.0 + self.Y.dual_norm(lam))
         allowed = [i for i in range(m) if abs(pairings[i]) <= active_tol]
-        feasibility = _cone_face_distance(self.cone, gval, allowed)
+        feasibility = _cone_face_distance(self.cone, at.Gval, allowed)
         return KKTResidual(stationarity, feasibility, polar)
 
 
-def _cone_face_distance(cone: ConeSpec, r: PrimalVec, allowed: list[int]) -> float:
+def _cone_face_distance(cone: ConeSpec, r: np.ndarray, allowed: list[int]) -> float:
     """Y-distance of r to {sum_{i in allowed} c_i y_i : c_i >= 0}.
 
     In whitened coordinates this is the residual norm of a nonnegative
     least-squares problem.  The norm of the residual vector is accurate
     to rounding in |r|; |r|^2 - c^T b would lose half the digits.
     """
-    b = cone.space.whiten(r.coords)
+    b = cone.space.whiten(r)
     if not allowed:
         return float(np.linalg.norm(b))
     return nnls(cone.whitened_generators[:, allowed], b)[1]
@@ -204,7 +257,7 @@ def validate_problem(
             p.Z.vector(scale * rng.standard_normal(p.Z.dim)) for _ in range(n_points)
         ]
     for z in points:
-        J = np.asarray(p.jac_G(z), dtype=float)
+        J = to_dense(p.jac_G(z))
         Jfd = np.empty_like(J)
         for j in range(p.Z.dim):
             step = 1e-6 * (1.0 + abs(z.coords[j]))
@@ -222,17 +275,15 @@ def validate_problem(
             )
         lam1 = p.Y.functional(rng.standard_normal(p.Y.dim))
         lam2 = p.Y.functional(rng.standard_normal(p.Y.dim))
-        H0 = np.asarray(p.hess_L(z, p.Y.zero_functional()), dtype=float)
+        H0 = to_dense(p.hess_L(z, p.Y.zero_functional()))
         for lam in (lam1, lam2):
-            H = np.asarray(p.hess_L(z, lam), dtype=float)
+            H = to_dense(p.hess_L(z, lam))
             scale_H = max(np.abs(H).max(), 1.0)
             if np.abs(H - H.T).max() > 1e-10 * scale_H:
                 raise ValueError("hess_L is not symmetric to 1e-10")
-        H1 = np.asarray(p.hess_L(z, lam1), dtype=float)
-        H2 = np.asarray(p.hess_L(z, lam2), dtype=float)
-        H12 = np.asarray(
-            p.hess_L(z, p.Y.functional(lam1.coeffs + lam2.coeffs)), dtype=float
-        )
+        H1 = to_dense(p.hess_L(z, lam1))
+        H2 = to_dense(p.hess_L(z, lam2))
+        H12 = to_dense(p.hess_L(z, p.Y.functional(lam1.coeffs + lam2.coeffs)))
         lin_err = np.abs((H12 - H0) - ((H1 - H0) + (H2 - H0))).max()
         if lin_err > 1e-10 * max(np.abs(H12).max(), 1.0):
             raise ValueError("hess_L is not affine in the multiplier to 1e-10")

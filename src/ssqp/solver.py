@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import ReferenceSolution, multiplier_distance
-from .model import KKTResidual, ProblemDef
+from .model import KKTResidual, ProblemDef, as_matrix, issparse
 from .spaces import Functional, PrimalVec
 from .subproblem import (
     NoConvergence,
@@ -195,10 +195,10 @@ def _callback_fault(p: ProblemDef, z: PrimalVec, lam: Functional,
         ("hess_L", lambda: p.hess_L(z, lam), (p.Z.dim, p.Z.dim)),
     )
     for name, evaluate, shape in outputs:
-        value = np.asarray(evaluate(), dtype=float)
+        value = as_matrix(evaluate())
         if value.shape != shape:
             return f"callback {name} returned shape {value.shape}, expected {shape}"
-        if not np.isfinite(value).all():
+        if not np.isfinite(value.data if issparse(value) else value).all():
             return f"callback {name} returned a value that is not finite"
     raise exc
 
@@ -233,7 +233,8 @@ def run(
     failure_message: str | None = None
     for k in range(opts.max_iter + 1):
         try:
-            kkt = p.kkt_residual(z, lam)
+            at = p.evaluate(z)
+            kkt = p.kkt_residual(z, lam, at)
             if not math.isfinite(kkt.total):
                 raise ValueError(f"KKT residual is not finite at iteration {k}")
         except ValueError as exc:
@@ -255,9 +256,9 @@ def run(
         try:
             sys = SaddleSystem(
                 H=p.hess_L(z, lam),
-                J=p.jac_G(z),
-                g=p.grad_f(z).coeffs,
-                Gval=p.G(z).coords,
+                J=at.J,
+                g=at.g,
+                Gval=at.Gval,
                 rho=rho,
                 lamk=lam,
                 zk=z,

@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve, solve_triangular
 from scipy.linalg.blas import dtrmm
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class DimensionMismatch(ValueError):
@@ -55,6 +59,8 @@ class InnerProductSpace:
         mass.flags.writeable = False
         self._mass = mass
         self._dim = mass.shape[0]
+        self._mass_scale = float(np.trace(mass)) / self._dim
+        self._scaled_mass: dict[bool, np.ndarray | sp.csr_matrix] = {}
         self._inverse_mass: np.ndarray | None = None
 
     @classmethod
@@ -74,8 +80,35 @@ class InnerProductSpace:
         return self._mass
 
     @property
+    def mass_scale(self) -> float:
+        """tau = trace(M) / dim, the mean diagonal entry of the mass matrix."""
+        return self._mass_scale
+
+    def scaled_mass(self, sparse: bool = False) -> np.ndarray | sp.csr_matrix:
+        """M / tau, dense or as CSR without its zero entries; cached.
+
+        Dividing by tau makes the matrix dimensionless: M = tau I, a
+        lumped mass, gives the identity.
+        """
+        scaled = self._scaled_mass.get(sparse)
+        if scaled is None:
+            scaled = self._mass / self._mass_scale
+            if sparse:
+                import scipy.sparse as sp
+
+                scaled = sp.csr_matrix(scaled)
+            else:
+                scaled.flags.writeable = False
+            self._scaled_mass[sparse] = scaled
+        return scaled
+
+    @property
     def inverse_mass(self) -> np.ndarray:
-        """Dense M^{-1}, computed once on first use and symmetrized."""
+        """Dense M^{-1}, computed once on first use and symmetrized.
+
+        The saddle solve never forms it; it is kept for callers that want
+        the Riesz map as a matrix.
+        """
         if self._inverse_mass is None:
             inv = cho_solve(self._chol, np.eye(self._dim))
             inv = 0.5 * (inv + inv.T)
@@ -240,11 +273,6 @@ class ProductSpace(InnerProductSpace):
         return tuple(
             arr[self._bounds[i] : self._bounds[i + 1]] for i in range(len(self.parts))
         )
-
-
-def product_space(parts) -> ProductSpace:
-    """Block-diagonal product of inner product spaces."""
-    return ProductSpace(parts)
 
 
 def mass_from_spec(spec: str, dim: int | None = None) -> np.ndarray:

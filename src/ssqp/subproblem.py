@@ -2,27 +2,45 @@
 
 In coordinates the first-order system is
 
-    H d + J^T l                      = -g
-    J d - rho M_Y^{-1} (l - lam_k)   = sum_i c_i y_i,   c_i >= 0
-    <l, y_i> <= 0,                     c_i <l, y_i> = 0
+    H d + J^T l                          = -g
+    G + J d - rho M_Y^{-1} (l - lam_k)   = sum_i c_i y_i,   c_i >= 0
+    <l, y_i> <= 0,                         c_i <l, y_i> = 0
 
-with d = z - z_k and l the new multiplier coefficients.  For K = {0} the
-cone variables vanish and the symmetric indefinite matrix
-[[H, J^T], [J, -rho M_Y^{-1}]] is factorized directly (Bunch-Kaufman).
-The cone case runs a primal-dual active set iteration over the generator
+with d = z - z_k and l the new multiplier coefficients.  M_Y^{-1} is
+never formed.  With the dimensionless mass M^ = M_Y / tau, where
+tau = trace(M_Y) / dim Y, the multiplier is written l = M^ s and the
+second row is multiplied by M^.  The unknowns (d, s) then solve
+
+    [[H,     J^T M^        ]  [d]   [-g                       ]
+     [M^ J,  -(rho/tau) M^ ]] [s] = [-M^ G - (rho/tau) lam_k  ],
+
+which is symmetric and indefinite.  Each active generator borders it by
+-M^ y_i (a column of c_i in the second row, and the row <l, y_i> = 0).
+For a lumped mass M_Y = tau I this is the classical matrix
+[[H, J^T], [J, -rho M_Y^{-1}]] itself, so the scaling by tau keeps the
+condition number, and RCOND_FLOOR, in the units of that matrix.
+
+Dense blocks are factored by Bunch-Kaufman (LAPACK dsytrf).  When H or J
+is a scipy.sparse matrix the system is assembled in CSC and factored by
+sparse LU (splu).  For K = {0} one solve gives the step.  The cone case
+runs a primal-dual active set iteration over the generator
 complementarities, each trial pattern solved by the same factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .model import ConeSpec
+from .model import ConeSpec, issparse
 from .spaces import Functional, InnerProductSpace, PrimalVec
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Factorizations with a reciprocal condition estimate below this are
 #: treated as singular; legitimate stabilized solves stay well above it.
@@ -48,11 +66,13 @@ class SaddleSystem:
     `spaceZ`/`spaceY` provide the metrics (massY enters the stabilization
     block, massZ only the residual norms); `zk` anchors the step so that
     solutions report z_next = z_k + d.  rho = 0 is accepted to expose the
-    unstabilized (classical SQP) system for diagnostics.
+    unstabilized (classical SQP) system for diagnostics.  H and J may be
+    scipy.sparse matrices; the system is then `sparse`, both are held as
+    CSR and the solve uses sparse LU.
     """
 
-    H: np.ndarray
-    J: np.ndarray
+    H: np.ndarray | sp.csr_matrix
+    J: np.ndarray | sp.csr_matrix
     g: np.ndarray
     Gval: np.ndarray
     rho: float
@@ -60,10 +80,18 @@ class SaddleSystem:
     zk: PrimalVec
     spaceZ: InnerProductSpace
     spaceY: InnerProductSpace
+    sparse: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
-        self.H = np.asarray(self.H, dtype=float)
-        self.J = np.asarray(self.J, dtype=float)
+        self.sparse = issparse(self.H) or issparse(self.J)
+        if self.sparse:
+            import scipy.sparse as sp
+
+            self.H = sp.csr_matrix(self.H, dtype=float)
+            self.J = sp.csr_matrix(self.J, dtype=float)
+        else:
+            self.H = np.asarray(self.H, dtype=float)
+            self.J = np.asarray(self.J, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
         self.Gval = np.asarray(self.Gval, dtype=float)
         nz, ny = self.spaceZ.dim, self.spaceY.dim
@@ -71,11 +99,21 @@ class SaddleSystem:
             raise ValueError("saddle system blocks have inconsistent shapes")
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
-        scale = max(np.abs(self.H).max(), 1.0)
+        scale = max(_abs_max(self.H), 1.0)
         if not np.isfinite(scale):
             raise ValueError("Hessian block is not finite")
-        if np.abs(self.H - self.H.T).max() > 1e-10 * scale:
+        if _abs_max(self.H - self.H.T) > 1e-10 * scale:
             raise ValueError("Hessian block is not symmetric to 1e-10")
+
+    @property
+    def scaled_mass(self) -> np.ndarray | sp.csr_matrix:
+        """M^ = M_Y / tau, in the storage the blocks use."""
+        return self.spaceY.scaled_mass(self.sparse)
+
+
+def _abs_max(M) -> float:
+    entries = M.data if issparse(M) else M
+    return float(np.abs(entries).max(initial=0.0))
 
 
 @dataclass
@@ -90,44 +128,122 @@ class SubproblemSolution:
 
 
 def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
-                           cone: ConeSpec | None = None) -> np.ndarray:
-    """Symmetric saddle matrix, optionally bordered by active generators."""
-    Minv = sys.spaceY.inverse_mass
-    A = np.block([[sys.H, sys.J.T], [sys.J, -sys.rho * Minv]])
+                           cone: ConeSpec | None = None):
+    """Inverse-free symmetric saddle matrix, optionally bordered by the
+    active generators: a dense array, or CSC when the system is sparse."""
+    Mh = sys.scaled_mass
+    weight = sys.rho / sys.spaceY.mass_scale
+    border = -(Mh @ cone.generator_matrix[:, list(active)]) if active else None
+    if sys.sparse:
+        return _csc_from_blocks(sys.H, sys.J, Mh, weight, border)
+    nz, ny, na = sys.spaceZ.dim, sys.spaceY.dim, len(active)
+    y, c = slice(nz, nz + ny), slice(nz + ny, None)
+    A = np.zeros((nz + ny + na, nz + ny + na))
+    A[:nz, :nz] = sys.H
+    A[y, :nz] = Mh @ sys.J
+    A[:nz, y] = A[y, :nz].T
+    A[y, y] = -weight * Mh
     if active:
-        YA = cone.generator_matrix[:, list(active)]
-        nz, na = sys.spaceZ.dim, len(active)
-        top = np.vstack([np.zeros((nz, na)), -YA])
-        A = np.block([[A, top], [top.T, np.zeros((na, na))]])
+        A[y, c] = border
+        A[c, y] = border.T
     return A
 
 
+def _triplets(M):
+    """(rows, cols, data) of a CSR matrix, in storage order; of a CSC
+    matrix this is (cols, rows, data)."""
+    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices, M.data
+
+
+def _csc_from_blocks(H, J, Mh, weight: float, border) -> sp.csc_matrix:
+    """[[H, (M^ J)^T, 0], [M^ J, -weight M^, border], [0, border^T, 0]] as
+    CSC, from the CSR blocks' triplets (a third of the cost of
+    scipy.sparse.bmat at small sizes)."""
+    import scipy.sparse as sp
+
+    nz, ny = H.shape[0], Mh.shape[0]
+    if Mh.nnz == ny:  # an SPD matrix with dim stored entries is diagonal
+        jr, jc, jd = _triplets(J)
+        jd = Mh.data[jr] * jd
+    else:
+        jr, jc, jd = _triplets(Mh @ J)
+    hr, hc, hd = _triplets(H)
+    mr, mc, md = _triplets(Mh)
+    if border is None:
+        border = np.zeros((ny, 0))
+    br, bc = np.nonzero(border)
+    bd = border[br, bc]
+    rows = np.concatenate([hr, jc, jr + nz, mr + nz, br + nz, bc + nz + ny])
+    cols = np.concatenate([hc, jr + nz, jc, mc + nz, bc + nz + ny, br + nz])
+    data = np.concatenate([hd, jd, jd, -weight * md, bd, bd])
+    dim = nz + ny + border.shape[1]
+    return sp.csc_matrix((data, (rows, cols)), shape=(dim, dim))
+
+
 def _saddle_rhs(sys: SaddleSystem, n_active: int = 0) -> np.ndarray:
-    Minv = sys.spaceY.inverse_mass
-    rhs = np.concatenate(
-        [-sys.g, -sys.Gval - sys.rho * (Minv @ sys.lamk.coeffs), np.zeros(n_active)]
-    )
-    return rhs
+    weight = sys.rho / sys.spaceY.mass_scale
+    return np.concatenate([
+        -sys.g,
+        -(sys.scaled_mass @ sys.Gval) - weight * sys.lamk.coeffs,
+        np.zeros(n_active),
+    ])
 
 
-def _factor(A: np.ndarray, rhs: np.ndarray):
-    """Bunch-Kaufman solve of A x = rhs and the reciprocal 1-norm condition
-    estimate of A; returns (udut, ipiv, x, anorm, rcond)."""
+def _factor(A):
+    """Factor the saddle matrix; returns (solve, |A|_1, rcond).
+
+    `solve(b)` applies A^{-1} and rcond estimates 1 / (|A|_1 |A^{-1}|_1).
+    A dense A is factored by Bunch-Kaufman, with LAPACK's estimate dsycon;
+    a sparse one by splu, with onenormest of A^{-1} applied through LU
+    solves.  One column (t=1) makes onenormest Hager's deterministic
+    method, the one dsycon uses.
+    """
+    if issparse(A):
+        return _factor_sparse(A)
     anorm = float(np.linalg.norm(A, 1))
-    udut, ipiv, x, info = lapack.dsysv(A, rhs[:, None], lower=1)
+    ldu, ipiv, info = lapack.dsytrf(A, lower=1)
     if info > 0:
-        raise SingularSubproblem(
-            f"saddle matrix is exactly singular (zero pivot at {info})"
-        )
+        raise _exactly_singular(f"zero pivot at {info}")
     if info < 0:
-        raise RuntimeError(f"dsysv: illegal argument {-info}")
-    rcond, _ = lapack.dsycon(udut, ipiv, anorm, lower=1)
-    return udut, ipiv, x[:, 0], anorm, rcond
+        raise RuntimeError(f"dsytrf: illegal argument {-info}")
+    rcond, _ = lapack.dsycon(ldu, ipiv, anorm, lower=1)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x, _ = lapack.dsytrs(ldu, ipiv, b[:, None], lower=1)
+        return x[:, 0]
+
+    return solve, anorm, rcond
 
 
-def _factor_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Bunch-Kaufman solve with a condition check and iterative refinement."""
-    udut, ipiv, x, anorm, rcond = _factor(A, rhs)
+def _factor_sparse(A: sp.csc_matrix):
+    # scipy.sparse.linalg adds about 17 ms to every import; only sparse
+    # systems need it
+    from scipy.sparse.linalg import LinearOperator, onenormest, splu
+
+    cols, _, data = _triplets(A)
+    anorm = float(np.bincount(cols, weights=np.abs(data), minlength=A.shape[0]).max())
+    try:
+        lu = splu(A)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise _exactly_singular(str(exc)) from None
+    inverse = LinearOperator(
+        A.shape, dtype=float, matvec=lu.solve, matmat=lu.solve,
+        rmatvec=lambda b: lu.solve(b, trans="T"),
+        rmatmat=lambda b: lu.solve(b, trans="T"),
+    )
+    inverse_norm = onenormest(inverse, t=1)
+    if not np.isfinite(inverse_norm) or anorm == 0.0:
+        return lu.solve, anorm, 0.0
+    return lu.solve, anorm, 1.0 / (anorm * inverse_norm)
+
+
+def _exactly_singular(detail: str) -> SingularSubproblem:
+    return SingularSubproblem(f"saddle matrix is exactly singular ({detail})")
+
+
+def _factor_solve(A, rhs: np.ndarray) -> np.ndarray:
+    """Factored solve with a condition check and iterative refinement."""
+    solve, anorm, rcond = _factor(A)
     if rcond < RCOND_FLOOR:
         est = np.inf if rcond == 0.0 else 1.0 / rcond
         raise SingularSubproblem(
@@ -135,13 +251,13 @@ def _factor_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"(condition estimate {est:.2e})",
             condition_estimate=est,
         )
+    x = solve(rhs)
     # Two refinement sweeps recover accuracy lost to scale disparities.
     for _ in range(2):
         r = rhs - A @ x
         if np.linalg.norm(r) <= 1e-15 * (anorm * np.linalg.norm(x) + 1e-300):
             break
-        dx, _ = lapack.dsytrs(udut, ipiv, r[:, None], lower=1)
-        x = x + dx[:, 0]
+        x = x + solve(r)
     return x
 
 
@@ -159,27 +275,28 @@ def _solution_from(sys: SaddleSystem, d: np.ndarray, l: np.ndarray,
 
 def solve_equality(sys: SaddleSystem) -> SubproblemSolution:
     """Solve the K = {0} subproblem by one symmetric indefinite solve."""
-    nz = sys.spaceZ.dim
-    x = _factor_solve(assemble_saddle_matrix(sys), _saddle_rhs(sys))
-    return _solution_from(sys, x[:nz], x[nz:], (), 1)
+    d, l, _ = _solve_pattern(sys)
+    return _solution_from(sys, d, l, (), 1)
 
 
 def saddle_condition_estimate(sys: SaddleSystem) -> float:
     """1-norm condition estimate of the assembled saddle matrix."""
-    A = assemble_saddle_matrix(sys)
     try:
-        *_, rcond = _factor(A, np.zeros(A.shape[0]))
+        *_, rcond = _factor(assemble_saddle_matrix(sys))
     except SingularSubproblem:
         return np.inf
     return np.inf if rcond == 0.0 else 1.0 / rcond
 
 
-def _solve_pattern(sys: SaddleSystem, cone: ConeSpec, active: tuple[int, ...]):
+def _solve_pattern(sys: SaddleSystem, cone: ConeSpec | None = None,
+                   active: tuple[int, ...] = ()):
     """Solve with <l, y_i> = 0 enforced on `active`, c_i = 0 elsewhere."""
     nz, ny = sys.spaceZ.dim, sys.spaceY.dim
     A = assemble_saddle_matrix(sys, active, cone)
     x = _factor_solve(A, _saddle_rhs(sys, len(active)))
-    d, l = x[:nz], x[nz : nz + ny]
+    d, l = x[:nz], sys.scaled_mass @ x[nz : nz + ny]
+    if cone is None:
+        return d, l, None
     c = np.zeros(cone.m)
     c[list(active)] = x[nz + ny :]
     return d, l, c

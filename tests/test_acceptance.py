@@ -18,7 +18,7 @@ from ssqp.solver import (
     SolveStatus,
     run,
 )
-from ssqp.spaces import InnerProductSpace, product_space
+from ssqp.spaces import InnerProductSpace, ProductSpace
 from ssqp.subproblem import SaddleSystem, assemble_saddle_matrix, solve_cone
 
 
@@ -317,7 +317,7 @@ def test_criterion_8_metric_correctness():
     rng = np.random.default_rng(8)
     n_fd = 19
     h = 1.0 / (n_fd + 1)
-    A = fd_laplacian(n_fd)
+    A = fd_laplacian(n_fd).toarray()
     space_types = {
         "identity": lambda: InnerProductSpace.identity(int(rng.integers(2, 8))),
         "diagonal": lambda: InnerProductSpace.diagonal(rng.uniform(0.1, 10, 5)),
@@ -326,7 +326,7 @@ def test_criterion_8_metric_correctness():
         ),
         "lumped-fd": lambda: InnerProductSpace(h * np.eye(n_fd)),
         "discrete-h2": lambda: InnerProductSpace(h * (np.eye(n_fd) + A.T @ A)),
-        "product": lambda: product_space([
+        "product": lambda: ProductSpace([
             InnerProductSpace.diagonal(rng.uniform(0.5, 2.0, 3)),
             InnerProductSpace.identity(2),
         ]),

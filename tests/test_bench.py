@@ -92,7 +92,7 @@ class TestConeInstance:
 class TestEigencontrol:
     def test_fd_eigenvalue_matches_eigensolve(self):
         n = 23
-        A = fd_laplacian(n)
+        A = fd_laplacian(n).toarray()
         eigs = np.sort(np.linalg.eigvalsh(A))
         for mode in (1, 2, 3):
             assert fd_eigenvalue(n, mode) == pytest.approx(eigs[mode - 1],
@@ -110,7 +110,7 @@ class TestEigencontrol:
         n = 9
         bm = make_eigencontrol(n=n)
         h = 1.0 / (n + 1)
-        A = fd_laplacian(n)
+        A = fd_laplacian(n).toarray()
         expect = scipy.linalg.block_diag(h * (np.eye(n) + A.T @ A), [[1.0]])
         assert_allclose(bm.problem.Z.mass, expect, rtol=1e-12)
 
@@ -124,7 +124,7 @@ class TestEigencontrol:
         # eigenfunction direction plus the control direction, nothing else
         bm = get_benchmark("eigencontrol-n49")
         p = bm.problem
-        J = p.jac_G(bm.reference.z_star)
+        J = p.jac_G(bm.reference.z_star).toarray()
         Lz = scipy.linalg.cholesky(p.Z.mass, lower=True)
         Ly = scipy.linalg.cholesky(p.Y.mass, lower=True)
         Jt = scipy.linalg.solve_triangular(Lz, (Ly.T @ J).T, lower=True).T
@@ -141,13 +141,13 @@ class TestEigencontrol:
         lam_norm = p.Y.dual_norm(ref.lambda_star)
         alpha = 1.0
         assert alpha > 2.0 * lam_norm**2 + u_norm**2
-        J = p.jac_G(ref.z_star)
+        J = p.jac_G(ref.z_star).toarray()
         Lz = scipy.linalg.cholesky(p.Z.mass, lower=True)
         Ly = scipy.linalg.cholesky(p.Y.mass, lower=True)
         Jt = scipy.linalg.solve_triangular(Lz, (Ly.T @ J).T, lower=True).T
         white_basis = scipy.linalg.null_space(Jt, rcond=1e-8)
         basis = scipy.linalg.solve_triangular(Lz.T, white_basis, lower=False)
-        H = p.hess_L(ref.z_star, ref.lambda_star)
+        H = p.hess_L(ref.z_star, ref.lambda_star).toarray()
         projected = basis.T @ H @ basis
         metric = basis.T @ p.Z.mass @ basis
         assert scipy.linalg.eigh(projected, metric, eigvals_only=True)[0] > 0

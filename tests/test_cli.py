@@ -169,6 +169,22 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == 1
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "output", "xml"),
+        ("options", "rho_rule", "adaptive"),
+    ])
+    def test_value_outside_the_flag_choices_exits_1(self, capsys, tmp_path,
+                                                    section, key, value):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        choices = next(f.metadata["choices"] for f in dataclasses.fields(RunConfig)
+                       if f.name == key)
+        assert err == (f"error: [{section}] {key} = {value!r} is not one of: "
+                       f"{', '.join(choices)}\n")
+
     def test_inline_comments_in_config(self, capsys, tmp_path):
         cfg = tmp_path / "comments.ini"
         cfg.write_text(
@@ -422,7 +438,9 @@ class TestList:
 
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs a quarter second per process; only the
-    # eigencontrol oracle and cone problems need it, and import it late
+    # eigencontrol oracle and cone problems need it, and import it late.
+    # scipy.sparse (about 30 ms) is loaded by eigencontrol's sparse
+    # callbacks only, scipy.sparse.linalg (17 ms more) by sparse solves only
     import os
     import subprocess
     import sys
@@ -432,8 +450,10 @@ def test_import_leaves_scipy_optimize_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, ssqp.cli; print('scipy.optimize' in sys.modules)"],
+         "import sys, ssqp.cli; "
+         "print(*(name in sys.modules for name in "
+         "('scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg')))"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False False"

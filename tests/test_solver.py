@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from ssqp.bench import get_benchmark
@@ -303,6 +304,7 @@ BAD_CALLBACKS = {
     "grad_f-inf": ("grad_f", lambda p: Functional(p.Z, [np.inf, 0.0])),
     "jac_G-shape": ("jac_G", lambda p: np.zeros((2, 3))),
     "hess_L-shape": ("hess_L", lambda p: np.eye(3)),
+    "jac_G-sparse-inf": ("jac_G", lambda p: sp.csr_matrix([[np.inf, 0.0], [1.0, 0.0]])),
 }
 
 
@@ -317,3 +319,25 @@ def test_bad_callback_output_is_a_subproblem_failure(degenerate, case):
     assert report.failure_message.startswith(f"callback {name} returned")
     assert [r.k for r in report.history] in ([0], [0, 1])
     assert all(np.isfinite(r.kkt.total) for r in report.history)
+
+
+def test_each_callback_is_evaluated_once_per_iterate(degenerate):
+    # 5 iterates (4 subproblems) from the default start: grad_f, G and
+    # jac_G once per iterate, for the KKT test and the saddle system
+    # alike, and hess_L once per subproblem
+    calls = dict.fromkeys(("grad_f", "G", "jac_G", "hess_L"), 0)
+
+    def counted(name, fn):
+        def callback(*args):
+            calls[name] += 1
+            return fn(*args)
+        return callback
+
+    p = dataclasses.replace(degenerate.problem, **{
+        name: counted(name, getattr(degenerate.problem, name)) for name in calls
+    })
+    z0, lam0 = degenerate.default_start()
+    report = run(p, z0, lam0, SolverOptions(tol=1e-12))
+    assert report.status is SolveStatus.CONVERGED
+    assert len(report.history) == 5
+    assert calls == {"grad_f": 5, "G": 5, "jac_G": 5, "hess_L": 4}

@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from ssqp.spaces import (
     DimensionMismatch,
     InnerProductSpace,
+    ProductSpace,
     mass_from_spec,
-    product_space,
 )
 
 
@@ -119,8 +119,8 @@ class TestDualNorm:
 
 class TestProductSpace:
     def test_block_diagonal_mass(self):
-        s = product_space([InnerProductSpace.identity(2),
-                           InnerProductSpace([[7.0]])])
+        s = ProductSpace([InnerProductSpace.identity(2),
+                          InnerProductSpace([[7.0]])])
         assert s.dim == 3
         assert_allclose(s.mass, np.diag([1.0, 1.0, 7.0]))
 
@@ -128,15 +128,15 @@ class TestProductSpace:
         rng = np.random.default_rng(8)
         a = InnerProductSpace(random_spd(rng, 3))
         b = InnerProductSpace(random_spd(rng, 2))
-        s = product_space([a, b])
+        s = ProductSpace([a, b])
         u, v = rng.standard_normal(3), rng.standard_normal(2)
         joined = s.norm(s.vector(s.join([u, v])))
         parts = np.hypot(a.norm_arr(u), b.norm_arr(v))
         assert joined == pytest.approx(parts, rel=1e-13)
 
     def test_split_join_round_trip(self):
-        s = product_space([InnerProductSpace.identity(2),
-                           InnerProductSpace.identity(3)])
+        s = ProductSpace([InnerProductSpace.identity(2),
+                          InnerProductSpace.identity(3)])
         u, v = np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])
         su, sv = s.split(s.join([u, v]))
         assert_allclose(su, u)
@@ -144,7 +144,7 @@ class TestProductSpace:
 
     def test_empty_product_rejected(self):
         with pytest.raises(ValueError):
-            product_space([])
+            ProductSpace([])
 
 
 class TestConstruction:

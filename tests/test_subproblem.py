@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from ssqp.bench import get_benchmark
@@ -198,6 +199,30 @@ class TestConditionEstimate:
             estimates.append(saddle_condition_estimate(sys))
         slope = np.polyfit(np.log(rhos), np.log(estimates), 1)[0]
         assert slope <= -0.9
+
+    def test_inverse_free_estimate_keeps_the_classical_scale(self):
+        # eigencontrol's lumped mass M_Y = h I makes the inverse-free matrix
+        # the classical [[H, J^T], [J, -rho M_Y^{-1}]] up to rounding, so the
+        # sparse estimate must match LAPACK's estimate for the classical
+        # matrix; writing l = M_Y s without the trace scaling would shrink
+        # the lower blocks by h and inflate the estimate about 1/h = 201x
+        bm = get_benchmark("eigencontrol-n49", n=200)
+        p, ref = bm.problem, bm.reference
+        z, lam, rho = ref.z_star, ref.lambda_star, 1e-8
+        sys = SaddleSystem(
+            H=p.hess_L(z, lam), J=p.jac_G(z), g=p.grad_f(z).coeffs,
+            Gval=p.G(z).coords, rho=rho, lamk=lam, zk=z,
+            spaceZ=p.Z, spaceY=p.Y,
+        )
+        assert sys.sparse
+        H, J = sys.H.toarray(), sys.J.toarray()
+        classical = np.block([[H, J.T], [J, -rho * np.linalg.inv(p.Y.mass)]])
+        udut, ipiv, info = scipy.linalg.lapack.dsytrf(classical, lower=1)
+        assert info == 0
+        rcond, _ = scipy.linalg.lapack.dsycon(
+            udut, ipiv, np.linalg.norm(classical, 1), lower=1)
+        ratio = saddle_condition_estimate(sys) * rcond
+        assert 0.5 <= ratio <= 2.0
 
     def test_square_nonsingular_jacobian_finite_at_rho_zero(self):
         sys = make_system(np.eye(2), np.eye(2), np.ones(2), np.ones(2),
