@@ -322,7 +322,9 @@ def make_eigencontrol(
 
     # The Jacobian [A + q I | u] and the arrow Hessian
     # [[h I, lam], [lam^T, alpha]] keep their sparsity patterns, so each
-    # call only fills a data array in front of fixed CSR index arrays.
+    # call only fills a data array in front of copies of fixed CSR index
+    # arrays (copies, so that a caller editing a matrix in place cannot
+    # change later calls).
     row_ends = A.indptr[1:]
     jac_indptr = A.indptr + np.arange(n + 1)
     jac_indices = np.insert(A.indices, row_ends, n)
@@ -336,13 +338,14 @@ def make_eigencontrol(
     def jac_G(z: PrimalVec) -> sp.csr_matrix:
         u, q = split(z)
         data = np.insert(A.data + q * on_diagonal, row_ends, u)
-        return sp.csr_matrix((data, jac_indices, jac_indptr), shape=(n, n + 1))
+        return sp.csr_matrix((data, jac_indices.copy(), jac_indptr.copy()),
+                             shape=(n, n + 1))
 
     def hess_L(z: PrimalVec, lam: Functional) -> sp.csr_matrix:
         data = np.concatenate([
             np.column_stack([h_diagonal, lam.coeffs]).ravel(), lam.coeffs, [alpha],
         ])
-        return sp.csr_matrix((data, arrow_indices, arrow_indptr),
+        return sp.csr_matrix((data, arrow_indices.copy(), arrow_indptr.copy()),
                              shape=(n + 1, n + 1))
 
     problem = ProblemDef(Z, Y, empty_cone(Y), f, grad_f, G, jac_G, hess_L)

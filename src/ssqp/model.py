@@ -161,10 +161,12 @@ class ProblemDef:
             )
         return J
 
-    def lagrangian_grad(self, z: PrimalVec, lam: Functional) -> Functional:
-        """Coefficients of f'(z) + G'(z)* lam as a Z functional."""
-        g = self.grad_f(z).coeffs
-        return Functional(self.Z, g + self._jacobian(z).T @ lam.coeffs)
+    def lagrangian_grad(self, z: PrimalVec, lam: Functional,
+                        at: Evaluation | None = None) -> Functional:
+        """Coefficients of f'(z) + G'(z)* lam as a Z functional; `at` is
+        `evaluate(z)` when the caller has it already."""
+        at = at if at is not None else self.evaluate(z)
+        return Functional(self.Z, at.g + at.J.T @ lam.coeffs)
 
     def kkt_residual(self, z: PrimalVec, lam: Functional,
                      at: Evaluation | None = None) -> "KKTResidual":
@@ -178,7 +180,7 @@ class ProblemDef:
         `evaluate(z)` when the caller has it already.
         """
         at = at if at is not None else self.evaluate(z)
-        stationarity = self.Z.dual_norm_arr(at.g + at.J.T @ lam.coeffs)
+        stationarity = self.Z.dual_norm(self.lagrangian_grad(z, lam, at))
         m = self.cone.m
         if m == 0:
             return KKTResidual(stationarity, self.Y.norm_arr(at.Gval), 0.0)

@@ -106,8 +106,8 @@ class InnerProductSpace:
     def inverse_mass(self) -> np.ndarray:
         """Dense M^{-1}, computed once on first use and symmetrized.
 
-        The saddle solve never forms it; it is kept for callers that want
-        the Riesz map as a matrix.
+        The program does not use it; it stays only until the benchmark's
+        tracer (perfbench/tracer.py) stops patching it (ROADMAP B1).
         """
         if self._inverse_mass is None:
             inv = cho_solve(self._chol, np.eye(self._dim))

@@ -162,11 +162,7 @@ def _csc_from_blocks(H, J, Mh, weight: float, border) -> sp.csc_matrix:
     import scipy.sparse as sp
 
     nz, ny = H.shape[0], Mh.shape[0]
-    if Mh.nnz == ny:  # an SPD matrix with dim stored entries is diagonal
-        jr, jc, jd = _triplets(J)
-        jd = Mh.data[jr] * jd
-    else:
-        jr, jc, jd = _triplets(Mh @ J)
+    jr, jc, jd = _triplets(Mh @ J)
     hr, hc, hd = _triplets(H)
     mr, mc, md = _triplets(Mh)
     if border is None:

@@ -131,6 +131,18 @@ class TestEigencontrol:
         basis = scipy.linalg.null_space(Jt, rcond=1e-8)
         assert 1 <= basis.shape[1] <= 2
 
+    def test_editing_a_returned_matrix_leaves_later_calls_alone(self):
+        # at z = 0, lam = 0 the Jacobian's control column and the Hessian's
+        # arrow hold explicit zeros; dropping them in place must not change
+        # the structure of the next call's matrix
+        p = make_eigencontrol(n=7).problem
+        z, lam = p.Z.zero_vector(), p.Y.zero_functional()
+        J0, H0 = p.jac_G(z).toarray(), p.hess_L(z, lam).toarray()
+        for M in (p.jac_G(z), p.hess_L(z, lam)):
+            M.eliminate_zeros()
+        np.testing.assert_array_equal(p.jac_G(z).toarray(), J0)
+        np.testing.assert_array_equal(p.hess_L(z, lam).toarray(), H0)
+
     def test_hessian_positive_on_numerical_null_space(self):
         # alpha exceeds the threshold proxy 2 |lam*|^2 + |u*|^2, so the
         # Hessian form is positive definite on the null-space directions
