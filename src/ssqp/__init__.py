@@ -28,7 +28,6 @@ from .model import (
     ConeSpec,
     KKTResidual,
     ProblemDef,
-    UnsupportedConeSize,
     empty_cone,
     validate_problem,
 )

@@ -13,9 +13,9 @@ Three families:
   linearized constraint loses surjectivity and the multipliers form a
   line spanned by the eigenfunction.
 
-Reference multipliers come from independent reduced-space or enumeration
-oracles, never from the solver itself, and every reference is certified
-by the KKT residual when the benchmark is built.
+Reference solutions come from closed forms or an enumeration oracle,
+never from the solver itself, and every reference is certified by the
+KKT residual when the benchmark is built.
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .diagnostics import ReferenceSolution, degeneracy_report
-from .model import ConeSpec, ProblemDef, empty_cone, to_dense
+from .model import ConeSpec, ProblemDef, empty_cone
 from .spaces import Functional, InnerProductSpace, PrimalVec, ProductSpace
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 #: The build caps the discretization size, not the solve: eigencontrol's
-#: callbacks are sparse, but its reference certification (a dense
-#: least-squares solve), the notes' singular values and the metric
-#: factors are dense O(n^3) steps.
+#: callbacks are sparse and its reference is in closed form, but the
+#: notes' singular values and the metric factors are dense O(n^3) steps.
 MAX_GRID_POINTS = 2000
 
 
@@ -273,8 +272,10 @@ def make_eigencontrol(
     to the eigenfunction, the branch of eigenfunction states and the
     trivial branch u = 0 meet at (0, q_d): the Jacobian there is rank
     deficient and the multipliers form a line along the eigenfunction.
-    The eigen-branch reference is located by a reduced 1-D minimization
-    over eigenfunction amplitudes, independent of the solver.
+    Both branch points, (u_d_amp phi, q_h) and (0, q_d), and their
+    multipliers (multiples of phi) are known in closed form.  Each is
+    certified by the KKT residual, and the reference is the certified
+    branch with the smaller objective, the eigen branch on a tie.
     """
     if n < 3:
         raise ValueError("need at least 3 interior grid points")
@@ -350,49 +351,34 @@ def make_eigencontrol(
 
     problem = ProblemDef(Z, Y, empty_cone(Y), f, grad_f, G, jac_G, hess_L)
 
-    # Reduced oracle: minimize over the eigen-branch family (c phi, q_h).
-    def reduced(c: float) -> float:
-        return f(Z.vector(np.concatenate([c * phi, [q_h]])))
-
-    # scipy.optimize takes a quarter second to import; only this oracle
-    # needs it, so CLI processes that build no eigencontrol skip the cost
-    import scipy.optimize
-
-    bracket = max(1.0, 2.0 * abs(u_d_amp))
-    res = scipy.optimize.minimize_scalar(
-        reduced, bounds=(-bracket, bracket), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    c_star = float(res.x)
-    if abs(c_star) < 1e-9:
-        c_star = 0.0
-    z_star = Z.vector(np.concatenate([c_star * phi, [q_h]]))
-
-    def certify(z: PrimalVec) -> ReferenceSolution | None:
-        # minimal-norm multiplier for the stationarity system at z
-        Jst = to_dense(jac_G(z))
-        gst = grad_f(z).coeffs
-        lam_coeffs, *_ = np.linalg.lstsq(Jst.T, -gst, rcond=None)
-        if problem.kkt_residual(z, Y.functional(lam_coeffs)).total > 1e-9:
-            return None
-        return ReferenceSolution(
-            z_star=z,
-            j_star=Jst,
-            g_star=gst,
-            cone=problem.cone,
-            lambda_star=Y.functional(lam_coeffs),
-        )
-
-    z_trivial = Z.vector(np.concatenate([np.zeros(n), [q_d]]))
-    eigen_ref = certify(z_star)
-    # with the default u_d_amp = 0 the eigen branch sits at the trivial point
-    if np.array_equal(z_trivial.coords, z_star.coords):
-        trivial_ref = eigen_ref
-    else:
-        trivial_ref = certify(z_trivial)
-    reference = eigen_ref if eigen_ref is not None else trivial_ref
-    if reference is not None and reference is trivial_ref:
-        z_star = z_trivial
+    # Both branches in closed form.  On the eigen branch (c phi, q_h) the
+    # objective is h |phi|^2 (c - u_d_amp)^2 / 2 plus a constant, so
+    # c = u_d_amp; the trivial branch is (0, q_d).  At either point the
+    # state rows of stationarity read (A + q I) lam = h (u_d - u), a
+    # multiple of the eigenfunction phi, so the multipliers are t phi with
+    # t fixed by the remaining row (or 0 where that row leaves it free).
+    shift = lam_h + q_d
+    eigen_t = alpha * (q_d - q_h) / (u_d_amp * (phi @ phi)) if u_d_amp else 0.0
+    trivial_t = h * u_d_amp / shift if shift else 0.0
+    branches = {
+        "eigen": (Z.vector(np.concatenate([u_d, [q_h]])),
+                  Y.functional(eigen_t * phi)),
+        "trivial": (Z.vector(np.concatenate([np.zeros(n), [q_d]])),
+                    Y.functional(trivial_t * phi)),
+    }
+    certified = [name for name, (z, lam) in branches.items()
+                 if problem.kkt_residual(z, lam).total <= 1e-9]
+    # the certified branch with the smaller objective, eigen on a tie; the
+    # notes describe the eigen point when neither branch certifies
+    best = min(certified, key=lambda name: f(branches[name][0]), default="eigen")
+    z_star, lam_star = branches[best]
+    reference = ReferenceSolution(
+        z_star=z_star,
+        j_star=jac_G(z_star),
+        g_star=grad_f(z_star).coeffs,
+        cone=problem.cone,
+        lambda_star=lam_star,
+    ) if certified else None
 
     # Default start: eigenfunction + low-mode wiggle in u, small q shift,
     # normalized to a fraction of the certified radius in the Z metric.
@@ -402,13 +388,8 @@ def make_eigencontrol(
     direction /= Z.norm_arr(direction)
     offset = 0.5 * certified_radius * direction
     notes = _degeneracy_note(problem, z_star)
-    branches = []
-    if eigen_ref is not None:
-        branches.append("eigen")
-    if trivial_ref is not None:
-        branches.append("trivial")
-    if branches:
-        notes += f"; certified branches: {', '.join(branches)}"
+    if certified:
+        notes += f"; certified branches: {', '.join(certified)}"
     else:
         notes += "; no reference certified for these parameters"
     return BenchmarkProblem(

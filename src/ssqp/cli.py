@@ -8,7 +8,7 @@ Configuration comes from an INI-style file (sections [run], [options],
 [metric], [eigencontrol]) overridden by flags; flags win.  Tables use
 scientific notation with 16 significant digits so that convergence-order
 post-processing is reproducible.  Exit codes: 0 converged, 1 bad
-configuration, 2 iteration limit, 3 subproblem failure.
+configuration or usage, 2 iteration limit, 3 subproblem failure.
 """
 
 from __future__ import annotations
@@ -278,22 +278,25 @@ def cmd_solve(cfg: RunConfig) -> int:
     return _EXIT_BY_STATUS[report.status]
 
 
+def _sweep_n(cfg: RunConfig, value: float) -> tuple[RunConfig, None]:
+    if not cfg.benchmark.startswith("eigencontrol"):
+        raise ConfigError("sweep over n applies to eigencontrol benchmarks")
+    return replace(cfg, eigencontrol={**cfg.eigencontrol, "n": int(value)}), None
+
+
+#: --sweep choices, each mapping the settings and one grid value to the
+#: row's settings and its start radius (None keeps the configured start)
+SWEEPS = {
+    "theta": lambda cfg, v: (replace(cfg, rho_rule="proportional", theta=v), None),
+    "rho_fixed": lambda cfg, v: (replace(cfg, rho_rule="fixed", rho=v), None),
+    "sigma1": lambda cfg, v: (replace(cfg, sigma1=v), None),
+    "start_radius": lambda cfg, v: (cfg, v),
+    "n": _sweep_n,
+}
+
+
 def _sweep_row(cfg: RunConfig, parameter: str, value: float) -> dict:
-    row_cfg, radius = cfg, None
-    if parameter == "theta":
-        row_cfg = replace(cfg, rho_rule="proportional", theta=value)
-    elif parameter == "rho_fixed":
-        row_cfg = replace(cfg, rho_rule="fixed", rho=value)
-    elif parameter == "sigma1":
-        row_cfg = replace(cfg, sigma1=value)
-    elif parameter == "start_radius":
-        radius = value
-    elif parameter == "n":
-        if not cfg.benchmark.startswith("eigencontrol"):
-            raise ConfigError("sweep over n applies to eigencontrol benchmarks")
-        row_cfg = replace(cfg, eigencontrol={**cfg.eigencontrol, "n": int(value)})
-    else:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    row_cfg, radius = SWEEPS[parameter](cfg, value)
     bm = build_benchmark(row_cfg)
     opts = make_options(row_cfg)
     z0, lam0 = resolve_start(bm, row_cfg, radius=radius)
@@ -396,9 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="grid sweep over one parameter")
     add_common(sweep_p)
-    sweep_p.add_argument("--sweep", required=True,
-                         choices=["theta", "rho_fixed", "sigma1",
-                                  "start_radius", "n"])
+    sweep_p.add_argument("--sweep", required=True, choices=list(SWEEPS))
     sweep_p.add_argument("--grid", required=True,
                          help="comma-separated grid values")
 
@@ -412,8 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the iteration-limit
+        # code here; --help (0) passes through
+        if exc.code == 2:
+            return 1
+        raise
     if args.command == "list":
         for name in bench.list_benchmarks():
             print(name)

@@ -23,15 +23,6 @@ from .spaces import DimensionMismatch, Functional, InnerProductSpace, PrimalVec
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-#: Cone problems are supported up to this many generators: the subproblem's
-#: last-resort pattern search enumerates all 2^m activity patterns.
-MAX_CONE_GENERATORS = 12
-
-
-class UnsupportedConeSize(ValueError):
-    """Cone problems are capped at MAX_CONE_GENERATORS generators."""
-
-
 @dataclass
 class ConeSpec:
     """Finitely generated cone K = {sum_i c_i y_i : c_i >= 0} in Y.
@@ -184,11 +175,6 @@ class ProblemDef:
         m = self.cone.m
         if m == 0:
             return KKTResidual(stationarity, self.Y.norm_arr(at.Gval), 0.0)
-        if m > MAX_CONE_GENERATORS:
-            raise UnsupportedConeSize(
-                f"cone problems support at most {MAX_CONE_GENERATORS} "
-                f"generators, got {m}"
-            )
         pairings = self.cone.pairings(lam)
         polar = float(max(0.0, pairings.max()))
         # Complementarity allows c_i > 0 only where <lam, y_i> vanishes.

@@ -46,6 +46,10 @@ if TYPE_CHECKING:
 #: treated as singular; legitimate stabilized solves stay well above it.
 RCOND_FLOOR = 1e-15
 
+#: solve_cone's fallback after an active-set cycle enumerates all 2^m
+#: activity patterns only up to this many generators.
+MAX_ENUMERATED_GENERATORS = 12
+
 
 class SingularSubproblem(RuntimeError):
     """The assembled saddle matrix is numerically singular."""
@@ -314,10 +318,10 @@ def solve_cone(
 
     The pattern update marks generator i active when c_i + <l, y_i> > 0
     (primal weight wins over dual slack).  Cycling falls back to exhaustive
-    pattern enumeration, exact for the supported generator counts.  The
-    initial pattern defaults to the pairings of lam_k; any starting
-    pattern reaches the same solution (the subproblem maximizer is
-    unique).
+    pattern enumeration for up to MAX_ENUMERATED_GENERATORS generators and
+    raises NoConvergence above that.  The initial pattern defaults to the
+    pairings of lam_k; any starting pattern reaches the same solution (the
+    subproblem maximizer is unique).
     """
     if cone.m == 0:
         raise ValueError("solve_cone requires at least one generator")
@@ -327,7 +331,7 @@ def solve_cone(
     else:
         active = tuple(sorted(initial_active))
     seen = set()
-    max_sweeps = 2 ** min(cone.m, 12) + 5
+    max_sweeps = 2 ** min(cone.m, MAX_ENUMERATED_GENERATORS) + 5
     for sweep in range(1, max_sweeps + 1):
         seen.add(active)
         try:
@@ -341,10 +345,10 @@ def solve_cone(
         active = tuple(i for i in range(cone.m) if c[i] + pairings[i] > 0.0)
         if active in seen:
             break
-    if cone.m > 12:
+    if cone.m > MAX_ENUMERATED_GENERATORS:
         raise NoConvergence(
             "active-set iteration cycled; exhaustive enumeration supports "
-            "at most 12 generators"
+            f"at most {MAX_ENUMERATED_GENERATORS} generators"
         )
     # Exhaustive fallback over all activity patterns.
     for size in range(cone.m + 1):

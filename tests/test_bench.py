@@ -185,6 +185,26 @@ class TestEigencontrol:
         rep = degeneracy_report(bm.problem, bm.reference.z_star)
         assert rep.rcq_satisfied
 
+    def test_default_start_converges_to_the_lower_objective_branch(self):
+        # off the eigenvalue both branches certify; the eigen branch costs
+        # alpha (q_h - q_d)^2 / 2 (about 89 here), the trivial one
+        # h |u_d|^2 / 2, and the default start converges to the trivial one
+        bm = make_eigencontrol(n=49, q_d=3.5, u_d_amp=0.25)
+        assert bm.reference.z_star.coords[-1] == 3.5
+        z0, lam0 = bm.default_start()
+        report = run(bm.problem, z0, lam0, SolverOptions(tol=1e-12),
+                     reference=bm.reference)
+        assert report.status is SolveStatus.CONVERGED
+        assert report.history[-1].total_err <= 1e-11
+
+    def test_both_branches_certified_off_the_eigenvalue(self):
+        # the eigen branch (0.3 phi, q_h) is a KKT point too, at a higher
+        # objective than the trivial branch (0, q_d)
+        bm = make_eigencontrol(n=49, q_d=-2.0, u_d_amp=0.3)
+        assert bm.notes.endswith("; certified branches: eigen, trivial")
+        np.testing.assert_array_equal(bm.reference.z_star.coords,
+                                      np.concatenate([np.zeros(49), [-2.0]]))
+
     def test_grid_limits(self):
         with pytest.raises(ValueError):
             make_eigencontrol(n=2)

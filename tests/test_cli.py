@@ -87,6 +87,22 @@ class TestSolve:
         )
         assert code == 0
 
+    def test_usage_error_exits_1(self, capsys):
+        # argparse's own message, but exit 1 (configuration error) rather
+        # than argparse's 2, which here means "iteration limit"
+        argv = ["solve", "--output", "xml"]
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
+        argparse_err = capsys.readouterr().err
+        assert argparse_err.startswith("usage: ssqp solve ")
+        assert argparse_err.splitlines()[-1].startswith(
+            "ssqp solve: error: argument --output: invalid choice: 'xml'")
+        assert run_cli(capsys, *argv) == (1, "", argparse_err)
+        with pytest.raises(SystemExit) as raised:
+            main(["solve", "--help"])
+        assert raised.value.code == 0
+
     def test_eigencontrol_parameters_accepted(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "--benchmark", "eigencontrol-n49",
@@ -436,11 +452,8 @@ class TestList:
         assert names == ssqp.bench.list_benchmarks()
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs a quarter second per process; only the
-    # eigencontrol oracle and cone problems need it, and import it late.
-    # scipy.sparse (about 30 ms) is loaded by eigencontrol's sparse
-    # callbacks only, scipy.sparse.linalg (17 ms more) by sparse solves only
+def _python(code: str) -> str:
+    """stdout of a fresh interpreter running `code` with this ssqp."""
     import os
     import subprocess
     import sys
@@ -448,12 +461,30 @@ def test_import_leaves_scipy_optimize_unloaded():
 
     src = str(Path(ssqp.bench.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ssqp.cli; "
-         "print(*(name in sys.modules for name in "
-         "('scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg')))"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False False"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs a quarter second per process; only cone
+    # problems need it, and import it late.  scipy.sparse (about 30 ms) is
+    # loaded by eigencontrol's sparse callbacks only, scipy.sparse.linalg
+    # (17 ms more) by sparse solves only
+    assert _python(
+        "import sys, ssqp.cli; "
+        "print(*(name in sys.modules for name in "
+        "('scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg')))"
+    ) == "False False False"
+
+
+def test_eigencontrol_diagnose_leaves_scipy_optimize_unloaded():
+    # eigencontrol's reference is in closed form: building it and running
+    # the diagnostics on it need no optimizer
+    assert _python(
+        "import contextlib, io, sys, ssqp.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = ssqp.cli.main(['diagnose', '--benchmark', 'eigencontrol-n49'])\n"
+        "print(code, 'scipy.optimize' in sys.modules)"
+    ) == "0 False"

@@ -6,10 +6,10 @@ from ssqp.bench import get_benchmark, list_benchmarks
 from ssqp.model import (
     ConeSpec,
     ProblemDef,
-    UnsupportedConeSize,
     empty_cone,
     validate_problem,
 )
+from ssqp.solver import SolveStatus, SolverOptions, run
 from ssqp.spaces import Functional, InnerProductSpace, PrimalVec
 
 
@@ -178,21 +178,49 @@ class TestKKTResidual:
         ]
         assert max(totals) <= 1e-13
 
-    def test_cone_cap(self):
-        Y = InnerProductSpace.identity(13)
-        Z = InnerProductSpace.identity(2)
-        gens = tuple(Y.vector(np.eye(13)[i]) for i in range(13))
-        cone = ConeSpec(Y, gens)
-        p = ProblemDef(
-            Z, Y, cone,
-            f=lambda z: 0.0,
-            grad_f=lambda z: Z.zero_functional(),
-            G=lambda z: PrimalVec(Y, np.zeros(13)),
-            jac_G=lambda z: np.zeros((13, 2)),
-            hess_L=lambda z, lam: np.zeros((2, 2)),
-        )
-        with pytest.raises(UnsupportedConeSize):
-            p.kkt_residual(Z.vector([0, 0]), Y.zero_functional())
+    def test_cones_beyond_enumeration_converge_to_nnls_projection(self):
+        # min |x - c|_H^2 / 2 over x in cone(y_1..y_m) in R^20 with 13 to
+        # 20 generators, more than solve_cone's fallback enumerates: the
+        # KKT residual takes any m, and the solve must reach the minimizer
+        # given by NNLS on the Cholesky-whitened generators.  Half of the
+        # cones are spanned by unit vectors, half by Gaussian generators.
+        import scipy.optimize
+
+        rng = np.random.default_rng(4013)
+        dim = 20
+
+        def spd():
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            a = (q * rng.uniform(0.5, 2.0, dim)) @ q.T
+            return 0.5 * (a + a.T)
+
+        for trial in range(16):
+            m = int(rng.integers(13, dim + 1))
+            H, mass_y = spd(), spd()
+            L = np.linalg.cholesky(H)
+            if trial % 2:
+                gens = rng.standard_normal((dim, m))
+            else:
+                gens = np.eye(dim)[:, rng.choice(dim, m, replace=False)]
+            center = rng.standard_normal(dim)
+            w, _ = scipy.optimize.nnls(L.T @ gens, L.T @ center)
+            x_star = gens @ w
+            Z, Y = InnerProductSpace(H), InnerProductSpace(mass_y)
+            p = ProblemDef(
+                Z, Y, ConeSpec(Y, tuple(Y.vector(g) for g in gens.T)),
+                f=lambda z: 0.0,
+                grad_f=lambda z, H=H, c=center: Functional(Z, H @ (z.coords - c)),
+                G=lambda z: PrimalVec(Y, z.coords.copy()),
+                jac_G=lambda z: np.eye(dim),
+                hess_L=lambda z, lam, H=H: H,
+            )
+            dz = rng.standard_normal(dim)
+            dz *= 0.1 / Z.norm_arr(dz)
+            report = run(p, Z.vector(x_star + dz), Y.zero_functional(),
+                         SolverOptions(tol=1e-10, max_iter=50))
+            assert report.status is SolveStatus.CONVERGED, (trial, m)
+            assert_allclose(report.history[-1].z.coords, x_star, rtol=0,
+                            atol=1e-8)
 
     def test_full_cone_projection_matches_nnls_oracle(self):
         # with all generators admissible the feasibility term is the

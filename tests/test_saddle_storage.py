@@ -40,11 +40,11 @@ def _spd(rng, n: int) -> np.ndarray:
 def subproblems(draw, cone: bool):
     """(blocks, M_Y, generators): SPD H, a surjective J with singular
     values in [0.5, 2], an SPD (sometimes diagonal) M_Y with eigenvalues
-    in [0.5, 2], rho in [1e-8, 1], and for cones m <= 3 generators with
+    in [0.5, 2], rho in [1e-8, 1], and for cones m <= 4 generators with
     lam_k in the polar cone."""
     nz = draw(st.integers(2, 6))
     ny = draw(st.integers(1, nz))
-    m = draw(st.integers(1, min(3, ny))) if cone else 0
+    m = draw(st.integers(1, min(4, ny))) if cone else 0
     rho = 10.0 ** draw(st.floats(-8.0, 0.0))
     diagonal_mass = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
