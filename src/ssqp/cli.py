@@ -112,6 +112,20 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ConfigError(f"could not parse vector {text!r}") from exc
 
 
+#: how a parse error names the type of a numeric setting
+_KIND_NAMES = {int: "an int", float: "a float"}
+
+
+def _parse_setting(section: str, key: str, text: str, kind: type):
+    """The INI value `text` of `[section] key` as a `kind`."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(
+            f"[{section}] {key} = {text!r} is not {_KIND_NAMES[kind]}"
+        ) from None
+
+
 def load_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
@@ -126,7 +140,8 @@ def load_config(path: str | None) -> RunConfig:
     for f in fields(RunConfig):
         section = f.metadata.get("section")
         if section is not None and parser.has_option(section, f.name):
-            value = f.metadata["kind"](parser[section][f.name])
+            value = _parse_setting(section, f.name, parser[section][f.name],
+                                   f.metadata["kind"])
             choices = f.metadata["choices"]
             if choices is not None and value not in choices:
                 raise ConfigError(
@@ -137,7 +152,7 @@ def load_config(path: str | None) -> RunConfig:
     if parser.has_section("eigencontrol"):
         sec = parser["eigencontrol"]
         cfg.eigencontrol = {
-            key: kind(sec[key])
+            key: _parse_setting("eigencontrol", key, sec[key], kind)
             for key, (kind, auto) in EIGENCONTROL_KEYS.items()
             if key in sec and not (auto and sec[key].strip().lower() == "auto")
         }
@@ -239,27 +254,27 @@ def _print_rows(header: str, rows: list[dict]) -> None:
 
 
 def _history_fields(report: solver.SolveReport) -> list[dict]:
-    src = [r.total_err if r.total_err is not None else r.kkt.total
-           for r in report.history]
-    orders = dict(solver.observed_order_entries(src))
     return [
         _row(CSV_HEADER, (
             rec.k, rec.rho, rec.kkt.stationarity, rec.kkt.feasibility,
             rec.kkt.polar_violation, rec.kkt.total, rec.err_z,
-            rec.dist_lambda, rec.total_err, orders.get(rec.k),
+            rec.dist_lambda, rec.total_err, rec.order,
         ))
         for rec in report.history
     ]
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def _run(cfg: RunConfig, radius: float | None = None):
+    """Build the configured benchmark and solve it from the configured
+    start; returns the benchmark and the report."""
     bm = build_benchmark(cfg)
     opts = make_options(cfg)
-    z0, lam0 = resolve_start(bm, cfg)
-    try:
-        report = solver.run(bm.problem, z0, lam0, opts, reference=bm.reference)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    z0, lam0 = resolve_start(bm, cfg, radius=radius)
+    return bm, solver.run(bm.problem, z0, lam0, opts, reference=bm.reference)
+
+
+def cmd_solve(cfg: RunConfig) -> int:
+    bm, report = _run(cfg)
     rows = _history_fields(report)
     if cfg.output == "json":
         payload = {
@@ -281,6 +296,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 def _sweep_n(cfg: RunConfig, value: float) -> tuple[RunConfig, None]:
     if not cfg.benchmark.startswith("eigencontrol"):
         raise ConfigError("sweep over n applies to eigencontrol benchmarks")
+    if not float(value).is_integer():
+        raise ConfigError(f"sweep over n takes integer grid values, got {value!r}")
     return replace(cfg, eigencontrol={**cfg.eigencontrol, "n": int(value)}), None
 
 
@@ -296,12 +313,9 @@ SWEEPS = {
 
 
 def _sweep_row(cfg: RunConfig, parameter: str, value: float) -> dict:
-    row_cfg, radius = SWEEPS[parameter](cfg, value)
-    bm = build_benchmark(row_cfg)
-    opts = make_options(row_cfg)
-    z0, lam0 = resolve_start(bm, row_cfg, radius=radius)
-    report = solver.run(bm.problem, z0, lam0, opts, reference=bm.reference)
-    # orders whose stencils fit inside the last three steps of the run
+    _, report = _run(*SWEEPS[parameter](cfg, value))
+    # the smaller of the run's last two observed orders (not necessarily
+    # from its last steps: stencils near the resolution floor are skipped)
     tail = report.observed_orders[-2:]
     return _row(SWEEP_HEADER, (
         parameter, value, report.status.value, len(report.history) - 1,

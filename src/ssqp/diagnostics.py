@@ -261,8 +261,7 @@ def error_estimate_ratio(
     for i, (z, lam) in enumerate(samples):
         num = p.Z.norm_arr(z.coords - ref.z_star.coords)
         num += multiplier_distance(ref, lam)[0]
-        kkt = p.kkt_residual(z, lam)
-        den = kkt.stationarity + kkt.feasibility
+        den = p.kkt_residual(z, lam).eta
         if den <= 1e-15:
             if num <= 1e-13:
                 continue

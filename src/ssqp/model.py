@@ -220,8 +220,13 @@ class KKTResidual:
     polar_violation: float
 
     @property
+    def eta(self) -> float:
+        """The computable error estimate: stationarity plus feasibility."""
+        return self.stationarity + self.feasibility
+
+    @property
     def total(self) -> float:
-        return self.stationarity + self.feasibility + self.polar_violation
+        return self.eta + self.polar_violation
 
 
 def validate_problem(

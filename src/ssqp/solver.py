@@ -101,6 +101,8 @@ class IterateRecord:
     err_z: float | None = None
     dist_lambda: float | None = None
     total_err: float | None = None
+    #: observed convergence order at k, when its error triple is admissible
+    order: float | None = None
 
 
 @dataclass
@@ -113,31 +115,22 @@ class SolveReport:
     failure_message: str | None = None
 
 
-def rho_rule(
-    p: ProblemDef,
-    z: PrimalVec,
-    lam: Functional,
-    opts: SolverOptions,
-    reference: ReferenceSolution | None = None,
-    kkt: KKTResidual | None = None,
-) -> float:
-    """Stabilization weight at (z, lam) under the configured rule.
+def rho_rule(opts: SolverOptions, eta: float,
+             total_err: float | None = None) -> float:
+    """Stabilization weight under the configured rule.
 
-    `kkt` is the KKT residual at (z, lam) when the caller has it already.
+    `eta` is the iterate's computable error estimate (`KKTResidual.eta`)
+    and `total_err` its true error, which only the oracle rule reads.
     """
     rule = opts.rho_rule
     if isinstance(rule, Fixed):
         return float(rule.rho)
     if isinstance(rule, ErrorProportional):
-        kkt = kkt if kkt is not None else p.kkt_residual(z, lam)
-        eta = kkt.stationarity + kkt.feasibility
         return float(np.clip(rule.theta * eta, opts.rho_min, opts.sigma1))
     if isinstance(rule, TrueErrorOracle):
-        if reference is None:
+        if total_err is None:
             raise ValueError("TrueErrorOracle needs a registered reference solution")
-        err = p.Z.norm_arr(z.coords - reference.z_star.coords)
-        dist, _ = multiplier_distance(reference, lam)
-        return float(np.clip(rule.sigma0 * (err + dist), opts.rho_min, opts.sigma1))
+        return float(np.clip(rule.sigma0 * total_err, opts.rho_min, opts.sigma1))
     raise TypeError(f"unknown rho rule {rule!r}")
 
 
@@ -218,8 +211,9 @@ def run(
     (SubproblemFailure, with the failing iteration index; the history
     then ends before that iterate if its KKT residual failed).  When a
     reference solution is given, per-iterate errors and the empirical
-    error-estimate constant gamma_hat are recorded and convergence orders
-    are measured on the true error; otherwise on the KKT residual.
+    error-estimate constant gamma_hat are recorded and each record's
+    convergence order is measured on the true error; otherwise on the KKT
+    residual.
     """
     opts = opts if opts is not None else SolverOptions()
     if isinstance(opts.rho_rule, TrueErrorOracle) and reference is None:
@@ -240,12 +234,13 @@ def run(
         except ValueError as exc:
             failure_message = _callback_fault(p, z, lam, exc)
             break
-        rho = rho_rule(p, z, lam, opts, reference, kkt)
-        rec = IterateRecord(k=k, z=z, lam=lam, rho=rho, kkt=kkt)
+        rec = IterateRecord(k=k, z=z, lam=lam, rho=math.nan, kkt=kkt)
         if reference is not None:
             rec.err_z = p.Z.norm_arr(z.coords - reference.z_star.coords)
             rec.dist_lambda, _ = multiplier_distance(reference, lam)
             rec.total_err = rec.err_z + rec.dist_lambda
+        # the rule reads the record: eta, and the true error when known
+        rec.rho = rho_rule(opts, kkt.eta, rec.total_err)
         history.append(rec)
         if kkt.total <= opts.tol:
             status = SolveStatus.CONVERGED
@@ -259,7 +254,7 @@ def run(
                 J=at.J,
                 g=at.g,
                 Gval=at.Gval,
-                rho=rho,
+                rho=rec.rho,
                 lamk=lam,
                 zk=z,
                 spaceZ=p.Z,
@@ -279,23 +274,17 @@ def run(
         z, lam = sol.z_next, sol.lam_next
     if failure_message is not None:
         status, failure_index = SolveStatus.SUBPROBLEM_FAILURE, k
-    if reference is not None:
-        errs = [r.total_err for r in history]
-    else:
-        errs = [r.kkt.total for r in history]
-    orders = observed_order([e for e in errs if e is not None])
+    errs = [r.kkt.total if r.total_err is None else r.total_err for r in history]
+    for i, order in observed_order_entries(errs):
+        history[i].order = order
     gamma_hat = None
     if reference is not None:
-        ratios = []
-        for r in history:
-            eta = r.kkt.stationarity + r.kkt.feasibility
-            if eta > 1e-15 and r.total_err is not None:
-                ratios.append(r.total_err / eta)
+        ratios = [r.total_err / r.kkt.eta for r in history if r.kkt.eta > 1e-15]
         gamma_hat = max(ratios) if ratios else None
     return SolveReport(
         history=history,
         status=status,
-        observed_orders=orders,
+        observed_orders=[r.order for r in history if r.order is not None],
         gamma_hat=gamma_hat,
         failure_index=failure_index,
         failure_message=failure_message,

@@ -127,6 +127,7 @@ class SubproblemSolution:
     z_next: PrimalVec
     lam_next: Functional
     active_set: tuple[int, ...]
+    #: saddle systems solved, one per trial pattern, singular ones included
     inner_iterations: int
     stationarity_residual: float
 
@@ -332,7 +333,7 @@ def solve_cone(
         active = tuple(sorted(initial_active))
     seen = set()
     max_sweeps = 2 ** min(cone.m, MAX_ENUMERATED_GENERATORS) + 5
-    for sweep in range(1, max_sweeps + 1):
+    for patterns in range(1, max_sweeps + 1):
         seen.add(active)
         try:
             d, l, c = _solve_pattern(sys, cone, active)
@@ -340,7 +341,7 @@ def solve_cone(
             break
         scale = float(np.abs(l).max() + np.abs(c).max())
         if _pattern_feasible(cone, l, c, scale):
-            return _solution_from(sys, d, l, active, sweep)
+            return _solution_from(sys, d, l, active, patterns)
         pairings = cone.generator_matrix.T @ l
         active = tuple(i for i in range(cone.m) if c[i] + pairings[i] > 0.0)
         if active in seen:
@@ -353,11 +354,12 @@ def solve_cone(
     # Exhaustive fallback over all activity patterns.
     for size in range(cone.m + 1):
         for subset in combinations(range(cone.m), size):
+            patterns += 1
             try:
                 d, l, c = _solve_pattern(sys, cone, subset)
             except SingularSubproblem:
                 continue
             scale = float(np.abs(l).max() + np.abs(c).max())
             if _pattern_feasible(cone, l, c, scale):
-                return _solution_from(sys, d, l, subset, max_sweeps)
+                return _solution_from(sys, d, l, subset, patterns)
     raise NoConvergence("no sign-feasible active set exists for this subproblem")

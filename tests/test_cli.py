@@ -185,6 +185,23 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == 1
 
+    @pytest.mark.parametrize("section, key, text, kind", [
+        ("options", "max_iter", "abc", "an int"),
+        ("options", "tol", "banana", "a float"),
+        ("run", "seed", "1.5", "an int"),
+        ("eigencontrol", "n", "auto", "an int"),
+        ("eigencontrol", "alpha", "big", "a float"),
+        ("eigencontrol", "q_d", "x", "a float"),
+    ])
+    def test_unparsable_value_names_its_key(self, capsys, tmp_path, section,
+                                            key, text, kind):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{key} = {text}\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: [{section}] {key} = {text!r} is not {kind}\n"
+
     @pytest.mark.parametrize("section, key, value", [
         ("run", "output", "xml"),
         ("options", "rho_rule", "adaptive"),
@@ -385,6 +402,31 @@ class TestSweep:
             "--sweep", "n", "--grid", "9,15",
         )
         assert code == 1
+
+    def test_n_sweep_rejects_fractional_values(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--benchmark", "eigencontrol-n49",
+            "--sweep", "n", "--grid", "9,20.9",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: sweep over n takes integer grid values, got 20.9\n"
+
+    def test_min_order_is_the_smaller_of_the_last_two_orders(self, capsys):
+        # here the 4-step run resolves orders at k = 1 and 2 only (the
+        # k = 3 stencil touches an error below the floor), so the row
+        # reports the k = 1 order, whose stencil spans steps 0 to 2
+        _, table, _ = run_cli(capsys, "solve", "--benchmark", "degenerate-line",
+                              "--theta", "0.3")
+        orders = {int(row.split(",")[0]): row.split(",")[-1]
+                  for row in table.strip().splitlines()[1:]}
+        assert len(orders) == 5
+        assert [k for k, cell in orders.items() if cell] == [1, 2]
+        _, out, _ = run_cli(capsys, "sweep", "--benchmark", "degenerate-line",
+                            "--sweep", "theta", "--grid", "0.3")
+        min_order = out.strip().splitlines()[1].split(",")[5]
+        assert float(orders[1]) < float(orders[2])
+        assert min_order == orders[1]
 
     def test_empty_grid_exits_1(self, capsys):
         code, _, err = run_cli(

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from ssqp.bench import get_benchmark, list_benchmarks
 from ssqp.model import (
     ConeSpec,
+    KKTResidual,
     ProblemDef,
     empty_cone,
     validate_problem,
@@ -119,6 +120,11 @@ class TestLagrangianGrad:
 
 
 class TestKKTResidual:
+    def test_eta_leaves_out_the_polar_violation(self):
+        kkt = KKTResidual(0.25, 0.5, 4.0)
+        assert kkt.eta == 0.75
+        assert kkt.total == 4.75
+
     def test_degenerate_benchmark_solution(self):
         bm = get_benchmark("degenerate-line")
         kkt = bm.problem.kkt_residual(

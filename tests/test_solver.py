@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from ssqp import solver
 from ssqp.bench import get_benchmark
+from ssqp.diagnostics import multiplier_distance
 from ssqp.model import ConeSpec, ProblemDef
 from ssqp.solver import (
     ErrorProportional,
@@ -14,6 +16,7 @@ from ssqp.solver import (
     SolveStatus,
     TrueErrorOracle,
     observed_order,
+    observed_order_entries,
     rho_rule,
     run,
 )
@@ -29,7 +32,8 @@ class TestRhoRule:
     def test_clamped_to_floor_at_kkt_point(self, degenerate):
         p = degenerate.problem
         opts = SolverOptions()
-        value = rho_rule(p, p.Z.vector([0, 0]), p.Y.functional([-0.5, -0.5]), opts)
+        kkt = p.kkt_residual(p.Z.vector([0, 0]), p.Y.functional([-0.5, -0.5]))
+        value = rho_rule(opts, kkt.eta)
         assert value == opts.rho_min
 
     def test_sum_below_cap(self):
@@ -47,8 +51,8 @@ class TestRhoRule:
             jac_G=lambda z: np.zeros((1, 1)),
             hess_L=lambda z, lam: np.eye(1),
         )
-        got = rho_rule(p, Z.vector([0.0]), Y.zero_functional(),
-                       SolverOptions(sigma1=1.0))
+        got = rho_rule(SolverOptions(sigma1=1.0),
+                       p.kkt_residual(Z.vector([0.0]), Y.zero_functional()).eta)
         assert got == pytest.approx(0.5)
 
     def test_matches_hand_computed_proxy(self, degenerate):
@@ -60,27 +64,31 @@ class TestRhoRule:
         J = np.array([[1.0, 0.0], [1.2, 0.0]])
         stat = np.linalg.norm(grad + J.T @ np.array([-0.4, -0.4]))
         feas = np.linalg.norm([0.1, 0.1 + 0.01])
-        got = rho_rule(p, z, lam, SolverOptions())
+        got = rho_rule(SolverOptions(), p.kkt_residual(z, lam).eta)
         assert got == pytest.approx(stat + feas, rel=1e-13)
 
     def test_fixed_rule_is_unclamped(self, degenerate):
         p = degenerate.problem
         opts = SolverOptions(rho_rule=Fixed(0.0))
         z = p.Z.vector([0.1, 0.1])
-        assert rho_rule(p, z, p.Y.zero_functional(), opts) == 0.0
+        assert rho_rule(opts, p.kkt_residual(z, p.Y.zero_functional()).eta) == 0.0
 
     def test_oracle_rule_needs_reference(self, degenerate):
         p = degenerate.problem
         opts = SolverOptions(rho_rule=TrueErrorOracle(2.0))
         with pytest.raises(ValueError, match="reference"):
-            rho_rule(p, p.Z.vector([0.1, 0.1]), p.Y.zero_functional(), opts)
+            rho_rule(opts, p.kkt_residual(p.Z.vector([0.1, 0.1]),
+                                          p.Y.zero_functional()).eta)
 
     def test_oracle_rule_uses_true_error(self, degenerate):
         p = degenerate.problem
         opts = SolverOptions(rho_rule=TrueErrorOracle(1.0), sigma1=10.0)
         z = p.Z.vector([0.3, 0.4])
         lam = p.Y.functional([-0.5, -0.5])
-        got = rho_rule(p, z, lam, opts, reference=degenerate.reference)
+        ref = degenerate.reference
+        total_err = (p.Z.norm_arr(z.coords - ref.z_star.coords)
+                     + multiplier_distance(ref, lam)[0])
+        got = rho_rule(opts, p.kkt_residual(z, lam).eta, total_err)
         assert got == pytest.approx(0.5)
 
 
@@ -192,6 +200,41 @@ class TestRun:
         with pytest.raises(ValueError, match="reference"):
             run(p, p.Z.vector([0.1, 0.1]), p.Y.zero_functional(),
                 SolverOptions(rho_rule=TrueErrorOracle(1.0)))
+
+    @pytest.mark.parametrize("name", ["degenerate-line", "cone-active"])
+    def test_oracle_rule_reads_the_recorded_error(self, name, monkeypatch):
+        # one multiplier projection per iterate: the rule takes the true
+        # error the record holds instead of projecting a second time
+        bm = get_benchmark(name)
+        calls = []
+        project = solver.multiplier_distance
+
+        def counted(ref, lam):
+            calls.append(lam)
+            return project(ref, lam)
+
+        monkeypatch.setattr(solver, "multiplier_distance", counted)
+        opts = SolverOptions(tol=1e-12, rho_rule=TrueErrorOracle(2.0))
+        report = run(bm.problem, *bm.default_start(), opts, reference=bm.reference)
+        assert report.status is SolveStatus.CONVERGED
+        assert len(calls) == len(report.history)
+        for rec in report.history:
+            assert rec.rho == np.clip(2.0 * rec.total_err, opts.rho_min, opts.sigma1)
+
+    @pytest.mark.parametrize("with_reference", [True, False])
+    def test_each_record_carries_its_order(self, degenerate, with_reference):
+        p = degenerate.problem
+        reference = degenerate.reference if with_reference else None
+        report = run(p, p.Z.vector([0.1, 0.1]), p.Y.functional([-0.6, -0.45]),
+                     SolverOptions(tol=1e-300, max_iter=8, rho_rule=Fixed(0.1)),
+                     reference=reference)
+        errs = [rec.total_err if with_reference else rec.kkt.total
+                for rec in report.history]
+        expected = dict(observed_order_entries(errs))
+        assert expected
+        assert {rec.k: rec.order for rec in report.history} == {
+            rec.k: expected.get(rec.k) for rec in report.history}
+        assert report.observed_orders == list(expected.values())
 
     def test_max_iter_reported(self, degenerate):
         p = degenerate.problem

@@ -324,6 +324,26 @@ class TestSolveCone:
         with pytest.raises(NoConvergence):
             solve_cone(sys, cone)
 
+    def test_inner_iterations_count_every_pattern_solve(self, monkeypatch):
+        # unstabilized with a rank-deficient J: the active set meets a
+        # singular pattern and enumeration finishes the solve
+        import ssqp.subproblem as subproblem
+
+        sys = make_system(np.eye(2), [[1.0, 0.0], [0.0, 0.0]], [0.1, 0.2],
+                          [0.05, 0.3], 0.0, [0.0, -1.0])
+        cone = cone_of(sys, [[0.0, 1.0]])
+        patterns = []
+        solve_pattern = subproblem._solve_pattern
+
+        def counted(sys, cone, active):
+            patterns.append(active)
+            return solve_pattern(sys, cone, active)
+
+        monkeypatch.setattr(subproblem, "_solve_pattern", counted)
+        sol = solve_cone(sys, cone)
+        assert len(patterns) == 3
+        assert sol.inner_iterations == 3
+
     def test_closed_form_multiplier_for_fixed_step(self):
         # with z_next frozen, the multiplier maximization has the closed
         # form lam = lam_k + M (Gval + J d) / rho, clipped to the halfspace
