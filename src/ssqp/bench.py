@@ -21,6 +21,7 @@ KKT residual when the benchmark is built.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -357,27 +358,31 @@ def make_eigencontrol(
     # state rows of stationarity read (A + q I) lam = h (u_d - u), a
     # multiple of the eigenfunction phi, so the multipliers are t phi with
     # t fixed by the remaining row (or 0 where that row leaves it free).
-    shift = lam_h + q_d
-    eigen_t = alpha * (q_d - q_h) / (u_d_amp * (phi @ phi)) if u_d_amp else 0.0
-    trivial_t = h * u_d_amp / shift if shift else 0.0
+    # eigen_t grows like 1 / u_d_amp.  It is computed in Python floats,
+    # which overflow to inf without a warning, and a branch whose
+    # multiplier has no finite squared norm |t phi|^2_{Y*} is rejected
+    # before its KKT residual, whose dual norms would overflow.
+    phi_sq, shift = float(phi @ phi), float(lam_h + q_d)
+    eigen_t = (float(alpha) * float(q_d - q_h) / (float(u_d_amp) * phi_sq)
+               if u_d_amp else 0.0)
+    trivial_t = h * float(u_d_amp) / shift if shift else 0.0
     branches = {
-        "eigen": (Z.vector(np.concatenate([u_d, [q_h]])),
-                  Y.functional(eigen_t * phi)),
-        "trivial": (Z.vector(np.concatenate([np.zeros(n), [q_d]])),
-                    Y.functional(trivial_t * phi)),
+        "eigen": (Z.vector(np.concatenate([u_d, [q_h]])), eigen_t),
+        "trivial": (Z.vector(np.concatenate([np.zeros(n), [q_d]])), trivial_t),
     }
-    certified = [name for name, (z, lam) in branches.items()
-                 if problem.kkt_residual(z, lam).total <= 1e-9]
+    certified = [name for name, (z, t) in branches.items()
+                 if math.isfinite(t * t * phi_sq / h)
+                 and problem.kkt_residual(z, Y.functional(t * phi)).total <= 1e-9]
     # the certified branch with the smaller objective, eigen on a tie; the
     # notes describe the eigen point when neither branch certifies
     best = min(certified, key=lambda name: f(branches[name][0]), default="eigen")
-    z_star, lam_star = branches[best]
+    z_star, t_star = branches[best]
     reference = ReferenceSolution(
         z_star=z_star,
         j_star=jac_G(z_star),
         g_star=grad_f(z_star).coeffs,
         cone=problem.cone,
-        lambda_star=lam_star,
+        lambda_star=Y.functional(t_star * phi),
     ) if certified else None
 
     # Default start: eigenfunction + low-mode wiggle in u, small q shift,

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 
-from .model import ConeSpec, ProblemDef, nnls, to_dense
+from .model import ConeSpec, ProblemDef, as_matrix, issparse, nnls, to_dense
 from .spaces import Functional, InnerProductSpace, PrimalVec
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -40,12 +44,12 @@ class ReferenceSolution:
     the positive generator pairings must be at most MEMBERSHIP_TOL times
     the size of the terms they sum.  The projector onto the set is
     factored on the first projection and cached here, so the data must
-    not change after construction.  A scipy.sparse `j_star` is stored
-    dense, as the projector's QR needs.
+    not change after construction.  A scipy.sparse `j_star` stays sparse
+    (as CSR), and the projector then factors it by sparse LU.
     """
 
     z_star: PrimalVec
-    j_star: np.ndarray
+    j_star: np.ndarray | sp.csr_matrix
     g_star: np.ndarray
     cone: ConeSpec
     lambda_star: Functional
@@ -54,7 +58,7 @@ class ReferenceSolution:
     )
 
     def __post_init__(self) -> None:
-        self.j_star = to_dense(self.j_star)
+        self.j_star = as_matrix(self.j_star)
         self.g_star = np.asarray(self.g_star, dtype=float)
         lam = self.lambda_star.coeffs
         residual = np.abs(self.j_star.T @ lam + self.g_star).max()
@@ -88,7 +92,8 @@ class _Projector:
     the rows of `polar` are the whitened generators whose pairing varies
     on the set, seen from that null space, and `bound` keeps those
     pairings nonpositive, or at the value lambda* takes if that is larger.
-    `mu_anchor` and `mu_basis` are L anchor and L basis.
+    `mu_anchor` and `mu_basis` are L anchor and L basis.  B is formed
+    only for a dense j_star; a sparse one is never densified.
     """
 
     anchor: np.ndarray
@@ -100,8 +105,12 @@ class _Projector:
 
 
 def _factor_multiplier_set(ref: ReferenceSolution) -> _Projector:
-    """Rank-revealing QR of the whitened Jacobian, once per reference.
+    """Whitened affine hull of the multiplier set, once per reference.
 
+    A dense `j_star` is factored by a rank-revealing QR, a scipy.sparse
+    one by sparse LU (`_sparse_affine_hull`); both decide the rank by
+    numpy.linalg.lstsq's default cut-off, eps max(shape) times the
+    largest whitened column norm, which is |R_00| under column pivoting.
     Membership is decided once, at construction, so the projector never
     rejects: a pairing constant on the set was checked there, and each
     other pairing inequality is relaxed just enough that the certified
@@ -109,24 +118,13 @@ def _factor_multiplier_set(ref: ReferenceSolution) -> _Projector:
     certified positive pairing.
     """
     Y = ref.space_y
-    B = Y.whiten(ref.j_star)
-    Q, R, piv = scipy.linalg.qr(B, overwrite_a=True, pivoting=True)
-    diag = np.abs(np.diag(R))
-    # numpy.linalg.lstsq's default cut-off, with |R_00| as the largest
-    # singular value
-    rcond = np.finfo(float).eps * max(B.shape)
-    rank = int(np.count_nonzero(diag > rcond * diag[0]))
-    # B[:, piv] = Q R, so B^T w = -g* reads R^T (Q^T w) = -g*[piv]
-    coords = scipy.linalg.solve_triangular(
-        R[:rank, :rank], -ref.g_star[piv[:rank]], trans="T"
-    )
-    anchor = Q[:, :rank] @ coords
-    basis = Q[:, rank:].copy()  # keeps k columns, not all of Q
+    rcond = np.finfo(float).eps * max(ref.j_star.shape)
+    hull = _sparse_affine_hull if issparse(ref.j_star) else _dense_affine_hull
+    anchor, basis, cond = hull(ref.j_star, ref.g_star, Y, rcond)
     W = ref.cone.whitened_generators
     polar = W.T @ basis
-    # the computed null space is off by an angle of about rcond * cond(R),
+    # the computed null space is off by an angle of about rcond * cond,
     # so a generator inside range(B) shows a pairing gradient that small
-    cond = diag[0] / diag[rank - 1] if rank else 1.0
     movable = (np.linalg.norm(polar, axis=1)
                > rcond * cond * np.linalg.norm(W, axis=0))
     polar = polar[movable]
@@ -139,6 +137,125 @@ def _factor_multiplier_set(ref: ReferenceSolution) -> _Projector:
         polar=polar,
         bound=np.maximum(-(W.T @ anchor)[movable], polar @ t_star),
     )
+
+
+def _dense_affine_hull(J: np.ndarray, g: np.ndarray, Y: InnerProductSpace,
+                       rcond: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(anchor, basis, cond) of B^T w = -g for B = L^T J, by pivoted QR."""
+    B = Y.whiten(J)
+    Q, R, piv = scipy.linalg.qr(B, overwrite_a=True, pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.count_nonzero(diag > rcond * diag[0]))
+    # B[:, piv] = Q R, so B^T w = -g reads R^T (Q^T w) = -g[piv]
+    coords = scipy.linalg.solve_triangular(
+        R[:rank, :rank], -g[piv[:rank]], trans="T"
+    )
+    basis = Q[:, rank:].copy()  # keeps k columns, not all of Q
+    cond = diag[0] / diag[rank - 1] if rank else 1.0
+    return Q[:, :rank] @ coords, basis, cond
+
+
+#: Columns of the sparse path's first null-space block; the block doubles
+#: while every Ritz value is null.
+START_BLOCK = 2
+
+#: Limit on the sparse path's block sweeps and anchor refinements, which
+#: otherwise run until they stop improving.
+MAX_SWEEPS = 30
+
+
+def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
+                        rcond: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(anchor, basis, cond) of B^T w = -g for B = L^T J, by sparse LU.
+
+    The shifted Jordan-Wielandt matrix K = [[-s I, J], [J^T, -s I]], with
+    s the rank cut-off on J's own scale, is factored once.  The top-left
+    block of K^{-1} is s (J J^T - s^2 I)^{-1}: it scales N(J^T) by -1/s
+    and a range direction of singular value sigma by about s / sigma^2, so
+    block inverse iteration through it finds N(J^T) without forming J J^T.
+    Each sweep orthonormalizes the block and rotates it to its Ritz
+    vectors, null ones first, which keeps the others orthogonal to N(J^T)
+    and turns them towards the smallest nonzero singular values; sweeps
+    stop when the null part stops changing.  The rank and the basis come
+    from a Rayleigh-Ritz SVD of B^T on the whitened block, and cond is
+    the largest whitened column norm over the smallest Ritz value above
+    the cut-off.  The anchor solves K [x; y] = [0; -g], which gives
+    J^T x = -g up to a relative s^2 / sigma^2, refined against the
+    residual -g - J^T x; whitened and cleared of its null-space component
+    it is the minimum-norm solution.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    n, m = J.shape
+    massed = Y.scaled_mass(sparse=True) @ J
+    top = np.sqrt(Y.mass_scale * _column_sums(J.multiply(massed)).max())
+    s = rcond * np.sqrt(_column_sums(J.multiply(J)).max())
+    if s == 0.0:  # J = 0, so the certified g* is 0 and the set is all of Y
+        return np.zeros(n), np.eye(n), 1.0
+    coo, diagonal = J.tocoo(), np.arange(n + m)
+    lu = splu(sp.csc_matrix(
+        (np.concatenate([np.full(n + m, -s), coo.data, coo.data]),
+         (np.concatenate([diagonal, coo.row, coo.col + n]),
+          np.concatenate([diagonal, coo.col + n, coo.row]))),
+        shape=(n + m, n + m)))
+
+    def solve(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        return lu.solve(np.concatenate([upper, lower]))[:n]
+
+    rng = np.random.default_rng(0)  # a local stream: no global state
+    p = min(n, START_BLOCK)
+    while True:
+        X = rng.standard_normal((n, p))
+        null, change = np.zeros((n, 0)), np.inf
+        for _ in range(MAX_SWEEPS):
+            Q = np.linalg.qr(solve(X, np.zeros((m, p))))[0]
+            svals, right = _ritz(J.T @ Q)
+            X = Q @ right[::-1].T  # ascending Ritz values: null first
+            k = int(np.count_nonzero(svals <= s))
+            previous, null = null, X[:, :k]
+            last, change = change, np.inf
+            if previous.shape[1] == k:
+                change = np.linalg.norm(null - previous @ (previous.T @ null))
+            if 0.5 * last <= change < np.inf:  # no longer shrinking
+                break
+        Q = np.linalg.qr(Y.whiten_dual(X))[0]
+        svals, right = _ritz(J.T @ Y.unwhiten_dual(Q))
+        kept = svals > rcond * top
+        if kept.any() or p == n:
+            break
+        p = min(2 * p, n)
+    basis = Q @ right[~kept].T
+    cond = top / svals[kept].min() if kept.any() else 1.0
+
+    x, residual = np.zeros(n), -g
+    for _ in range(MAX_SWEEPS):
+        refined = x + solve(np.zeros(n), residual)
+        remaining = -g - J.T @ refined
+        before, after = np.linalg.norm(residual), np.linalg.norm(remaining)
+        if not after < before:
+            break
+        x, residual = refined, remaining
+        if after > 0.5 * before:
+            break
+    anchor = Y.whiten_dual(x)
+    return anchor - basis @ (basis.T @ anchor), basis, cond
+
+
+def _column_sums(M) -> np.ndarray:
+    return np.asarray(M.sum(axis=0)).ravel()
+
+
+def _ritz(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors (rows) of C.
+
+    A wide C (fewer rows than columns) gets its full right factor, with
+    the missing singular values counted as zeros, so that no null
+    direction of C is lost.
+    """
+    wide = C.shape[0] < C.shape[1]
+    _, svals, right = np.linalg.svd(C, full_matrices=wide)
+    return np.concatenate([svals, np.zeros(right.shape[0] - svals.size)]), right
 
 
 def multiplier_distance(

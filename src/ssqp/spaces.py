@@ -33,6 +33,17 @@ def _as_float_vector(x, dim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """arr, after the check scipy's check_finite makes.
+
+    The metric's solves skip scipy's own check, which would also rescan
+    the whole Cholesky factor that construction has checked once.
+    """
+    if not np.isfinite(arr).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return arr
+
+
 class InnerProductSpace:
     """R^dim with inner product (u, v) = u^T mass v.
 
@@ -155,7 +166,7 @@ class InnerProductSpace:
             raise DimensionMismatch(
                 f"rhs: expected leading dimension {self._dim}, got {rhs.shape}"
             )
-        return cho_solve(self._chol, rhs)
+        return cho_solve(self._chol, _finite(rhs), check_finite=False)
 
     def riesz(self, l: "Functional") -> "PrimalVec":
         """Riesz representative: the v with (v, y) = <l, y> for all y."""
@@ -185,7 +196,8 @@ class InnerProductSpace:
 
     def whiten_dual(self, coeffs) -> np.ndarray:
         """L^{-1} l, so that |l|_* is the Euclidean norm of the result."""
-        return solve_triangular(self._chol[0], self._leading(coeffs), lower=True)
+        return solve_triangular(self._chol[0], _finite(self._leading(coeffs)),
+                                lower=True, check_finite=False)
 
     def unwhiten_dual(self, w) -> np.ndarray:
         """L w, the inverse of `whiten_dual`."""

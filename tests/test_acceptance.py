@@ -11,6 +11,7 @@ import pytest
 
 import ssqp
 from ssqp.bench import fd_laplacian, get_benchmark, list_benchmarks
+from ssqp.model import to_dense
 from ssqp.solver import (
     ErrorProportional,
     Fixed,
@@ -361,7 +362,7 @@ def test_criterion_8_metric_correctness():
 def _stationarity_null_basis(ref):
     import scipy.linalg
 
-    return scipy.linalg.null_space(ref.j_star.T, rcond=1e-10)
+    return scipy.linalg.null_space(to_dense(ref.j_star).T, rcond=1e-10)
 
 
 def test_criterion_9_containment():

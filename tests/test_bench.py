@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -204,6 +206,17 @@ class TestEigencontrol:
         assert bm.notes.endswith("; certified branches: eigen, trivial")
         np.testing.assert_array_equal(bm.reference.z_star.coords,
                                       np.concatenate([np.zeros(49), [-2.0]]))
+
+    @pytest.mark.parametrize("amp", [1e-300, 5e-324])
+    def test_tiny_amplitude_builds_without_overflow(self, amp):
+        # the eigen multiplier grows like 1 / u_d_amp; once its squared
+        # norm overflows the branch is rejected before any KKT residual
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bm = make_eigencontrol(n=5, u_d_amp=amp, q_d=-3.0)
+        np.testing.assert_array_equal(bm.reference.z_star.coords,
+                                      [0.0, 0.0, 0.0, 0.0, 0.0, -3.0])
+        assert bm.notes.endswith("; certified branches: trivial")
 
     def test_grid_limits(self):
         with pytest.raises(ValueError):

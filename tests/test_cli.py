@@ -521,6 +521,18 @@ def test_import_leaves_scipy_optimize_unloaded():
     ) == "False False False"
 
 
+def test_dense_reference_projection_leaves_scipy_sparse_unloaded():
+    # a dense j_star keeps the pivoted QR; only a sparse one takes the
+    # sparse-LU projector and its imports
+    assert _python(
+        "import contextlib, io, sys, ssqp.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = ssqp.cli.main(['solve', '--benchmark', 'degenerate-line'])\n"
+        "print(code, *(name in sys.modules for name in "
+        "('scipy.sparse', 'scipy.sparse.linalg')))"
+    ) == "0 False False"
+
+
 def test_eigencontrol_diagnose_leaves_scipy_optimize_unloaded():
     # eigencontrol's reference is in closed form: building it and running
     # the diagnostics on it need no optimizer

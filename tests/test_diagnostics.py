@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +13,7 @@ from ssqp.diagnostics import (
     error_estimate_ratio,
     multiplier_distance,
 )
-from ssqp.model import ConeSpec, empty_cone
+from ssqp.model import ConeSpec, empty_cone, issparse, to_dense
 from ssqp.spaces import InnerProductSpace
 
 
@@ -81,6 +83,18 @@ class TestMultiplierDistance:
             )
 
 
+def csr_twin(ref: ReferenceSolution) -> ReferenceSolution:
+    """The same reference with j_star stored as CSR (the sparse-LU path)."""
+    import scipy.sparse as sp
+
+    return dataclasses.replace(ref, j_star=sp.csr_matrix(ref.j_star))
+
+
+def null_dimension(ref: ReferenceSolution) -> int:
+    """k, the dimension of the affine hull the projector factored."""
+    return ref._projector.basis.shape[1]
+
+
 class TestMultiplierDistanceFarFromSet:
     """The set is span{sin(pi x)} on eigencontrol.  Far from it, a
     projection through the normal equations, which square the condition
@@ -90,18 +104,48 @@ class TestMultiplierDistanceFarFromSet:
     @pytest.mark.parametrize("n, amp", [(49, 1.0), (49, 1e-6), (200, 1e-2),
                                         (200, 3.0)])
     def test_eigencontrol_closed_form(self, n, amp):
-        bm = make_eigencontrol(n=n)
+        self.check(make_eigencontrol(n=n), amp)
+
+    def test_sparse_jacobian_at_n2000_needs_no_dense_qr(self, monkeypatch):
+        import scipy.linalg
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("a sparse j_star must not reach the dense QR")
+
+        monkeypatch.setattr(scipy.linalg, "qr", no_qr)
+        bm = make_eigencontrol(n=2000)
+        ref = bm.reference
+        assert issparse(ref.j_star)
+        amps = (1.0, 1e-6, 1e-2, 3.0)
+        dists = [self.check(bm, amp) for amp in amps]
+        monkeypatch.undo()
+        dense = dataclasses.replace(ref, j_star=to_dense(ref.j_star))
+        for amp, dist in zip(amps, dists):
+            lam = ref.lambda_star.coeffs + amp * self.second_mode(bm)
+            assert dist == pytest.approx(
+                multiplier_distance(dense, ref.space_y.functional(lam))[0],
+                rel=1e-9)
+        assert null_dimension(ref) == null_dimension(dense) == 1
+
+    @staticmethod
+    def second_mode(bm) -> np.ndarray:
+        n = bm.problem.Y.dim
+        return np.sin(2 * np.pi * np.arange(1, n + 1) / (n + 1))
+
+    def check(self, bm, amp) -> float:
         Y = bm.problem.Y
+        n = Y.dim
         h = 1.0 / (n + 1)
         x = h * np.arange(1, n + 1)
         phi = np.sin(np.pi * x)
-        lam = bm.reference.lambda_star.coeffs + amp * np.sin(2 * np.pi * x)
+        lam = bm.reference.lambda_star.coeffs + amp * self.second_mode(bm)
         on_line = (lam @ phi) / (phi @ phi) * phi
         # M_Y = h I, so the Y*-norm is the Euclidean norm over sqrt(h)
         expected = np.linalg.norm(lam - on_line) / np.sqrt(h)
         dist, proj = multiplier_distance(bm.reference, Y.functional(lam))
         assert dist == pytest.approx(expected, rel=1e-12)
         assert_allclose(proj.coeffs, on_line, rtol=0, atol=1e-12 * (1 + amp))
+        return dist
 
 
 class TestPairingConstantOnTheSet:
@@ -132,27 +176,46 @@ class TestPairingConstantOnTheSet:
         )
         return ref, u[:, ny - k:], rng
 
-    @pytest.mark.parametrize("k, cond, pairing", [
-        (0, 1.0, 1e-10), (1, 1.0, 1e-10), (1, 1e6, 0.0), (2, 1e6, 0.0),
-    ])
+    GRID = [(0, 1.0, 1e-10), (1, 1.0, 1e-10), (1, 1e6, 0.0), (2, 1e6, 0.0)]
+
+    @staticmethod
+    def check(ref, null, cond, offset) -> float:
+        """Project lambda* + offset and compare with the closed form."""
+        Y = ref.space_y
+        dist, proj = multiplier_distance(
+            ref, Y.functional(ref.lambda_star.coeffs + offset))
+        # the set is lambda* + span(null), whitened by L^{-1}
+        L = np.linalg.cholesky(Y.mass)
+        a = np.linalg.solve(L, offset)
+        n = np.linalg.solve(L, null)
+        t = np.linalg.lstsq(n, a, rcond=None)[0]
+        expected = np.linalg.norm(a - n @ t)
+        assert dist == pytest.approx(expected, rel=1e-12 * cond,
+                                     abs=1e-14 * cond)
+        assert_allclose(proj.coeffs, ref.lambda_star.coeffs + null @ t,
+                        rtol=0, atol=1e-12 * cond)
+        return dist
+
+    @pytest.mark.parametrize("k, cond, pairing", GRID)
     def test_projects_onto_the_affine_set(self, k, cond, pairing):
         for seed in range(20):
             ref, null, rng = self.reference(k, cond, pairing, seed)
-            Y = ref.space_y
             for _ in range(5):
-                offset = rng.standard_normal(Y.dim)
-                dist, proj = multiplier_distance(
-                    ref, Y.functional(ref.lambda_star.coeffs + offset))
-                # the set is lambda* + span(null), whitened by L^{-1}
-                L = np.linalg.cholesky(Y.mass)
-                a = np.linalg.solve(L, offset)
-                n = np.linalg.solve(L, null)
-                t = np.linalg.lstsq(n, a, rcond=None)[0]
-                expected = np.linalg.norm(a - n @ t)
-                assert dist == pytest.approx(expected, rel=1e-12 * cond,
-                                             abs=1e-14 * cond)
-                assert_allclose(proj.coeffs, ref.lambda_star.coeffs + null @ t,
-                                rtol=0, atol=1e-12 * cond)
+                self.check(ref, null, cond, rng.standard_normal(ref.space_y.dim))
+
+    @pytest.mark.parametrize("k, cond, pairing", GRID)
+    def test_sparse_storage_matches_dense(self, k, cond, pairing):
+        for seed in range(20):
+            ref, null, rng = self.reference(k, cond, pairing, seed)
+            csr = csr_twin(ref)
+            for _ in range(5):
+                offset = rng.standard_normal(ref.space_y.dim)
+                dist = self.check(csr, null, cond, offset)
+                lam = ref.space_y.functional(ref.lambda_star.coeffs + offset)
+                # at cond 1e6 the QR itself is 1.4e-9 off the closed form
+                assert dist == pytest.approx(multiplier_distance(ref, lam)[0],
+                                             rel=max(1e-9, 1e-14 * cond))
+            assert null_dimension(csr) == null_dimension(ref) == k
 
 
 class TestCoercivityMargin:
@@ -236,8 +299,6 @@ class TestDegeneracyReport:
         assert not rep.rcq_satisfied
 
     def test_invariant_under_consistent_y_rescale(self, degenerate):
-        import dataclasses
-
         p = degenerate.problem
         s = 3.7
         scaled_Y = InnerProductSpace(p.Y.mass / s**2)

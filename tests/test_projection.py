@@ -13,6 +13,7 @@ import pytest
 from ssqp.diagnostics import InvalidReference, ReferenceSolution, multiplier_distance
 from ssqp.model import ConeSpec
 from ssqp.spaces import Functional, InnerProductSpace
+from test_diagnostics import csr_twin, null_dimension
 
 pytest.importorskip("hypothesis")  # declared in the `test` extra
 from hypothesis import assume, given, settings
@@ -167,3 +168,16 @@ def test_least_distance_lands_on_the_binding_pairing():
     # the unconstrained line projection is (2.2, -3.2); the ray ends at s = 0
     assert dist == pytest.approx(np.sqrt(3.0**2 / 0.5 + 1.0 / 2.0), rel=1e-14)
     assert dist == pytest.approx(enumeration_oracle(ref, lam)[0], rel=1e-12)
+
+
+@PROPERTY
+@given(references(), st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
+def test_sparse_storage_matches_dense(ref, seed, size):
+    rng = np.random.default_rng(seed)
+    Y = ref.space_y
+    lam = Y.functional(ref.lambda_star.coeffs + size * rng.standard_normal(Y.dim))
+    csr = csr_twin(ref)
+    dist, _ = multiplier_distance(ref, lam)
+    sparse_dist, _ = multiplier_distance(csr, lam)
+    assert sparse_dist == pytest.approx(dist, rel=1e-9, abs=1e-12)
+    assert null_dimension(csr) == null_dimension(ref)
