@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -36,19 +36,27 @@ from .spaces import Functional, InnerProductSpace, PrimalVec, ProductSpace
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-#: The build caps the discretization size, not the solve: eigencontrol's
-#: callbacks are sparse and its reference is in closed form, but the
-#: notes' singular values and the metric factors are dense O(n^3) steps.
+#: eigencontrol's build and solve are O(n): sparse callbacks, banded
+#: metrics and a closed-form reference.  The cap stays for what reads the
+#: problem densely: the notes' full singular value decomposition and the
+#: coercivity margin of `ssqp diagnose`, O(n^3) time and O(n^2) memory.
 MAX_GRID_POINTS = 2000
 
 
 @dataclass
 class BenchmarkProblem:
+    """A problem with its certified reference, default start and notes.
+
+    `describe` computes the notes; `notes` calls it on first read and
+    caches the string.  For eigencontrol that is a dense singular value
+    decomposition, O(n^3), which no solve needs.
+    """
+
     name: str
     problem: ProblemDef
     reference: ReferenceSolution | None
     certified_radius: float
-    notes: str
+    describe: Callable[[], str]
     default_start_offset: np.ndarray = field(default=None)  # type: ignore[assignment]
     default_lambda0: np.ndarray = field(default=None)  # type: ignore[assignment]
 
@@ -65,6 +73,10 @@ class BenchmarkProblem:
                 raise ValueError(
                     f"{self.name}: reference fails the KKT test ({kkt.total:.3e})"
                 )
+
+    @functools.cached_property
+    def notes(self) -> str:
+        return self.describe()
 
     def default_start(self) -> tuple[PrimalVec, Functional]:
         base = (
@@ -126,7 +138,7 @@ def make_degenerate_line(mass_z=None, mass_y=None) -> BenchmarkProblem:
     lam_hat = Y.functional([-0.5, -0.5])
     if mass_y is not None:
         # keep the stored anchor the metric projection of zero onto the line
-        dist_dir = Y.mass @ np.ones(2)
+        dist_dir = Y.apply_mass(np.ones(2))
         lam_hat = Y.functional(-dist_dir / dist_dir.sum())
     reference = ReferenceSolution(
         z_star=z_star,
@@ -140,7 +152,7 @@ def make_degenerate_line(mass_z=None, mass_y=None) -> BenchmarkProblem:
         problem=problem,
         reference=reference,
         certified_radius=0.1,
-        notes=_degeneracy_note(problem, z_star),
+        describe=functools.partial(_degeneracy_note, problem, z_star),
         default_start_offset=np.array([0.1, 0.1]),
         default_lambda0=np.array([-0.6, -0.45]),
     )
@@ -233,7 +245,7 @@ def make_cone_instance() -> BenchmarkProblem:
         problem=problem,
         reference=reference,
         certified_radius=1.0,
-        notes=_degeneracy_note(problem, z_star),
+        describe=functools.partial(_degeneracy_note, problem, z_star),
         default_start_offset=np.array([0.05, -0.85]),
         default_lambda0=np.array([0.0, 0.0]),
     )
@@ -300,10 +312,12 @@ def make_eigencontrol(
     phi = np.sin(u_d_mode * np.pi * x_grid)
     u_d = u_d_amp * phi
 
-    state_space = InnerProductSpace(h * (np.eye(n) + (A.T @ A).toarray()))
+    # sparse masses get banded storage: pentadiagonal and diagonal
+    identity = sp.identity(n, format="csr")
+    state_space = InnerProductSpace(h * (identity + A.T @ A))
     control_space = InnerProductSpace.identity(1)
     Z = ProductSpace([state_space, control_space])
-    Y = InnerProductSpace(h * np.eye(n))
+    Y = InnerProductSpace(h * identity)
 
     def split(z: PrimalVec) -> tuple[np.ndarray, float]:
         u = z.coords[:n]
@@ -392,17 +406,14 @@ def make_eigencontrol(
     direction = np.concatenate([phi + 0.3 * phi2, [0.5]])
     direction /= Z.norm_arr(direction)
     offset = 0.5 * certified_radius * direction
-    notes = _degeneracy_note(problem, z_star)
-    if certified:
-        notes += f"; certified branches: {', '.join(certified)}"
-    else:
-        notes += "; no reference certified for these parameters"
+    branches_note = (f"certified branches: {', '.join(certified)}" if certified
+                     else "no reference certified for these parameters")
     return BenchmarkProblem(
         name=f"eigencontrol-n{n}",
         problem=problem,
         reference=reference,
         certified_radius=certified_radius,
-        notes=notes,
+        describe=lambda: f"{_degeneracy_note(problem, z_star)}; {branches_note}",
         default_start_offset=offset,
         default_lambda0=np.zeros(n),
     )

@@ -352,9 +352,10 @@ def cmd_diagnose(cfg: RunConfig, rho_grid: list[float] | None = None) -> int:
     H = problem.hess_L(point, lam)
     J = problem.jac_G(point)
     grid = rho_grid if rho_grid else _DIAGNOSE_RHO_GRID
+    # dense reads: each materializes a banded mass
+    mass_z, mass_y = problem.Z.mass, problem.Y.mass
     margins = [
-        diagnostics.coercivity_margin(H, J, problem.Z.mass, problem.Y.mass, rho)
-        for rho in grid
+        diagnostics.coercivity_margin(H, J, mass_z, mass_y, rho) for rho in grid
     ]
     if bm.reference is not None:
         rng = np.random.default_rng(cfg.seed)

@@ -12,13 +12,12 @@ them against finite differences.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .spaces import DimensionMismatch, Functional, InnerProductSpace, PrimalVec
+from .spaces import DimensionMismatch, Functional, InnerProductSpace, PrimalVec, issparse
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -44,7 +43,7 @@ class ConeSpec:
         self.generator_matrix = (
             np.column_stack(cols) if m else np.zeros((self.space.dim, 0))
         )
-        massed = self.space.mass @ self.generator_matrix
+        massed = self.space.apply_mass(self.generator_matrix)
         self.gram = self.generator_matrix.T @ massed
         self._massed_generators = massed
         #: L^T y_i for M_Y = L L^T: Y-distances to the cone become
@@ -79,19 +78,6 @@ class ConeSpec:
 
 def empty_cone(space: InnerProductSpace) -> ConeSpec:
     return ConeSpec(space, ())
-
-
-def issparse(M) -> bool:
-    """scipy.sparse.issparse(M), without importing scipy.sparse.
-
-    No matrix is sparse before some code has imported scipy.sparse, so
-    problems with dense callbacks never pay for that import (about 30 ms
-    of every CLI process).
-    """
-    if isinstance(M, np.ndarray):
-        return False
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(M)
 
 
 def as_matrix(M) -> np.ndarray | sp.csr_matrix:

@@ -169,7 +169,7 @@ def _project_into_polar(p: ProblemDef, lam: Functional) -> Functional:
         stacklevel=3,
     )
     c = np.linalg.solve(p.cone.gram, excess)
-    shift = p.Y.mass @ (p.cone.generator_matrix @ c)
+    shift = p.Y.apply_mass(p.cone.generator_matrix @ c)
     return Functional(p.Y, lam.coeffs - shift)
 
 

@@ -6,17 +6,40 @@ are stored as duality-pairing coefficient vectors, so that <l, v> is the
 plain dot product of coefficients with coordinates; the Riesz map is then
 multiplication by M^{-1} and the adjoint of an operator matrix acting on
 functional coefficients is the plain transpose.
+
+The mass matrix has one of two storages, chosen from the input:
+
+* dense: a numpy array (or nested lists) is kept as an n x n array with a
+  dense Cholesky factor, O(n^2) memory and an O(n^3) factorization;
+* banded: a scipy.sparse matrix is kept in LAPACK's symmetric lower band
+  storage, ab[i, j] = M[j + i, j] for bandwidth b, with the banded
+  Cholesky factor in the same layout: O(n b) memory, an O(n b^2)
+  factorization and O(n b) per metric operation.  `identity` and
+  `diagonal` give banded storage with b = 0.
+
+Both storages offer the same operations, and norms are computed in
+whitened form on both.  `mass` on banded storage materializes a dense
+array, which costs O(n^2): it is for `ssqp diagnose` and tests only.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve, solve_triangular
-from scipy.linalg.blas import dtrmm
+from scipy.linalg import (
+    block_diag,
+    cho_factor,
+    cho_solve,
+    cho_solve_banded,
+    cholesky_banded,
+    solve_triangular,
+)
+from scipy.linalg.blas import dnrm2, dtbmv, dtbsv, dtrmm, dtrmv, dtrsv
+from scipy.linalg.lapack import dtbtrs
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -24,6 +47,19 @@ if TYPE_CHECKING:
 
 class DimensionMismatch(ValueError):
     """Operand does not match the dimension of the space it is used with."""
+
+
+def issparse(M) -> bool:
+    """scipy.sparse.issparse(M), without importing scipy.sparse.
+
+    No matrix is sparse before some code has imported scipy.sparse, so
+    problems with dense callbacks never pay for that import (about 30 ms
+    of every CLI process).
+    """
+    if isinstance(M, np.ndarray):
+        return False
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(M)
 
 
 def _as_float_vector(x, dim: int, what: str) -> np.ndarray:
@@ -44,21 +80,20 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class InnerProductSpace:
-    """R^dim with inner product (u, v) = u^T mass v.
+def _check_square(shape) -> int:
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"mass matrix must be square, got shape {shape}")
+    if shape[0] == 0:
+        raise ValueError("mass matrix must have positive dimension")
+    return shape[0]
 
-    The mass matrix is checked for symmetry (1e-12 relative) and positive
-    definiteness (Cholesky factorization must succeed).  The factor is
-    cached and reused for every Riesz solve and dual norm.  Instances are
-    immutable after construction and safe to share across threads.
-    """
+
+class _DenseMetric:
+    """M as an n x n array with its dense Cholesky factor M = L L^T."""
 
     def __init__(self, mass) -> None:
         mass = np.array(mass, dtype=float)
-        if mass.ndim != 2 or mass.shape[0] != mass.shape[1]:
-            raise ValueError(f"mass matrix must be square, got shape {mass.shape}")
-        if mass.shape[0] == 0:
-            raise ValueError("mass matrix must have positive dimension")
+        self.dim = _check_square(mass.shape)
         scale = max(float(np.abs(mass).max()), 1.0)
         if float(np.abs(mass - mass.T).max()) > 1e-12 * scale:
             raise ValueError("mass matrix is not symmetric (1e-12 relative)")
@@ -67,20 +102,196 @@ class InnerProductSpace:
             self._chol = cho_factor(mass, lower=True)
         except np.linalg.LinAlgError as exc:
             raise ValueError("mass matrix is not positive definite") from exc
+        # cho_factor leaves junk above the diagonal; the BLAS triangular
+        # routines read only the lower triangle
+        self._lower = np.asfortranarray(self._chol[0])
         mass.flags.writeable = False
         self._mass = mass
-        self._dim = mass.shape[0]
-        self._mass_scale = float(np.trace(mass)) / self._dim
+
+    def dense(self) -> np.ndarray:
+        return self._mass
+
+    def diagonal(self) -> np.ndarray:
+        return np.diagonal(self._mass)
+
+    def bands(self) -> np.ndarray:
+        """Lower band storage of M, to its last nonzero subdiagonal."""
+        rows, cols = np.nonzero(self._mass)
+        b = int((rows - cols).max(initial=0))
+        ab = np.zeros((b + 1, self.dim))
+        for i in range(b + 1):
+            ab[i, : self.dim - i] = np.diagonal(self._mass, -i)
+        return ab
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._mass @ x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return cho_solve(self._chol, rhs, check_finite=False)
+
+    def lower_product(self, x: np.ndarray, trans: bool) -> np.ndarray:
+        cols = x.reshape(self.dim, -1)
+        return dtrmm(1.0, self._lower, cols, lower=1, trans_a=int(trans)).reshape(x.shape)
+
+    def lower_solve(self, x: np.ndarray) -> np.ndarray:
+        return solve_triangular(self._lower, x, lower=True, check_finite=False)
+
+    def norm(self, x: np.ndarray) -> float:
+        return dnrm2(dtrmv(self._lower, x, lower=1, trans=1))
+
+    def dual_norm(self, a: np.ndarray) -> float:
+        return dnrm2(dtrsv(self._lower, a, lower=1))
+
+    def csr(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
+        return sp.csr_matrix(self._mass)
+
+
+def _sparse_bands(mass) -> np.ndarray:
+    """Symmetrized lower band storage of a scipy.sparse mass matrix."""
+    dim = _check_square(mass.shape)
+    coo = mass.tocoo()
+    data = np.asarray(coo.data, dtype=float)
+    stored = data != 0.0
+    rows, cols, data = coo.row[stored], coo.col[stored], data[stored]
+    offset = rows.astype(np.intp) - cols
+    b = int(np.abs(offset).max(initial=0))
+    low, up = np.zeros((b + 1, dim)), np.zeros((b + 1, dim))
+    below = offset >= 0
+    # add.at sums duplicate entries, as scipy.sparse does
+    np.add.at(low, (offset[below], cols[below]), data[below])
+    np.add.at(up, (-offset[~below], rows[~below]), data[~below])
+    scale = max(float(np.abs(data).max(initial=0.0)), 1.0)
+    if float(np.abs(low[1:] - up[1:]).max(initial=0.0)) > 1e-12 * scale:
+        raise ValueError("mass matrix is not symmetric (1e-12 relative)")
+    low[1:] = 0.5 * (low[1:] + up[1:])
+    return low
+
+
+def _columns(op, arr: np.ndarray, **kw) -> np.ndarray:
+    """op(arr, **kw), or a copy of arr when it has no columns (BLAS
+    rejects empty operands)."""
+    return arr.copy() if arr.size == 0 else op(arr, **kw)
+
+
+def _along(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v shaped to scale the rows of x, a vector or a matrix of columns."""
+    return v if x.ndim == 1 else v[:, None]
+
+
+class _BandMetric:
+    """M in symmetric lower band storage ab[i, j] = M[j + i, j], i <= b,
+    with its banded Cholesky factor M = L L^T in the same layout."""
+
+    def __init__(self, ab: np.ndarray) -> None:
+        ab = np.array(ab, dtype=float, order="F")  # a copy the caller cannot edit
+        self.dim = ab.shape[1]
+        if self.dim == 0:
+            raise ValueError("mass matrix must have positive dimension")
+        self.b = ab.shape[0] - 1
+        try:
+            self._factor = cholesky_banded(ab, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("mass matrix is not positive definite") from exc
+        self._ab = ab
+
+    def dense(self) -> np.ndarray:
+        mass = np.diag(self._ab[0])
+        for i in range(1, self.b + 1):
+            j = np.arange(self.dim - i)
+            mass[j + i, j] = mass[j, j + i] = self._ab[i, : self.dim - i]
+        mass.flags.writeable = False
+        return mass
+
+    def diagonal(self) -> np.ndarray:
+        return self._ab[0]
+
+    def bands(self) -> np.ndarray:
+        return self._ab
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        out = _along(self._ab[0], x) * x
+        for i in range(1, self.b + 1):
+            d = _along(self._ab[i, :-i], x)
+            out[i:] += d * x[:-i]
+            out[:-i] += d * x[i:]
+        return out
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return cho_solve_banded((self._factor, True), rhs, check_finite=False)
+
+    def lower_product(self, x: np.ndarray, trans: bool) -> np.ndarray:
+        L = self._factor
+        out = _along(L[0], x) * x
+        for i in range(1, self.b + 1):
+            d = _along(L[i, :-i], x)
+            if trans:
+                out[:-i] += d * x[i:]
+            else:
+                out[i:] += d * x[:-i]
+        return out
+
+    def lower_solve(self, x: np.ndarray) -> np.ndarray:
+        out, info = dtbtrs(self._factor, x.reshape(self.dim, -1), uplo="L")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtbtrs failed with info {info}")
+        return out.reshape(x.shape)
+
+    def norm(self, x: np.ndarray) -> float:
+        return dnrm2(dtbmv(self.b, self._factor, x, lower=1, trans=1))
+
+    def dual_norm(self, a: np.ndarray) -> float:
+        return dnrm2(dtbsv(self.b, self._factor, a, lower=1))
+
+    def csr(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
+        below = [self._ab[i, : self.dim - i] for i in range(self.b, 0, -1)]
+        mass = sp.diags(below + [self._ab[0]] + below[::-1],
+                        list(range(-self.b, self.b + 1)), format="csr")
+        mass.eliminate_zeros()
+        return mass
+
+
+class InnerProductSpace:
+    """R^dim with inner product (u, v) = u^T mass v.
+
+    A numpy `mass` is stored dense and a scipy.sparse one banded (see the
+    module docstring); there is no option.  The mass matrix is checked
+    for symmetry (1e-12 relative) and positive definiteness (Cholesky
+    factorization must succeed).  The factor is cached and reused for
+    every Riesz solve and norm.  Instances are immutable after
+    construction and safe to share across threads.
+    """
+
+    def __init__(self, mass) -> None:
+        self._set_metric(_BandMetric(_sparse_bands(mass)) if issparse(mass)
+                         else _DenseMetric(mass))
+
+    def _set_metric(self, metric: _DenseMetric | _BandMetric) -> None:
+        self._metric = metric
+        self._dim = metric.dim
+        self._mass_scale = float(metric.diagonal().sum()) / self._dim
         self._scaled_mass: dict[bool, np.ndarray | sp.csr_matrix] = {}
         self._inverse_mass: np.ndarray | None = None
 
     @classmethod
+    def _banded(cls, ab) -> "InnerProductSpace":
+        space = cls.__new__(cls)
+        space._set_metric(_BandMetric(ab))
+        return space
+
+    @classmethod
     def identity(cls, dim: int) -> "InnerProductSpace":
-        return cls(np.eye(dim))
+        return cls._banded(np.ones((1, dim)))
 
     @classmethod
     def diagonal(cls, weights) -> "InnerProductSpace":
-        return cls(np.diag(np.asarray(weights, dtype=float)))
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1:
+            raise ValueError(f"weights must be a vector, got shape {weights.shape}")
+        return cls._banded(weights[None, :])
 
     @property
     def dim(self) -> int:
@@ -88,7 +299,12 @@ class InnerProductSpace:
 
     @property
     def mass(self) -> np.ndarray:
-        return self._mass
+        """The mass matrix as a read-only dense array.
+
+        On banded storage each read materializes it, O(n^2) time and
+        memory: for `ssqp diagnose` and tests, not for solves.
+        """
+        return self._metric.dense()
 
     @property
     def mass_scale(self) -> float:
@@ -103,12 +319,10 @@ class InnerProductSpace:
         """
         scaled = self._scaled_mass.get(sparse)
         if scaled is None:
-            scaled = self._mass / self._mass_scale
             if sparse:
-                import scipy.sparse as sp
-
-                scaled = sp.csr_matrix(scaled)
+                scaled = self._metric.csr() / self._mass_scale
             else:
+                scaled = self._metric.dense() / self._mass_scale
                 scaled.flags.writeable = False
             self._scaled_mass[sparse] = scaled
         return scaled
@@ -121,7 +335,7 @@ class InnerProductSpace:
         tracer (perfbench/tracer.py) stops patching it (ROADMAP B1).
         """
         if self._inverse_mass is None:
-            inv = cho_solve(self._chol, np.eye(self._dim))
+            inv = self._metric.solve(np.eye(self._dim))
             inv = 0.5 * (inv + inv.T)
             inv.flags.writeable = False
             self._inverse_mass = inv
@@ -147,17 +361,18 @@ class InnerProductSpace:
         """(u, v) = u^T M v."""
         a = _as_float_vector(u.coords, self._dim, "u")
         b = _as_float_vector(v.coords, self._dim, "v")
-        return float(a @ self._mass @ b)
+        return float(a @ self._metric.apply(b))
 
     def norm(self, u: "PrimalVec") -> float:
         return self.norm_arr(u.coords)
 
     def norm_arr(self, coords) -> float:
-        a = _as_float_vector(coords, self._dim, "coords")
-        return float(np.sqrt(max(a @ self._mass @ a, 0.0)))
+        """|x| = |L^T x|_2, which overflows only where |x| itself does."""
+        return float(self._metric.norm(_as_float_vector(coords, self._dim, "coords")))
 
     def apply_mass(self, coords) -> np.ndarray:
-        return self._mass @ _as_float_vector(coords, self._dim, "coords")
+        """M x for a vector or a matrix of columns."""
+        return self._metric.apply(self._leading(coords))
 
     def solve_mass(self, rhs) -> np.ndarray:
         """M x = rhs via the cached factorization (the Riesz map on arrays)."""
@@ -166,7 +381,7 @@ class InnerProductSpace:
             raise DimensionMismatch(
                 f"rhs: expected leading dimension {self._dim}, got {rhs.shape}"
             )
-        return cho_solve(self._chol, _finite(rhs), check_finite=False)
+        return self._metric.solve(_finite(rhs))
 
     def riesz(self, l: "Functional") -> "PrimalVec":
         """Riesz representative: the v with (v, y) = <l, y> for all y."""
@@ -175,14 +390,16 @@ class InnerProductSpace:
 
     def riesz_inverse(self, v: "PrimalVec") -> "Functional":
         """Functional with coefficients M v, the inverse of `riesz`."""
-        return Functional(self, self.apply_mass(v.coords))
+        return Functional(self, self.apply_mass(
+            _as_float_vector(v.coords, self._dim, "coords")))
 
     def dual_norm(self, l: "Functional") -> float:
         return self.dual_norm_arr(l.coeffs)
 
     def dual_norm_arr(self, coeffs) -> float:
+        """|l|_* = |L^{-1} l|_2, which overflows only where |l|_* itself does."""
         a = _as_float_vector(coeffs, self._dim, "coeffs")
-        return float(np.sqrt(max(a @ self.solve_mass(a), 0.0)))
+        return float(self._metric.dual_norm(a))
 
     # -- whitening by the cached factor M = L L^T ---------------------------
     #
@@ -192,16 +409,15 @@ class InnerProductSpace:
 
     def whiten(self, coords) -> np.ndarray:
         """L^T x, so that |x| is the Euclidean norm of the result."""
-        return self._triangular_product(coords, trans=True)
+        return _columns(self._metric.lower_product, self._leading(coords), trans=True)
 
     def whiten_dual(self, coeffs) -> np.ndarray:
         """L^{-1} l, so that |l|_* is the Euclidean norm of the result."""
-        return solve_triangular(self._chol[0], _finite(self._leading(coeffs)),
-                                lower=True, check_finite=False)
+        return _columns(self._metric.lower_solve, _finite(self._leading(coeffs)))
 
     def unwhiten_dual(self, w) -> np.ndarray:
         """L w, the inverse of `whiten_dual`."""
-        return self._triangular_product(w, trans=False)
+        return _columns(self._metric.lower_product, self._leading(w), trans=False)
 
     def _leading(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -210,15 +426,6 @@ class InnerProductSpace:
                 f"expected leading dimension {self._dim}, got {arr.shape}"
             )
         return arr
-
-    def _triangular_product(self, x, trans: bool) -> np.ndarray:
-        # cho_factor leaves junk above the diagonal; trmm reads only below
-        arr = self._leading(x)
-        cols = arr.reshape(self._dim, -1)
-        if cols.shape[1] == 0:
-            return arr.copy()
-        out = dtrmm(1.0, self._chol[0], cols, lower=1, trans_a=int(trans))
-        return out.reshape(arr.shape)
 
 
 @dataclass
@@ -260,15 +467,25 @@ class Functional:
 class ProductSpace(InnerProductSpace):
     """Block product of spaces with block-diagonal mass.
 
-    Provides `split`/`join` between the stacked coordinate vector and the
-    per-part coordinate vectors.
+    The product of dense parts is dense.  A product with a banded part is
+    banded, with the largest bandwidth of its parts (a dense part counts
+    to its last nonzero subdiagonal).  Provides `split`/`join` between the
+    stacked coordinate vector and the per-part coordinate vectors.
     """
 
     def __init__(self, parts) -> None:
         parts = tuple(parts)
         if not parts:
             raise ValueError("product of an empty list of spaces")
-        super().__init__(block_diag(*(p.mass for p in parts)))
+        metrics = [p._metric for p in parts]
+        if all(isinstance(m, _DenseMetric) for m in metrics):
+            self._set_metric(_DenseMetric(block_diag(*(m.dense() for m in metrics))))
+        else:
+            bands = [m.bands() for m in metrics]
+            rows = max(ab.shape[0] for ab in bands)
+            self._set_metric(_BandMetric(np.hstack([
+                np.pad(ab, ((0, rows - ab.shape[0]), (0, 0))) for ab in bands
+            ])))
         self.parts = parts
         bounds = np.cumsum([0] + [p.dim for p in parts])
         self._bounds = tuple(int(b) for b in bounds)

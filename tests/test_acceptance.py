@@ -8,6 +8,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import ssqp
 from ssqp.bench import fd_laplacian, get_benchmark, list_benchmarks
@@ -318,7 +319,8 @@ def test_criterion_8_metric_correctness():
     rng = np.random.default_rng(8)
     n_fd = 19
     h = 1.0 / (n_fd + 1)
-    A = fd_laplacian(n_fd).toarray()
+    A_sparse = fd_laplacian(n_fd)
+    A = A_sparse.toarray()
     space_types = {
         "identity": lambda: InnerProductSpace.identity(int(rng.integers(2, 8))),
         "diagonal": lambda: InnerProductSpace.diagonal(rng.uniform(0.1, 10, 5)),
@@ -331,6 +333,10 @@ def test_criterion_8_metric_correctness():
             InnerProductSpace.diagonal(rng.uniform(0.5, 2.0, 3)),
             InnerProductSpace.identity(2),
         ]),
+        # a sparse mass gets banded storage
+        "discrete-h2-banded": lambda: InnerProductSpace(
+            h * (scipy.sparse.identity(n_fd) + A_sparse.T @ A_sparse)
+        ),
     }
     for name, factory in space_types.items():
         for _ in range(100):

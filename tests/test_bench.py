@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from ssqp import bench
 from ssqp.bench import (
     fd_eigenvalue,
     fd_laplacian,
@@ -214,9 +216,10 @@ class TestEigencontrol:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bm = make_eigencontrol(n=5, u_d_amp=amp, q_d=-3.0)
+            notes = bm.notes  # computed on first read
         np.testing.assert_array_equal(bm.reference.z_star.coords,
                                       [0.0, 0.0, 0.0, 0.0, 0.0, -3.0])
-        assert bm.notes.endswith("; certified branches: trivial")
+        assert notes.endswith("; certified branches: trivial")
 
     def test_grid_limits(self):
         with pytest.raises(ValueError):
@@ -250,3 +253,54 @@ class TestEigencontrol:
             lam = p.Y.functional(s * phi)
             dist, _ = multiplier_distance(ref, lam)
             assert dist <= 1e-8 * (1.0 + abs(s))
+
+
+#: The notes of the registered benchmarks, as the dense builds wrote them.
+NOTES = {
+    "degenerate-line": "singular values at reference: [1.414e+00, 0.000e+00]; "
+                       "constraint qualification satisfied: False",
+    "cone-active": "singular values at reference: [1.000e+00, 1.000e+00]; "
+                   "constraint qualification satisfied: True",
+    "eigencontrol-n49": "singular values at reference: [9.990e-01, 9.990e-01, "
+                        "9.990e-01, 9.990e-01, 9.990e-01, 9.990e-01, ...]; "
+                        "constraint qualification satisfied: False; "
+                        "certified branches: eigen, trivial",
+}
+
+
+class TestBuildCost:
+    @pytest.mark.parametrize("name", list_benchmarks())
+    def test_notes_pinned(self, name):
+        assert get_benchmark(name).notes == NOTES[name]
+
+    def test_notes_computed_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return degeneracy_report(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "degeneracy_report", counted)
+        bm = make_eigencontrol(n=49)
+        assert calls == []
+        assert bm.notes == NOTES["eigencontrol-n49"]
+        assert bm.notes is bm.notes
+        assert len(calls) == 1
+
+    def test_n2000_build_and_solve_hold_no_dense_matrix(self):
+        # one dense 2000 x 2000 array is 32 MB; warm up imports and caches
+        # first so that only the work itself is traced
+        small = make_eigencontrol(n=20)
+        run(small.problem, *small.default_start(), reference=small.reference)
+        tracemalloc.start()
+        try:
+            bm = make_eigencontrol(n=2000)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            report = run(bm.problem, *bm.default_start(), reference=bm.reference)
+            run_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status is SolveStatus.CONVERGED
+        assert build_peak < 8e6
+        assert run_peak < 8e6

@@ -472,7 +472,7 @@ class TestDiagnose:
         bm = ssqp.bench.get_benchmark("degenerate-line")
         bare = ssqp.bench.BenchmarkProblem(
             name="degenerate-line", problem=bm.problem, reference=None,
-            certified_radius=bm.certified_radius, notes=bm.notes,
+            certified_radius=bm.certified_radius, describe=bm.describe,
             default_start_offset=bm.default_start_offset,
             default_lambda0=bm.default_lambda0,
         )

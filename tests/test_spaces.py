@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -160,6 +163,52 @@ class TestConstruction:
         s = InnerProductSpace.identity(2)
         with pytest.raises(ValueError):
             s.mass[0, 0] = 5.0
+
+
+class TestNormOverflow:
+    """|a|_* for |a| near 1e154, where a @ M^{-1} a overflows."""
+
+    @pytest.mark.parametrize("storage", [np.array, sp.csr_matrix],
+                             ids=["dense", "banded"])
+    def test_norms_scale_without_overflow(self, storage):
+        s = InnerProductSpace(storage(np.array([[1.0, 0.99], [0.99, 1.0]])))
+        a = np.array([5e153, 1e154])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for norm in (s.norm_arr, s.dual_norm_arr):
+                assert norm(a) == pytest.approx(1e150 * norm(1e-150 * a),
+                                                rel=1e-12)
+        # a^T M^{-1} a = (25 + 100 - 99) / 0.0199 times 1e306
+        assert s.dual_norm_arr(a) == pytest.approx(3.6147e154, rel=1e-4)
+
+
+class TestBandedStorage:
+    def test_sparse_construction_checks_like_dense(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            InnerProductSpace(sp.csr_matrix([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="positive definite"):
+            InnerProductSpace(sp.csr_matrix([[1.0, 0.0], [0.0, -1.0]]))
+        with pytest.raises(ValueError, match="square"):
+            InnerProductSpace(sp.csr_matrix(np.ones((2, 3))))
+        with pytest.raises(ValueError, match="positive dimension"):
+            InnerProductSpace(sp.csr_matrix((0, 0)))
+
+    def test_duplicates_summed_and_explicit_zeros_ignored(self):
+        M = sp.coo_matrix(([1.0, 1.0, 0.0, 0.0, 1.0, 3.0],
+                           ([0, 0, 2, 0, 1, 2], [0, 0, 0, 2, 1, 2])), shape=(3, 3))
+        s = InnerProductSpace(M)
+        assert_allclose(s.mass, np.diag([2.0, 1.0, 3.0]))
+        assert s._metric.bands().shape == (1, 3)  # bandwidth 0
+        assert s.scaled_mass(sparse=True).nnz == 3
+
+    def test_dense_mass_is_frozen(self):
+        s = InnerProductSpace(np.eye(2))
+        with pytest.raises(ValueError):
+            s.mass[0, 0] = 5.0
+        weights = np.array([1.0, 2.0])
+        d = InnerProductSpace.diagonal(weights)
+        weights[0] = -1.0  # the space keeps its own copy
+        assert_allclose(d.mass, np.diag([1.0, 2.0]))
 
 
 class TestMassFromSpec:
