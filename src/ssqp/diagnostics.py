@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import ConeSpec, ProblemDef, as_matrix, issparse, nnls, to_dense
-from .spaces import Functional, InnerProductSpace, PrimalVec
+from .spaces import Functional, InnerProductSpace, PrimalVec, euclidean_norm
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -275,11 +275,12 @@ def multiplier_distance(
     if proj is None:
         proj = ref._projector = _factor_multiplier_set(ref)
     v = ref.space_y.whiten_dual(lam.coeffs)
-    t = proj.basis.T @ v
+    # .dot is @ without matmul's dispatch, which dominates at small sizes
+    t = proj.basis.T.dot(v)
     if proj.polar.size:
         t = t + _least_distance(-proj.polar, proj.polar @ t - proj.bound)
-    dist = float(np.linalg.norm(v - proj.anchor - proj.basis @ t))
-    return dist, Functional(ref.space_y, proj.mu_anchor + proj.mu_basis @ t)
+    dist = euclidean_norm(v - proj.anchor - proj.basis.dot(t))
+    return dist, Functional(ref.space_y, proj.mu_anchor + proj.mu_basis.dot(t))
 
 
 def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -12,12 +12,20 @@ them against finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .spaces import DimensionMismatch, Functional, InnerProductSpace, PrimalVec, issparse
+from .spaces import (
+    DimensionMismatch,
+    Functional,
+    InnerProductSpace,
+    PrimalVec,
+    euclidean_norm,
+    issparse,
+)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -60,7 +68,7 @@ class ConeSpec:
 
     def pairings(self, l: Functional) -> np.ndarray:
         """<l, y_i> for every generator."""
-        return self.generator_matrix.T @ l.coeffs
+        return self.generator_matrix.T.dot(l.coeffs)
 
     def coords(self, r: PrimalVec) -> tuple[np.ndarray, float]:
         """Split r into span{y_i} coordinates and the orthogonal remainder.
@@ -87,6 +95,26 @@ def as_matrix(M) -> np.ndarray | sp.csr_matrix:
 
         return sp.csr_matrix(M, dtype=float)
     return np.asarray(M, dtype=float)
+
+
+def hessian_fault(H) -> str | None:
+    """Why the matrix H, dense or sparse, is no Hessian: "not finite", or
+    "not symmetric to 1e-10" relative to max(|H|_max, 1); None if it is."""
+    sparse = issparse(H)
+    scale = max(_max(np.abs(H.data if sparse else H)), 1.0)
+    if not math.isfinite(scale):
+        return "not finite"
+    # a - b = -(b - a) exactly, so the finite H - H^T is antisymmetric and
+    # its largest entry is its largest absolute entry
+    asym = H - H.T
+    if _max(asym.data if sparse else asym) > 1e-10 * scale:
+        return "not symmetric to 1e-10"
+    return None
+
+
+def _max(entries: np.ndarray) -> float:
+    """entries.max(initial=0.0), without the method's Python wrapper."""
+    return float(np.maximum.reduce(entries, axis=None, initial=0.0))
 
 
 def to_dense(M) -> np.ndarray:
@@ -157,7 +185,9 @@ class ProblemDef:
         `evaluate(z)` when the caller has it already.
         """
         at = at if at is not None else self.evaluate(z)
-        stationarity = self.Z.dual_norm(self.lagrangian_grad(z, lam, at))
+        # the coefficients of lagrangian_grad, without wrapping them; .dot
+        # is @ without matmul's dispatch
+        stationarity = self.Z.dual_norm_arr(at.g + at.J.T.dot(lam.coeffs))
         m = self.cone.m
         if m == 0:
             return KKTResidual(stationarity, self.Y.norm_arr(at.Gval), 0.0)
@@ -179,7 +209,7 @@ def _cone_face_distance(cone: ConeSpec, r: np.ndarray, allowed: list[int]) -> fl
     """
     b = cone.space.whiten(r)
     if not allowed:
-        return float(np.linalg.norm(b))
+        return euclidean_norm(b)
     return nnls(cone.whitened_generators[:, allowed], b)[1]
 
 
@@ -199,20 +229,22 @@ def nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass
 class KKTResidual:
-    """Componentwise KKT residual; zero total means a KKT point."""
+    """Componentwise KKT residual; zero total means a KKT point.
+
+    `eta` and `total` are summed once, at construction.
+    """
 
     stationarity: float
     feasibility: float
     polar_violation: float
+    #: the computable error estimate: stationarity plus feasibility
+    eta: float = field(init=False)
+    #: eta plus the polar violation
+    total: float = field(init=False)
 
-    @property
-    def eta(self) -> float:
-        """The computable error estimate: stationarity plus feasibility."""
-        return self.stationarity + self.feasibility
-
-    @property
-    def total(self) -> float:
-        return self.eta + self.polar_violation
+    def __post_init__(self) -> None:
+        self.eta = self.stationarity + self.feasibility
+        self.total = self.eta + self.polar_violation
 
 
 def validate_problem(
@@ -256,10 +288,9 @@ def validate_problem(
         lam2 = p.Y.functional(rng.standard_normal(p.Y.dim))
         H0 = to_dense(p.hess_L(z, p.Y.zero_functional()))
         for lam in (lam1, lam2):
-            H = to_dense(p.hess_L(z, lam))
-            scale_H = max(np.abs(H).max(), 1.0)
-            if np.abs(H - H.T).max() > 1e-10 * scale_H:
-                raise ValueError("hess_L is not symmetric to 1e-10")
+            fault = hessian_fault(as_matrix(p.hess_L(z, lam)))
+            if fault is not None:
+                raise ValueError(f"hess_L is {fault}")
         H1 = to_dense(p.hess_L(z, lam1))
         H2 = to_dense(p.hess_L(z, lam2))
         H12 = to_dense(p.hess_L(z, p.Y.functional(lam1.coeffs + lam2.coeffs)))

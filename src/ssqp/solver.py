@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diagnostics import ReferenceSolution, multiplier_distance
-from .model import KKTResidual, ProblemDef, as_matrix, issparse
-from .spaces import Functional, PrimalVec
+from .model import KKTResidual, ProblemDef, as_matrix, hessian_fault, issparse
+from .spaces import DimensionMismatch, Functional, PrimalVec
 from .subproblem import (
     NoConvergence,
     SaddleSystem,
@@ -27,6 +28,13 @@ from .subproblem import (
     solve_cone,
     solve_equality,
 )
+
+
+def _require_weight(name: str, value) -> None:
+    """Reject a rule weight that is not a finite number >= 0."""
+    # each comparison fails for NaN
+    if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,9 @@ class ErrorProportional:
     """
 
     theta: float = 1.0
+
+    def __post_init__(self) -> None:
+        _require_weight("theta", self.theta)
 
 
 @dataclass(frozen=True)
@@ -53,6 +64,9 @@ class Fixed:
 
     rho: float
 
+    def __post_init__(self) -> None:
+        _require_weight("rho", self.rho)
+
 
 @dataclass(frozen=True)
 class TrueErrorOracle:
@@ -63,6 +77,9 @@ class TrueErrorOracle:
     """
 
     sigma0: float = 1.0
+
+    def __post_init__(self) -> None:
+        _require_weight("sigma0", self.sigma0)
 
 
 RhoRule = ErrorProportional | Fixed | TrueErrorOracle
@@ -77,12 +94,16 @@ class SolverOptions:
     rho_min: float = 1e-14
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if not 0 < self.rho_min <= self.sigma1:
-            raise ValueError("need 0 < rho_min <= sigma1")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+        # each comparison fails for NaN
+        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < math.inf):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if not (isinstance(self.rho_min, numbers.Real)
+                and isinstance(self.sigma1, numbers.Real)
+                and 0 < self.rho_min <= self.sigma1 < math.inf):
+            raise ValueError("need finite rho_min and sigma1 with 0 < rho_min "
+                             f"<= sigma1, got {self.rho_min!r} and {self.sigma1!r}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
+            raise ValueError(f"max_iter must be an int >= 0, got {self.max_iter!r}")
 
 
 class SolveStatus(enum.Enum):
@@ -122,15 +143,17 @@ def rho_rule(opts: SolverOptions, eta: float,
     `eta` is the iterate's computable error estimate (`KKTResidual.eta`)
     and `total_err` its true error, which only the oracle rule reads.
     """
+    # min(max(.)) clamps as np.clip does, NaN included, since
+    # rho_min <= sigma1
     rule = opts.rho_rule
+    if isinstance(rule, ErrorProportional):
+        return float(min(max(rule.theta * eta, opts.rho_min), opts.sigma1))
     if isinstance(rule, Fixed):
         return float(rule.rho)
-    if isinstance(rule, ErrorProportional):
-        return float(np.clip(rule.theta * eta, opts.rho_min, opts.sigma1))
     if isinstance(rule, TrueErrorOracle):
         if total_err is None:
             raise ValueError("TrueErrorOracle needs a registered reference solution")
-        return float(np.clip(rule.sigma0 * total_err, opts.rho_min, opts.sigma1))
+        return float(min(max(rule.sigma0 * total_err, opts.rho_min), opts.sigma1))
     raise TypeError(f"unknown rho rule {rule!r}")
 
 
@@ -178,8 +201,9 @@ def _callback_fault(p: ProblemDef, z: PrimalVec, lam: Functional,
     """Name the callback whose output at (z, lam) caused `exc`.
 
     Called only once an evaluation has failed, so each output is computed
-    again and checked for shape and finiteness here rather than on every
-    iterate.  Re-raises `exc` when every callback output is sound.
+    again and checked for shape, finiteness and, for hess_L, symmetry here
+    rather than on every iterate.  Re-raises `exc` when every callback
+    output is sound.
     """
     outputs = (
         ("grad_f", lambda: p.grad_f(z).coeffs, (p.Z.dim,)),
@@ -188,11 +212,17 @@ def _callback_fault(p: ProblemDef, z: PrimalVec, lam: Functional,
         ("hess_L", lambda: p.hess_L(z, lam), (p.Z.dim, p.Z.dim)),
     )
     for name, evaluate, shape in outputs:
-        value = as_matrix(evaluate())
+        try:
+            value = as_matrix(evaluate())
+        except DimensionMismatch as raised:  # it built an element of the wrong shape
+            return f"callback {name} raised DimensionMismatch: {raised}"
         if value.shape != shape:
             return f"callback {name} returned shape {value.shape}, expected {shape}"
         if not np.isfinite(value.data if issparse(value) else value).all():
             return f"callback {name} returned a value that is not finite"
+        fault = hessian_fault(value) if name == "hess_L" else None
+        if fault is not None:
+            return f"callback {name} returned a matrix that is {fault}"
     raise exc
 
 
@@ -207,8 +237,9 @@ def run(
 
     Stops on kkt.total <= tol (Converged), after max_iter subproblem
     solves (MaxIter), or when a subproblem factorization fails or a
-    callback returns a value that is not finite or has the wrong shape
-    (SubproblemFailure, with the failing iteration index; the history
+    callback returns a value that is not finite or has the wrong shape, or
+    a Hessian that is not symmetric (SubproblemFailure, with the failing
+    iteration index and a message naming the callback; the history
     then ends before that iterate if its KKT residual failed).  When a
     reference solution is given, per-iterate errors and the empirical
     error-estimate constant gamma_hat are recorded and each record's
@@ -229,7 +260,8 @@ def run(
         try:
             at = p.evaluate(z)
             kkt = p.kkt_residual(z, lam, at)
-            if not math.isfinite(kkt.total):
+            total = kkt.total
+            if not math.isfinite(total):
                 raise ValueError(f"KKT residual is not finite at iteration {k}")
         except ValueError as exc:
             failure_message = _callback_fault(p, z, lam, exc)
@@ -242,7 +274,7 @@ def run(
         # the rule reads the record: eta, and the true error when known
         rec.rho = rho_rule(opts, kkt.eta, rec.total_err)
         history.append(rec)
-        if kkt.total <= opts.tol:
+        if total <= opts.tol:
             status = SolveStatus.CONVERGED
             break
         if k == opts.max_iter:

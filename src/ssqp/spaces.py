@@ -25,21 +25,15 @@ array, which costs O(n^2): it is for `ssqp diagnose` and tests only.
 from __future__ import annotations
 
 import ast
+import math
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import (
-    block_diag,
-    cho_factor,
-    cho_solve,
-    cho_solve_banded,
-    cholesky_banded,
-    solve_triangular,
-)
+from scipy.linalg import block_diag, cho_factor, cholesky_banded
 from scipy.linalg.blas import dnrm2, dtbmv, dtbsv, dtrmm, dtrmv, dtrsv
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dpbtrs, dpotrs, dtbtrs, dtrtrs
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -62,7 +56,12 @@ def issparse(M) -> bool:
     return sparse is not None and sparse.issparse(M)
 
 
+_FLOAT = np.dtype(float)
+
+
 def _as_float_vector(x, dim: int, what: str) -> np.ndarray:
+    if type(x) is np.ndarray and x.dtype is _FLOAT and x.shape == (dim,):
+        return x  # what the conversion below returns for such an x
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.shape != (dim,):
         raise DimensionMismatch(f"{what}: expected shape ({dim},), got {arr.shape}")
@@ -72,12 +71,29 @@ def _as_float_vector(x, dim: int, what: str) -> np.ndarray:
 def _finite(arr: np.ndarray) -> np.ndarray:
     """arr, after the check scipy's check_finite makes.
 
-    The metric's solves skip scipy's own check, which would also rescan
-    the whole Cholesky factor that construction has checked once.
+    The metric's solves call LAPACK directly, without scipy's wrappers:
+    those cost ten times the solve at small sizes, and their check would
+    also rescan the whole Cholesky factor that construction has checked
+    once.
     """
     if not np.isfinite(arr).all():
         raise ValueError("array must not contain infs or NaNs")
     return arr
+
+
+def _solved(result: tuple[np.ndarray, int], routine: str) -> np.ndarray:
+    """The solution of a LAPACK solve that returns (x, info)."""
+    x, info = result
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} failed with info {info}")
+    return x
+
+
+def euclidean_norm(v: np.ndarray) -> float:
+    """|v|_2 of a contiguous float vector by np.linalg.norm's own
+    arithmetic, sqrt(v . v), without its dispatch (a few microseconds per
+    call, more than the arithmetic at small sizes)."""
+    return math.sqrt(v.dot(v))
 
 
 def _check_square(shape) -> int:
@@ -124,17 +140,17 @@ class _DenseMetric:
         return ab
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._mass @ x
+        return self._mass.dot(x)  # @ without matmul's dispatch
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._chol, rhs, check_finite=False)
+        return _solved(dpotrs(self._chol[0], rhs, lower=1), "dpotrs")
 
     def lower_product(self, x: np.ndarray, trans: bool) -> np.ndarray:
         cols = x.reshape(self.dim, -1)
         return dtrmm(1.0, self._lower, cols, lower=1, trans_a=int(trans)).reshape(x.shape)
 
     def lower_solve(self, x: np.ndarray) -> np.ndarray:
-        return solve_triangular(self._lower, x, lower=True, check_finite=False)
+        return _solved(dtrtrs(self._lower, x, lower=1), "dtrtrs")
 
     def norm(self, x: np.ndarray) -> float:
         return dnrm2(dtrmv(self._lower, x, lower=1, trans=1))
@@ -219,7 +235,7 @@ class _BandMetric:
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self._factor, True), rhs, check_finite=False)
+        return _solved(dpbtrs(self._factor, rhs, lower=1), "dpbtrs")
 
     def lower_product(self, x: np.ndarray, trans: bool) -> np.ndarray:
         L = self._factor
@@ -233,9 +249,7 @@ class _BandMetric:
         return out
 
     def lower_solve(self, x: np.ndarray) -> np.ndarray:
-        out, info = dtbtrs(self._factor, x.reshape(self.dim, -1), uplo="L")
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dtbtrs failed with info {info}")
+        out = _solved(dtbtrs(self._factor, x.reshape(self.dim, -1), uplo="L"), "dtbtrs")
         return out.reshape(x.shape)
 
     def norm(self, x: np.ndarray) -> float:
@@ -261,8 +275,9 @@ class InnerProductSpace:
     module docstring); there is no option.  The mass matrix is checked
     for symmetry (1e-12 relative) and positive definiteness (Cholesky
     factorization must succeed).  The factor is cached and reused for
-    every Riesz solve and norm.  Instances are immutable after
-    construction and safe to share across threads.
+    every Riesz solve and norm.  Instances are not changed after
+    construction (`dim` and `mass_scale` are plain attributes, to be
+    read only) and are safe to share across threads.
     """
 
     def __init__(self, mass) -> None:
@@ -271,8 +286,11 @@ class InnerProductSpace:
 
     def _set_metric(self, metric: _DenseMetric | _BandMetric) -> None:
         self._metric = metric
-        self._dim = metric.dim
-        self._mass_scale = float(metric.diagonal().sum()) / self._dim
+        #: plain attributes, not properties: every element and every
+        #: metric operation reads them
+        self.dim: int = metric.dim
+        #: tau = trace(M) / dim, the mean diagonal entry of the mass matrix
+        self.mass_scale: float = float(metric.diagonal().sum()) / self.dim
         self._scaled_mass: dict[bool, np.ndarray | sp.csr_matrix] = {}
         self._inverse_mass: np.ndarray | None = None
 
@@ -294,10 +312,6 @@ class InnerProductSpace:
         return cls._banded(weights[None, :])
 
     @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
     def mass(self) -> np.ndarray:
         """The mass matrix as a read-only dense array.
 
@@ -305,11 +319,6 @@ class InnerProductSpace:
         memory: for `ssqp diagnose` and tests, not for solves.
         """
         return self._metric.dense()
-
-    @property
-    def mass_scale(self) -> float:
-        """tau = trace(M) / dim, the mean diagonal entry of the mass matrix."""
-        return self._mass_scale
 
     def scaled_mass(self, sparse: bool = False) -> np.ndarray | sp.csr_matrix:
         """M / tau, dense or as CSR without its zero entries; cached.
@@ -320,9 +329,9 @@ class InnerProductSpace:
         scaled = self._scaled_mass.get(sparse)
         if scaled is None:
             if sparse:
-                scaled = self._metric.csr() / self._mass_scale
+                scaled = self._metric.csr() / self.mass_scale
             else:
-                scaled = self._metric.dense() / self._mass_scale
+                scaled = self._metric.dense() / self.mass_scale
                 scaled.flags.writeable = False
             self._scaled_mass[sparse] = scaled
         return scaled
@@ -335,7 +344,7 @@ class InnerProductSpace:
         tracer (perfbench/tracer.py) stops patching it (ROADMAP B1).
         """
         if self._inverse_mass is None:
-            inv = self._metric.solve(np.eye(self._dim))
+            inv = self._metric.solve(np.eye(self.dim))
             inv = 0.5 * (inv + inv.T)
             inv.flags.writeable = False
             self._inverse_mass = inv
@@ -350,17 +359,17 @@ class InnerProductSpace:
         return Functional(self, coeffs)
 
     def zero_vector(self) -> "PrimalVec":
-        return PrimalVec(self, np.zeros(self._dim))
+        return PrimalVec(self, np.zeros(self.dim))
 
     def zero_functional(self) -> "Functional":
-        return Functional(self, np.zeros(self._dim))
+        return Functional(self, np.zeros(self.dim))
 
     # -- metric operations ----------------------------------------------
 
     def inner(self, u: "PrimalVec", v: "PrimalVec") -> float:
         """(u, v) = u^T M v."""
-        a = _as_float_vector(u.coords, self._dim, "u")
-        b = _as_float_vector(v.coords, self._dim, "v")
+        a = _as_float_vector(u.coords, self.dim, "u")
+        b = _as_float_vector(v.coords, self.dim, "v")
         return float(a @ self._metric.apply(b))
 
     def norm(self, u: "PrimalVec") -> float:
@@ -368,7 +377,7 @@ class InnerProductSpace:
 
     def norm_arr(self, coords) -> float:
         """|x| = |L^T x|_2, which overflows only where |x| itself does."""
-        return float(self._metric.norm(_as_float_vector(coords, self._dim, "coords")))
+        return float(self._metric.norm(_as_float_vector(coords, self.dim, "coords")))
 
     def apply_mass(self, coords) -> np.ndarray:
         """M x for a vector or a matrix of columns."""
@@ -377,28 +386,28 @@ class InnerProductSpace:
     def solve_mass(self, rhs) -> np.ndarray:
         """M x = rhs via the cached factorization (the Riesz map on arrays)."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self._dim:
+        if rhs.shape[0] != self.dim:
             raise DimensionMismatch(
-                f"rhs: expected leading dimension {self._dim}, got {rhs.shape}"
+                f"rhs: expected leading dimension {self.dim}, got {rhs.shape}"
             )
         return self._metric.solve(_finite(rhs))
 
     def riesz(self, l: "Functional") -> "PrimalVec":
         """Riesz representative: the v with (v, y) = <l, y> for all y."""
-        coeffs = _as_float_vector(l.coeffs, self._dim, "coeffs")
+        coeffs = _as_float_vector(l.coeffs, self.dim, "coeffs")
         return PrimalVec(self, self.solve_mass(coeffs))
 
     def riesz_inverse(self, v: "PrimalVec") -> "Functional":
         """Functional with coefficients M v, the inverse of `riesz`."""
         return Functional(self, self.apply_mass(
-            _as_float_vector(v.coords, self._dim, "coords")))
+            _as_float_vector(v.coords, self.dim, "coords")))
 
     def dual_norm(self, l: "Functional") -> float:
         return self.dual_norm_arr(l.coeffs)
 
     def dual_norm_arr(self, coeffs) -> float:
         """|l|_* = |L^{-1} l|_2, which overflows only where |l|_* itself does."""
-        a = _as_float_vector(coeffs, self._dim, "coeffs")
+        a = _as_float_vector(coeffs, self.dim, "coeffs")
         return float(self._metric.dual_norm(a))
 
     # -- whitening by the cached factor M = L L^T ---------------------------
@@ -421,9 +430,9 @@ class InnerProductSpace:
 
     def _leading(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
-        if arr.ndim not in (1, 2) or arr.shape[0] != self._dim:
+        if arr.ndim not in (1, 2) or arr.shape[0] != self.dim:
             raise DimensionMismatch(
-                f"expected leading dimension {self._dim}, got {arr.shape}"
+                f"expected leading dimension {self.dim}, got {arr.shape}"
             )
         return arr
 

@@ -25,6 +25,11 @@ is a scipy.sparse matrix the system is assembled in CSC and factored by
 sparse LU (splu).  For K = {0} one solve gives the step.  The cone case
 runs a primal-dual active set iteration over the generator
 complementarities, each trial pattern solved by the same factorization.
+
+A subproblem of a few unknowns costs microseconds, so each step calls
+its numpy and LAPACK routines directly: `ndarray.dot` makes the BLAS call
+of `@` without matmul's dispatch, and `lapack.dsy*` are scipy's raw
+wrappers.  The arithmetic is that of the spelled-out forms.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import lapack
 
-from .model import ConeSpec, issparse
-from .spaces import Functional, InnerProductSpace, PrimalVec
+from .model import ConeSpec, hessian_fault, issparse
+from .spaces import Functional, InnerProductSpace, PrimalVec, euclidean_norm
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -72,7 +77,9 @@ class SaddleSystem:
     solutions report z_next = z_k + d.  rho = 0 is accepted to expose the
     unstabilized (classical SQP) system for diagnostics.  H and J may be
     scipy.sparse matrices; the system is then `sparse`, both are held as
-    CSR and the solve uses sparse LU.
+    CSR and the solve uses sparse LU.  `scaled_mass` and `weight` are
+    derived from spaceY and rho at construction: build a new system to
+    change either.
     """
 
     H: np.ndarray | sp.csr_matrix
@@ -85,39 +92,35 @@ class SaddleSystem:
     spaceZ: InnerProductSpace
     spaceY: InnerProductSpace
     sparse: bool = field(init=False, default=False)
+    #: M^ = M_Y / tau, in the storage the blocks use
+    scaled_mass: np.ndarray | sp.csr_matrix = field(init=False, repr=False,
+                                                     compare=False)
+    #: rho / tau, the weight of -M^ in the stabilization block
+    weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.sparse = issparse(self.H) or issparse(self.J)
-        if self.sparse:
+        H, J = self.H, self.J
+        self.sparse = sparse = issparse(H) or issparse(J)
+        if sparse:
             import scipy.sparse as sp
 
-            self.H = sp.csr_matrix(self.H, dtype=float)
-            self.J = sp.csr_matrix(self.J, dtype=float)
+            self.H = H = sp.csr_matrix(H, dtype=float)
+            self.J = J = sp.csr_matrix(J, dtype=float)
         else:
-            self.H = np.asarray(self.H, dtype=float)
-            self.J = np.asarray(self.J, dtype=float)
+            self.H = H = np.asarray(H, dtype=float)
+            self.J = J = np.asarray(J, dtype=float)
         self.g = np.asarray(self.g, dtype=float)
         self.Gval = np.asarray(self.Gval, dtype=float)
-        nz, ny = self.spaceZ.dim, self.spaceY.dim
-        if self.H.shape != (nz, nz) or self.J.shape != (ny, nz):
+        nz, Y = self.spaceZ.dim, self.spaceY
+        if H.shape != (nz, nz) or J.shape != (Y.dim, nz):
             raise ValueError("saddle system blocks have inconsistent shapes")
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
-        scale = max(_abs_max(self.H), 1.0)
-        if not np.isfinite(scale):
-            raise ValueError("Hessian block is not finite")
-        if _abs_max(self.H - self.H.T) > 1e-10 * scale:
-            raise ValueError("Hessian block is not symmetric to 1e-10")
-
-    @property
-    def scaled_mass(self) -> np.ndarray | sp.csr_matrix:
-        """M^ = M_Y / tau, in the storage the blocks use."""
-        return self.spaceY.scaled_mass(self.sparse)
-
-
-def _abs_max(M) -> float:
-    entries = M.data if issparse(M) else M
-    return float(np.abs(entries).max(initial=0.0))
+        fault = hessian_fault(H)
+        if fault is not None:
+            raise ValueError(f"Hessian block is {fault}")
+        self.scaled_mass = Y.scaled_mass(sparse)
+        self.weight = self.rho / Y.mass_scale
 
 
 @dataclass
@@ -136,21 +139,21 @@ def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
                            cone: ConeSpec | None = None):
     """Inverse-free symmetric saddle matrix, optionally bordered by the
     active generators: a dense array, or CSC when the system is sparse."""
-    Mh = sys.scaled_mass
-    weight = sys.rho / sys.spaceY.mass_scale
-    border = -(Mh @ cone.generator_matrix[:, list(active)]) if active else None
+    Mh, weight = sys.scaled_mass, sys.weight
+    border = -Mh.dot(cone.generator_matrix[:, list(active)]) if active else None
     if sys.sparse:
         return _csc_from_blocks(sys.H, sys.J, Mh, weight, border)
-    nz, ny, na = sys.spaceZ.dim, sys.spaceY.dim, len(active)
-    y, c = slice(nz, nz + ny), slice(nz + ny, None)
-    A = np.zeros((nz + ny + na, nz + ny + na))
+    nz = sys.spaceZ.dim
+    n = nz + sys.spaceY.dim
+    A = np.zeros((n + len(active), n + len(active)))
     A[:nz, :nz] = sys.H
-    A[y, :nz] = Mh @ sys.J
-    A[:nz, y] = A[y, :nz].T
-    A[y, y] = -weight * Mh
+    MJ = Mh.dot(sys.J)
+    A[nz:n, :nz] = MJ
+    A[:nz, nz:n] = MJ.T
+    A[nz:n, nz:n] = -weight * Mh
     if active:
-        A[y, c] = border
-        A[c, y] = border.T
+        A[nz:n, n:] = border
+        A[n:, nz:n] = border.T
     return A
 
 
@@ -182,12 +185,8 @@ def _csc_from_blocks(H, J, Mh, weight: float, border) -> sp.csc_matrix:
 
 
 def _saddle_rhs(sys: SaddleSystem, n_active: int = 0) -> np.ndarray:
-    weight = sys.rho / sys.spaceY.mass_scale
-    return np.concatenate([
-        -sys.g,
-        -(sys.scaled_mass @ sys.Gval) - weight * sys.lamk.coeffs,
-        np.zeros(n_active),
-    ])
+    blocks = (-sys.g, -sys.scaled_mass.dot(sys.Gval) - sys.weight * sys.lamk.coeffs)
+    return np.concatenate(blocks + (np.zeros(n_active),) if n_active else blocks)
 
 
 def _factor(A):
@@ -201,7 +200,9 @@ def _factor(A):
     """
     if issparse(A):
         return _factor_sparse(A)
-    anorm = float(np.linalg.norm(A, 1))
+    # np.linalg.norm(A, 1), the largest column sum, by its own reductions
+    # without its dispatch and their Python wrappers
+    anorm = float(np.maximum.reduce(np.add.reduce(np.abs(A), axis=0)))
     ldu, ipiv, info = lapack.dsytrf(A, lower=1)
     if info > 0:
         raise _exactly_singular(f"zero pivot at {info}")
@@ -210,8 +211,7 @@ def _factor(A):
     rcond, _ = lapack.dsycon(ldu, ipiv, anorm, lower=1)
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x, _ = lapack.dsytrs(ldu, ipiv, b[:, None], lower=1)
-        return x[:, 0]
+        return lapack.dsytrs(ldu, ipiv, b, lower=1)[0]
 
     return solve, anorm, rcond
 
@@ -255,8 +255,8 @@ def _factor_solve(A, rhs: np.ndarray) -> np.ndarray:
     x = solve(rhs)
     # Two refinement sweeps recover accuracy lost to scale disparities.
     for _ in range(2):
-        r = rhs - A @ x
-        if np.linalg.norm(r) <= 1e-15 * (anorm * np.linalg.norm(x) + 1e-300):
+        r = rhs - A.dot(x)
+        if euclidean_norm(r) <= 1e-15 * (anorm * euclidean_norm(x) + 1e-300):
             break
         x = x + solve(r)
     return x
@@ -264,7 +264,7 @@ def _factor_solve(A, rhs: np.ndarray) -> np.ndarray:
 
 def _solution_from(sys: SaddleSystem, d: np.ndarray, l: np.ndarray,
                    active: tuple[int, ...], iterations: int) -> SubproblemSolution:
-    stat = sys.spaceZ.dual_norm_arr(sys.g + sys.J.T @ l + sys.H @ d)
+    stat = sys.spaceZ.dual_norm_arr(sys.g + sys.J.T.dot(l) + sys.H.dot(d))
     return SubproblemSolution(
         z_next=PrimalVec(sys.spaceZ, sys.zk.coords + d),
         lam_next=Functional(sys.spaceY, l),
@@ -295,7 +295,7 @@ def _solve_pattern(sys: SaddleSystem, cone: ConeSpec | None = None,
     nz, ny = sys.spaceZ.dim, sys.spaceY.dim
     A = assemble_saddle_matrix(sys, active, cone)
     x = _factor_solve(A, _saddle_rhs(sys, len(active)))
-    d, l = x[:nz], sys.scaled_mass @ x[nz : nz + ny]
+    d, l = x[:nz], sys.scaled_mass.dot(x[nz : nz + ny])
     if cone is None:
         return d, l, None
     c = np.zeros(cone.m)
@@ -305,7 +305,7 @@ def _solve_pattern(sys: SaddleSystem, cone: ConeSpec | None = None,
 
 def _pattern_feasible(cone: ConeSpec, l: np.ndarray, c: np.ndarray,
                       scale: float) -> bool:
-    pairings = cone.generator_matrix.T @ l
+    pairings = cone.generator_matrix.T.dot(l)
     tol = 1e-10 * (1.0 + scale)
     return bool((c >= -tol).all() and (pairings <= tol).all())
 
@@ -342,7 +342,7 @@ def solve_cone(
         scale = float(np.abs(l).max() + np.abs(c).max())
         if _pattern_feasible(cone, l, c, scale):
             return _solution_from(sys, d, l, active, patterns)
-        pairings = cone.generator_matrix.T @ l
+        pairings = cone.generator_matrix.T.dot(l)
         active = tuple(i for i in range(cone.m) if c[i] + pairings[i] > 0.0)
         if active in seen:
             break

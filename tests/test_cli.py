@@ -131,6 +131,33 @@ class TestSolve:
         assert err == ("subproblem failure at iteration 1: callback grad_f "
                        "returned a value that is not finite\n")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--tol", "nan"], "error: tol must be finite and positive, got nan\n"),
+        (["--tol", "inf"], "error: tol must be finite and positive, got inf\n"),
+        (["--rho-rule", "fixed", "--rho", "nan"],
+         "error: rho must be finite and >= 0, got nan\n"),
+        (["--rho-rule", "fixed", "--rho", "-1"],
+         "error: rho must be finite and >= 0, got -1.0\n"),
+        (["--theta", "nan"], "error: theta must be finite and >= 0, got nan\n"),
+        (["--rho-rule", "oracle", "--sigma0", "inf"],
+         "error: sigma0 must be finite and >= 0, got inf\n"),
+        (["--sigma1", "nan"], "error: need finite rho_min and sigma1 with "
+         "0 < rho_min <= sigma1, got 1e-14 and nan\n"),
+    ])
+    def test_non_finite_option_exits_1(self, capsys, flags, message):
+        # before: --tol nan ran 50 subproblems (exit 2), --tol inf
+        # "converged" at k=0, and --rho nan or --theta nan ended in a
+        # singular saddle matrix (exit 3)
+        code, out, err = run_cli(capsys, "solve", "--benchmark",
+                                 "degenerate-line", *flags)
+        assert (code, out, err) == (1, "", message)
+
+    def test_non_finite_sweep_value_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--benchmark", "degenerate-line",
+                                 "--sweep", "rho_fixed", "--grid", "0.1,nan")
+        assert (code, out) == (1, "")
+        assert err == "error: rho must be finite and >= 0, got nan\n"
+
     def test_oracle_rho_rule(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--benchmark", "degenerate-line",
                              "--rho-rule", "oracle", "--sigma0", "1.0")

@@ -92,6 +92,36 @@ class TestRhoRule:
         assert got == pytest.approx(0.5)
 
 
+class TestOptionValidation:
+    # each bad value is rejected where it is built, not in the middle of run
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"tol": -1e-10},
+        {"tol": "1e-10"},
+        {"rho_min": np.nan}, {"rho_min": 0.0}, {"rho_min": 2.0},
+        {"sigma1": np.nan}, {"sigma1": np.inf}, {"rho_min": np.inf, "sigma1": np.inf},
+        {"max_iter": 2.5}, {"max_iter": -1}, {"max_iter": "3"},
+    ])
+    def test_bad_solver_options_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SolverOptions(**kwargs)
+
+    @pytest.mark.parametrize("rule, bad", [
+        (Fixed, np.nan), (Fixed, -1.0), (Fixed, np.inf), (Fixed, None),
+        (ErrorProportional, np.nan), (ErrorProportional, -0.5),
+        (ErrorProportional, np.inf),
+        (TrueErrorOracle, np.nan), (TrueErrorOracle, -1.0), (TrueErrorOracle, np.inf),
+    ])
+    def test_bad_rule_weight_rejected(self, rule, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            rule(bad)
+
+    def test_boundary_values_accepted(self):
+        SolverOptions(tol=1e-300, max_iter=0, rho_min=1.0, sigma1=1.0)
+        SolverOptions(max_iter=np.int64(3), tol=np.float64(1e-9))
+        for rule in (Fixed, ErrorProportional, TrueErrorOracle):
+            assert rule(0.0) == rule(0)
+
+
 class TestObservedOrder:
     def test_exact_quadratic_sequence(self):
         assert_allclose(observed_order([1e-1, 1e-2, 1e-4, 1e-8]), [2.0, 2.0])
@@ -348,6 +378,9 @@ BAD_CALLBACKS = {
     "jac_G-shape": ("jac_G", lambda p: np.zeros((2, 3))),
     "hess_L-shape": ("hess_L", lambda p: np.eye(3)),
     "jac_G-sparse-inf": ("jac_G", lambda p: sp.csr_matrix([[np.inf, 0.0], [1.0, 0.0]])),
+    "hess_L-asymmetric": ("hess_L", lambda p: np.array([[1.0, 1e-3], [0.0, 1.0]])),
+    "hess_L-sparse-asymmetric": (
+        "hess_L", lambda p: sp.csr_matrix([[1.0, 0.0], [1e-3, 1.0]])),
 }
 
 
@@ -362,6 +395,24 @@ def test_bad_callback_output_is_a_subproblem_failure(degenerate, case):
     assert report.failure_message.startswith(f"callback {name} returned")
     assert [r.k for r in report.history] in ([0], [0, 1])
     assert all(np.isfinite(r.kkt.total) for r in report.history)
+
+
+@pytest.mark.parametrize("case", ["hess_L-asymmetric", "hess_L-sparse-asymmetric"])
+def test_asymmetric_hessian_names_its_symmetry(degenerate, case):
+    name, bad = BAD_CALLBACKS[case]
+    p = _spoiled(degenerate.problem, name, bad)
+    report = run(p, p.Z.vector([0.1, 0.1]), p.Y.functional([-0.6, -0.45]))
+    assert report.failure_message == (
+        "callback hess_L returned a matrix that is not symmetric to 1e-10")
+    assert [r.k for r in report.history] == [0, 1]
+
+
+def test_symmetry_within_tolerance_is_accepted(degenerate):
+    # an asymmetry of 1e-11 relative passes the 1e-10 test
+    p = _spoiled(degenerate.problem, "hess_L",
+                 lambda p: np.array([[1.0, 1e-11], [0.0, 1.0]]))
+    report = run(p, p.Z.vector([0.1, 0.1]), p.Y.functional([-0.6, -0.45]))
+    assert report.status is SolveStatus.CONVERGED
 
 
 def test_each_callback_is_evaluated_once_per_iterate(degenerate):
