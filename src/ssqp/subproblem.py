@@ -185,8 +185,10 @@ def _csc_from_blocks(H, J, Mh, weight: float, border) -> sp.csc_matrix:
 
 
 def _saddle_rhs(sys: SaddleSystem, n_active: int = 0) -> np.ndarray:
-    blocks = (-sys.g, -sys.scaled_mass.dot(sys.Gval) - sys.weight * sys.lamk.coeffs)
-    return np.concatenate(blocks + (np.zeros(n_active),) if n_active else blocks)
+    blocks = [-sys.g, -sys.scaled_mass.dot(sys.Gval) - sys.weight * sys.lamk.coeffs]
+    if n_active:
+        blocks.append(np.zeros(n_active))
+    return np.concatenate(blocks)
 
 
 def _factor(A):

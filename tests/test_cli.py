@@ -145,9 +145,7 @@ class TestSolve:
          "0 < rho_min <= sigma1, got 1e-14 and nan\n"),
     ])
     def test_non_finite_option_exits_1(self, capsys, flags, message):
-        # before: --tol nan ran 50 subproblems (exit 2), --tol inf
-        # "converged" at k=0, and --rho nan or --theta nan ended in a
-        # singular saddle matrix (exit 3)
+        # a bad setting stops the run before any solve
         code, out, err = run_cli(capsys, "solve", "--benchmark",
                                  "degenerate-line", *flags)
         assert (code, out, err) == (1, "", message)

@@ -340,6 +340,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite differences"):
             validate_problem(broken, seed=2)
 
+    def test_hessian_fault_matches_the_reference_test(self):
+        # max(H - H^T) in place of max|H - H^T|, on both storages
+        import scipy.sparse as sp
+
+        from ssqp.model import hessian_fault
+
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            H = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 2)
+            H = H + H.T
+            i, j = rng.integers(0, n, 2)
+            H[i, j] += rng.choice([1, -1]) * 10.0 ** rng.uniform(-13, -8) * max(
+                np.abs(H).max(), 1.0)
+            asymmetric = (np.abs(H - H.T).max()
+                          > 1e-10 * max(np.abs(H).max(), 1.0))
+            for M in (H, sp.csr_matrix(H)):
+                assert hessian_fault(M) == (
+                    "not symmetric to 1e-10" if asymmetric else None)
+        assert hessian_fault(np.array([[1.0, np.nan], [0.0, 1.0]])) == "not finite"
+
     def test_asymmetric_hessian_detected(self):
         p = two_constraint_linear()
         broken = ProblemDef(

@@ -96,7 +96,7 @@ def _close(got, want) -> bool:
 
 FIELDS = ("rho", "stationarity", "feasibility", "polar", "total_err", "order")
 
-# captured from the build before the per-iterate overhead was cut
+# captured from the solver before its per-iterate overhead was cut
 PINNED = {
     'degenerate-line': ('Converged', [
         (0.2563639836158751, 0.10770329614269002, 0.14866068747318506, 0.0, 0.17677669529663712, None),

@@ -73,6 +73,16 @@ class TestRhoRule:
         z = p.Z.vector([0.1, 0.1])
         assert rho_rule(opts, p.kkt_residual(z, p.Y.zero_functional()).eta) == 0.0
 
+    @pytest.mark.parametrize("rule, weight", [(ErrorProportional(0.7), 0.7),
+                                              (TrueErrorOracle(2.0), 2.0)])
+    def test_clamp_is_np_clip(self, rule, weight):
+        opts = SolverOptions(rho_rule=rule, rho_min=1e-8, sigma1=0.5)
+        for value in (0.0, 1e-300, 1e-9, 1.4285714e-8, 0.3, 0.5, 0.7, 1e300,
+                      np.inf, np.nan):
+            got = rho_rule(opts, value, value)
+            want = float(np.clip(weight * value, opts.rho_min, opts.sigma1))
+            assert got == want or (np.isnan(got) and np.isnan(want)), value
+
     def test_oracle_rule_needs_reference(self, degenerate):
         p = degenerate.problem
         opts = SolverOptions(rho_rule=TrueErrorOracle(2.0))

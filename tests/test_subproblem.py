@@ -181,6 +181,21 @@ class TestSaddleSystem:
                         1.0, np.zeros(1), zk=np.zeros(2), massZ=np.eye(2))
 
 
+def test_dense_norms_are_numpy_norms():
+    # _factor's |A|_1 and euclidean_norm are np.linalg.norm's own
+    # arithmetic, bit for bit
+    from ssqp.spaces import euclidean_norm
+    from ssqp.subproblem import _factor
+
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 4, 7, 12, 33, 100):
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+        A = A + A.T + 2 * n * np.eye(n)
+        assert _factor(A)[1] == np.linalg.norm(A, 1)
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
+        assert euclidean_norm(v) == np.linalg.norm(v)
+
+
 class TestConditionEstimate:
     def test_identity_blocks_are_well_conditioned(self):
         sys = make_system(np.eye(2), np.zeros((1, 2)), np.zeros(2), np.zeros(1),
