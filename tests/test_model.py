@@ -361,6 +361,15 @@ class TestValidation:
                     "not symmetric to 1e-10" if asymmetric else None)
         assert hessian_fault(np.array([[1.0, np.nan], [0.0, 1.0]])) == "not finite"
 
+    def test_non_finite_hessian_detected(self):
+        p = two_constraint_linear()
+        broken = ProblemDef(
+            p.Z, p.Y, p.cone, p.f, p.grad_f, p.G, p.jac_G,
+            hess_L=lambda z, lam: np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        )
+        with pytest.raises(ValueError, match="hess_L is not finite"):
+            validate_problem(broken, seed=2)
+
     def test_asymmetric_hessian_detected(self):
         p = two_constraint_linear()
         broken = ProblemDef(
