@@ -46,27 +46,20 @@ RHO_RULES = {
     "oracle": lambda cfg: solver.TrueErrorOracle(sigma0=cfg.sigma0),
 }
 
-#: The [eigencontrol] keys, each also a flag: its type, and whether the
-#: INI file may give it as `auto`, the benchmark's own default.
-EIGENCONTROL_KEYS = {
-    "n": (int, False),
-    "alpha": (float, False),
-    "q_d": (float, True),
-    "u_d_mode": (int, False),
-    "u_d_amp": (float, False),
-}
-
-
 class ConfigError(ValueError):
     pass
 
 
-def _setting(section: str, default, choices=None, flag: bool = True):
+def _setting(section: str, default, choices=None, flag: bool = True,
+             kind: type | None = None, auto: bool = False):
     """A RunConfig field read from `[section]` of the INI file and, when
-    `flag`, from the --flag of the same name; its type is the default's."""
-    kind = str if default is None else type(default)
+    `flag`, from the --flag of the same name.  Its type is `kind`, else
+    the default's, else str; with `auto` the INI value `auto` leaves the
+    default."""
+    kind = kind or (str if default is None else type(default))
     return field(default=default, metadata={
         "section": section, "kind": kind, "choices": choices, "flag": flag,
+        "auto": auto,
     })
 
 
@@ -88,7 +81,12 @@ class RunConfig:
     seed: int = _setting("run", 0)
     mass_z: str | None = _setting("metric", None, flag=False)
     mass_y: str | None = _setting("metric", None, flag=False)
-    eigencontrol: dict = field(default_factory=dict)
+    # None: the benchmark's own default
+    n: int | None = _setting("eigencontrol", None, kind=int)
+    alpha: float | None = _setting("eigencontrol", None, kind=float)
+    q_d: float | None = _setting("eigencontrol", None, kind=float, auto=True)
+    u_d_mode: int | None = _setting("eigencontrol", None, kind=int)
+    u_d_amp: float | None = _setting("eigencontrol", None, kind=float)
 
 
 def fmt(value) -> str:
@@ -138,24 +136,20 @@ def load_config(path: str | None) -> RunConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for f in fields(RunConfig):
-        section = f.metadata.get("section")
-        if section is not None and parser.has_option(section, f.name):
-            value = _parse_setting(section, f.name, parser[section][f.name],
-                                   f.metadata["kind"])
-            choices = f.metadata["choices"]
-            if choices is not None and value not in choices:
-                raise ConfigError(
-                    f"[{section}] {f.name} = {value!r} is not one of: "
-                    f"{', '.join(choices)}"
-                )
-            setattr(cfg, f.name, value)
-    if parser.has_section("eigencontrol"):
-        sec = parser["eigencontrol"]
-        cfg.eigencontrol = {
-            key: _parse_setting("eigencontrol", key, sec[key], kind)
-            for key, (kind, auto) in EIGENCONTROL_KEYS.items()
-            if key in sec and not (auto and sec[key].strip().lower() == "auto")
-        }
+        section = f.metadata["section"]
+        if not parser.has_option(section, f.name):
+            continue
+        text = parser[section][f.name]
+        if f.metadata["auto"] and text.strip().lower() == "auto":
+            continue
+        value = _parse_setting(section, f.name, text, f.metadata["kind"])
+        choices = f.metadata["choices"]
+        if choices is not None and value not in choices:
+            raise ConfigError(
+                f"[{section}] {f.name} = {value!r} is not one of: "
+                f"{', '.join(choices)}"
+            )
+        setattr(cfg, f.name, value)
     return cfg
 
 
@@ -164,10 +158,6 @@ def apply_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
-    for key in EIGENCONTROL_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg.eigencontrol[key] = value
     return cfg
 
 
@@ -184,7 +174,10 @@ def build_benchmark(cfg: RunConfig) -> bench.BenchmarkProblem:
         if cfg.mass_y:
             overrides["mass_y"] = mass_from_spec(cfg.mass_y, dim=2)
     if cfg.benchmark.startswith("eigencontrol"):
-        overrides.update(cfg.eigencontrol)
+        for f in fields(RunConfig):
+            value = getattr(cfg, f.name)
+            if f.metadata["section"] == "eigencontrol" and value is not None:
+                overrides[f.name] = value
     try:
         return bench.get_benchmark(cfg.benchmark, **overrides)
     except (ValueError, TypeError) as exc:
@@ -298,7 +291,7 @@ def _sweep_n(cfg: RunConfig, value: float) -> tuple[RunConfig, None]:
         raise ConfigError("sweep over n applies to eigencontrol benchmarks")
     if not float(value).is_integer():
         raise ConfigError(f"sweep over n takes integer grid values, got {value!r}")
-    return replace(cfg, eigencontrol={**cfg.eigencontrol, "n": int(value)}), None
+    return replace(cfg, n=int(value)), None
 
 
 #: --sweep choices, each mapping the settings and one grid value to the
@@ -403,11 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, help="INI configuration file")
         for f in fields(RunConfig):
-            if f.metadata.get("flag"):
+            if f.metadata["flag"]:
                 p.add_argument("--" + f.name.replace("_", "-"), default=None,
                                type=f.metadata["kind"], choices=f.metadata["choices"])
-        for key, (kind, _) in EIGENCONTROL_KEYS.items():
-            p.add_argument("--" + key.replace("_", "-"), type=kind, default=None)
 
     solve_p = sub.add_parser("solve", help="run one solve, emit iterate table")
     add_common(solve_p)

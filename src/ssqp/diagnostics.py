@@ -29,6 +29,10 @@ logger = logging.getLogger(__name__)
 #: generator pairings vanish to this fraction of the size of their terms.
 MEMBERSHIP_TOL = 1e-8
 
+#: degeneracy_report counts a metric-weighted singular value as zero at
+#: or below this fraction of the largest.
+RANK_TOL_FACTOR = 1e-8
+
 
 class InvalidReference(ValueError):
     """The stored multiplier set is empty or inconsistent."""
@@ -344,22 +348,20 @@ class DegeneracyReport:
     rcq_satisfied: bool
 
 
-def degeneracy_report(
-    p: ProblemDef, z: PrimalVec, rank_tol_factor: float = 1e-8
-) -> DegeneracyReport:
+def degeneracy_report(p: ProblemDef, z: PrimalVec) -> DegeneracyReport:
     """Metric-weighted singular values of the constraint Jacobian at z.
 
     The Jacobian is whitened by the Cholesky factors of both mass
     matrices, so the singular values measure the map Z -> Y in the
     correct norms.  Surjectivity (the equality-constrained constraint
     qualification) holds when the smallest of the Y.dim values exceeds
-    rank_tol = rank_tol_factor * largest.
+    rank_tol = RANK_TOL_FACTOR * largest.
     """
     J = to_dense(p.jac_G(z))
     # Jt = L_Y^T J L_Z^{-T} for the metric factors M = L L^T
     Jt = p.Z.whiten_dual(p.Y.whiten(J).T).T
     svals = np.linalg.svd(Jt, compute_uv=False)
-    rank_tol = rank_tol_factor * (svals[0] if svals.size else 0.0)
+    rank_tol = RANK_TOL_FACTOR * (svals[0] if svals.size else 0.0)
     surjective = svals.size >= p.Y.dim and bool(svals[p.Y.dim - 1] > rank_tol)
     return DegeneracyReport(svals, float(rank_tol), surjective)
 

@@ -4,8 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v`` for one pass/fail line
 per criterion (add ``-s`` to see the summary prints).
 """
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 import scipy.sparse
@@ -22,6 +20,7 @@ from ssqp.solver import (
 )
 from ssqp.spaces import InnerProductSpace, ProductSpace
 from ssqp.subproblem import SaddleSystem, assemble_saddle_matrix, solve_cone
+from saddle_reference import check_solution_invariants, enumerate_patterns
 
 
 def report(criterion: str, detail: str) -> None:
@@ -183,53 +182,6 @@ def test_criterion_5_coercivity():
     report("5 coercivity", f"margin 1 on the rho grid; threshold {threshold:.3f}")
 
 
-def _oracle_cone_solve(sys, cone):
-    """Exhaustive enumeration reference, assembled with plain numpy."""
-    nz, ny = sys.spaceZ.dim, sys.spaceY.dim
-    Minv = np.linalg.inv(sys.spaceY.mass)
-    YG = cone.generator_matrix
-    for size in range(cone.m + 1):
-        for act in combinations(range(cone.m), size):
-            idx = list(act)
-            na = len(idx)
-            A = np.zeros((nz + ny + na, nz + ny + na))
-            rhs = np.zeros(nz + ny + na)
-            A[:nz, :nz] = sys.H
-            A[:nz, nz : nz + ny] = sys.J.T
-            A[nz : nz + ny, :nz] = sys.J
-            A[nz : nz + ny, nz : nz + ny] = -sys.rho * Minv
-            rhs[:nz] = -sys.g
-            rhs[nz : nz + ny] = -sys.Gval - sys.rho * Minv @ sys.lamk.coeffs
-            if na:
-                A[nz : nz + ny, nz + ny :] = -YG[:, idx]
-                A[nz + ny :, nz : nz + ny] = YG[:, idx].T
-            try:
-                x = np.linalg.solve(A, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            d, l = x[:nz], x[nz : nz + ny]
-            c = np.zeros(cone.m)
-            if na:
-                c[idx] = x[nz + ny :]
-            if (c >= -1e-9).all() and (YG.T @ l <= 1e-9).all():
-                return d, l
-    raise AssertionError("enumeration oracle found no feasible pattern")
-
-
-def _check_invariants(sys, cone, sol):
-    d = sol.z_next.coords - sys.zk.coords
-    l = sol.lam_next.coeffs
-    stat = sys.spaceZ.dual_norm_arr(sys.g + sys.J.T @ l + sys.H @ d)
-    assert stat <= 1e-9 * (1.0 + sys.spaceZ.dual_norm_arr(sys.g))
-    pairings = cone.generator_matrix.T @ l
-    assert (pairings <= 1e-10).all()
-    r = sys.Gval + sys.J @ d - sys.rho * sys.spaceY.solve_mass(l - sys.lamk.coeffs)
-    c, residual = cone.coords(sys.spaceY.vector(r))
-    assert residual <= 1e-9
-    assert (c >= -1e-10).all()
-    assert np.abs(c * pairings).max() <= 1e-9
-
-
 def test_criterion_6_cone_machinery():
     # shipped cone instance
     bm = get_benchmark("cone-active")
@@ -242,10 +194,10 @@ def test_criterion_6_cone_machinery():
         spaceZ=p.Z, spaceY=p.Y,
     )
     sol = solve_cone(sys, p.cone)
-    d, l = _oracle_cone_solve(sys, p.cone)
+    d, l, _ = enumerate_patterns(sys, p.cone.generator_matrix)
     assert np.abs(sol.z_next.coords - (z0.coords + d)).max() <= 1e-9
     assert np.abs(sol.lam_next.coeffs - l).max() <= 1e-9
-    _check_invariants(sys, p.cone, sol)
+    check_solution_invariants(sys, p.cone, sol)
     # seeded random systems with one or two generators
     rng = np.random.default_rng(6)
     done = 0
@@ -270,11 +222,11 @@ def test_criterion_6_cone_machinery():
             spaceZ=spaceZ, spaceY=spaceY,
         )
         sol = solve_cone(sys, cone)
-        d, l = _oracle_cone_solve(sys, cone)
+        d, l, _ = enumerate_patterns(sys, cone.generator_matrix)
         scale = 1.0 + np.abs(d).max() + np.abs(l).max()
         assert np.abs(sol.z_next.coords - sys.zk.coords - d).max() <= 1e-9 * scale
         assert np.abs(sol.lam_next.coeffs - l).max() <= 1e-9 * scale
-        _check_invariants(sys, cone, sol)
+        check_solution_invariants(sys, cone, sol)
         done += 1
     report("6 cone machinery", "20 seeded systems match enumeration")
 

@@ -19,6 +19,7 @@ import scipy.sparse as sp
 
 from ssqp.bench import make_degenerate_line
 from ssqp.solver import SolverOptions, SolveStatus, run
+from saddle_reference import spd
 
 pytest.importorskip("hypothesis")  # declared in the `test` extra
 from hypothesis import given, settings
@@ -30,12 +31,6 @@ CALLBACKS = ("grad_f", "G", "jac_G", "hess_L")
 #: faults every callback can return, and those only matrices can
 FAULTS = ("nan", "inf", "-inf", "short", "long", "transposed")
 MATRIX_FAULTS = {"jac_G": ("sparse-nan",), "hess_L": ("asymmetric", "sparse-nan")}
-
-
-def _spd(rng, n: int) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    m = (q * rng.uniform(0.5, 2.0, n)) @ q.T
-    return 0.5 * (m + m.T)
 
 
 def _faulty(value: np.ndarray, fault: str, entry: int) -> np.ndarray | sp.csr_matrix:
@@ -94,7 +89,7 @@ def faults(draw):
 def test_faulty_callback_is_a_subproblem_failure(fault, seed):
     name, kind, entry, first = fault
     rng = np.random.default_rng(seed)
-    bm = make_degenerate_line(_spd(rng, 2), _spd(rng, 2))
+    bm = make_degenerate_line(spd(rng, 2), spd(rng, 2))
     p = _spoiled(bm, name, lambda v: _faulty(v, kind, entry), first)
     report = run(p, *bm.default_start(), SolverOptions())
     assert report.status is SolveStatus.SUBPROBLEM_FAILURE
@@ -109,7 +104,7 @@ def test_faulty_callback_is_a_subproblem_failure(fault, seed):
 @given(name=st.sampled_from(CALLBACKS), seed=st.integers(0, 2**32 - 1))
 def test_nested_list_output_is_valid(name, seed):
     rng = np.random.default_rng(seed)
-    bm = make_degenerate_line(_spd(rng, 2), _spd(rng, 2))
+    bm = make_degenerate_line(spd(rng, 2), spd(rng, 2))
     expected = run(bm.problem, *bm.default_start(), SolverOptions())
     p = _spoiled(bm, name, lambda v: v.tolist(), 0)
     report = run(p, *bm.default_start(), SolverOptions())

@@ -8,7 +8,6 @@ import pytest
 import ssqp.bench
 from ssqp.cli import (
     CSV_HEADER,
-    EIGENCONTROL_KEYS,
     SWEEP_HEADER,
     RunConfig,
     apply_flags,
@@ -265,12 +264,11 @@ class TestConfigFile:
         assert json.loads(out)["benchmark"] == "eigencontrol-n9"
 
 
-def setting(cfg: RunConfig, section: str, key: str):
-    """The parsed value of one setting; eigencontrol keys left unset read
-    as a missing-key marker."""
-    if section == "eigencontrol":
-        return cfg.eigencontrol.get(key, "<unset>")
-    return getattr(cfg, key)
+def setting(cfg: RunConfig, key: str):
+    """The parsed value of one setting; one left at None (the default of
+    the eigencontrol keys) reads as a missing-key marker."""
+    value = getattr(cfg, key)
+    return "<unset>" if value is None else value
 
 
 # section, key, INI text, parsed value
@@ -319,10 +317,7 @@ FLAG_CASES = [
 ]
 
 
-def ini_keys() -> set:
-    keys = {(f.metadata["section"], f.name) for f in dataclasses.fields(RunConfig)
-            if "section" in f.metadata}
-    return keys | {("eigencontrol", key) for key in EIGENCONTROL_KEYS}
+INI_KEYS = {(f.metadata["section"], f.name) for f in dataclasses.fields(RunConfig)}
 
 
 class TestSettings:
@@ -331,21 +326,21 @@ class TestSettings:
                                         expected):
         path = tmp_path / "run.ini"
         path.write_text(f"[{section}]\n{key} = {text}\n")
-        got = setting(load_config(str(path)), section, key)
+        got = setting(load_config(str(path)), key)
         assert got == expected
         assert type(got) is type(expected)
 
     @pytest.mark.parametrize("argv, section, key, expected", FLAG_CASES)
     def test_flag_reaches_the_config(self, argv, section, key, expected):
         args = build_parser().parse_args(["solve", *argv])
-        got = setting(apply_flags(RunConfig(), args), section, key)
+        got = setting(apply_flags(RunConfig(), args), key)
         assert got == expected
         assert type(got) is type(expected)
 
     def test_cases_cover_every_key(self):
-        assert {(sec, key) for sec, key, _, _ in INI_CASES} == ini_keys()
+        assert {(sec, key) for sec, key, _, _ in INI_CASES} == INI_KEYS
         flagged = {(sec, key) for _, sec, key, _ in FLAG_CASES}
-        assert flagged == ini_keys() - {("metric", "mass_z"), ("metric", "mass_y")}
+        assert flagged == INI_KEYS - {("metric", "mass_z"), ("metric", "mass_y")}
 
     def test_metric_keys_have_no_flag(self):
         with pytest.raises(SystemExit):

@@ -12,6 +12,7 @@ from ssqp.model import (
 )
 from ssqp.solver import SolveStatus, SolverOptions, run
 from ssqp.spaces import Functional, InnerProductSpace, PrimalVec
+from saddle_reference import spd
 
 
 def two_constraint_linear():
@@ -195,14 +196,9 @@ class TestKKTResidual:
         rng = np.random.default_rng(4013)
         dim = 20
 
-        def spd():
-            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-            a = (q * rng.uniform(0.5, 2.0, dim)) @ q.T
-            return 0.5 * (a + a.T)
-
         for trial in range(16):
             m = int(rng.integers(13, dim + 1))
-            H, mass_y = spd(), spd()
+            H, mass_y = spd(rng, dim), spd(rng, dim)
             L = np.linalg.cholesky(H)
             if trial % 2:
                 gens = rng.standard_normal((dim, m))
@@ -292,14 +288,9 @@ class TestKKTResidual:
         rng = np.random.default_rng(2024)
         dim, m = 12, 6
 
-        def spd():
-            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-            a = (q * rng.uniform(0.5, 2.0, dim)) @ q.T
-            return 0.5 * (a + a.T)
-
         worst = 0.0
         for _ in range(24):
-            H, mass_y = spd(), spd()
+            H, mass_y = spd(rng, dim), spd(rng, dim)
             L = np.linalg.cholesky(H)
             while True:
                 gens = rng.standard_normal((dim, m))

@@ -17,12 +17,7 @@ from ssqp.bench import get_benchmark, make_degenerate_line
 from ssqp.model import ConeSpec, ProblemDef
 from ssqp.solver import Fixed, SolverOptions, run
 from ssqp.spaces import Functional, InnerProductSpace, PrimalVec
-
-
-def _spd(rng, dim: int) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    a = (q * rng.uniform(0.5, 2.0, dim)) @ q.T
-    return 0.5 * (a + a.T)
+from saddle_reference import spd
 
 
 def _benchmark(name: str, opts: SolverOptions):
@@ -32,7 +27,7 @@ def _benchmark(name: str, opts: SolverOptions):
 
 def _random_metric_line(seed: int):
     rng = np.random.default_rng(seed)
-    bm = make_degenerate_line(_spd(rng, 2), _spd(rng, 2))
+    bm = make_degenerate_line(spd(rng, 2), spd(rng, 2))
     return bm.problem, *bm.default_start(), SolverOptions(), bm.reference
 
 
@@ -40,7 +35,7 @@ def _random_cone(seed: int, dim: int = 12, m: int = 6):
     """min |x - c|_H^2 / 2 over x in cone(y_1..y_m), started near the
     NNLS solution; no reference."""
     rng = np.random.default_rng(seed)
-    H, mass_y = _spd(rng, dim), _spd(rng, dim)
+    H, mass_y = spd(rng, dim), spd(rng, dim)
     L = np.linalg.cholesky(H)
     while True:
         gens = rng.standard_normal((dim, m))

@@ -13,6 +13,7 @@ import pytest
 from ssqp.diagnostics import InvalidReference, ReferenceSolution, multiplier_distance
 from ssqp.model import ConeSpec
 from ssqp.spaces import Functional, InnerProductSpace
+from saddle_reference import orthonormal, spd
 from test_diagnostics import csr_twin, null_dimension
 
 pytest.importorskip("hypothesis")  # declared in the `test` extra
@@ -56,17 +57,6 @@ def enumeration_oracle(
     return best
 
 
-def _orthonormal(rng, n: int, k: int) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return q[:, :k]
-
-
-def _spd(rng, n: int) -> np.ndarray:
-    q = _orthonormal(rng, n, n)
-    m = (q * rng.uniform(0.5, 2.0, n)) @ q.T
-    return 0.5 * (m + m.T)
-
-
 @st.composite
 def references(draw):
     """A reference whose multiplier set has a k-dimensional affine hull
@@ -77,12 +67,12 @@ def references(draw):
     tight = draw(st.lists(st.booleans(), min_size=m, max_size=m))
     assume(sum(tight) < ny)  # tight generators share the hyperplane of lam*
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    Y = InnerProductSpace(_spd(rng, ny))
+    Y = InnerProductSpace(spd(rng, ny))
     # j_star: ny x nz of rank ny - k, singular values in [0.5, 2]
     rank = ny - k
     nz = rank + int(rng.integers(0, 2))
-    j_star = (_orthonormal(rng, ny, rank) * rng.uniform(0.5, 2.0, rank)) @ (
-        _orthonormal(rng, nz, rank).T
+    j_star = (orthonormal(rng, ny, rank) * rng.uniform(0.5, 2.0, rank)) @ (
+        orthonormal(rng, nz, rank).T
     )
     lam_star = rng.standard_normal(ny)
     gens = []

@@ -2,12 +2,10 @@
 system, over generated subproblems.
 
 Each subproblem is solved with dense blocks (Bunch-Kaufman), with H, J
-or both as scipy.sparse CSR (sparse LU), and by an oracle that assembles
-the classical matrix [[H, J^T], [J, -rho M_Y^{-1}]] with an explicit
-inverse and calls np.linalg.solve, enumerating activity patterns for cones.
+or both as scipy.sparse CSR (sparse LU), and by the classical reference
+of `saddle_reference`, which assembles [[H, J^T], [J, -rho M_Y^{-1}]]
+with an explicit inverse, enumerating activity patterns for cones.
 """
-
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,24 +14,13 @@ import scipy.sparse as sp
 from ssqp.model import ConeSpec
 from ssqp.spaces import InnerProductSpace
 from ssqp.subproblem import SaddleSystem, solve_cone, solve_equality
+from saddle_reference import enumerate_patterns, orthonormal, spd
 
 pytest.importorskip("hypothesis")  # declared in the `test` extra
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
-
-
-def _orthonormal(rng, n: int, k: int) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return q[:, :k]
-
-
-def _spd(rng, n: int) -> np.ndarray:
-    """Random SPD matrix with eigenvalues in [0.5, 2]."""
-    q = _orthonormal(rng, n, n)
-    m = (q * rng.uniform(0.5, 2.0, n)) @ q.T
-    return 0.5 * (m + m.T)
 
 
 @st.composite
@@ -48,11 +35,11 @@ def subproblems(draw, cone: bool):
     rho = 10.0 ** draw(st.floats(-8.0, 0.0))
     diagonal_mass = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    H = _spd(rng, nz)
+    H = spd(rng, nz)
     svals = rng.uniform(0.5, 2.0, ny)
-    J = (_orthonormal(rng, ny, ny) * svals) @ _orthonormal(rng, nz, ny).T
-    My = np.diag(rng.uniform(0.5, 2.0, ny)) if diagonal_mass else _spd(rng, ny)
-    gens = _orthonormal(rng, ny, m) * rng.uniform(0.5, 2.0, m)
+    J = (orthonormal(rng, ny, ny) * svals) @ orthonormal(rng, nz, ny).T
+    My = np.diag(rng.uniform(0.5, 2.0, ny)) if diagonal_mass else spd(rng, ny)
+    gens = orthonormal(rng, ny, m) * rng.uniform(0.5, 2.0, m)
     lamk = rng.standard_normal(ny)
     if m:
         # shift lam_k by M_Y gens c so that pairing i becomes
@@ -79,40 +66,11 @@ def _system(blocks, My, sparse_blocks=()):
     )
 
 
-def classical_oracle(blocks, My, gens):
-    """(d, l) from [[H, J^T], [J, -rho M_Y^{-1}]], bordered by -y_i for an
-    activity pattern, by np.linalg.solve; the first pattern with c >= 0
-    and <l, y_i> <= 0 (the subproblem solution is unique)."""
-    H, J, rho = blocks["H"], blocks["J"], blocks["rho"]
-    nz, ny, m = H.shape[0], J.shape[0], gens.shape[1]
-    Minv = np.linalg.inv(My)
-    for size in range(m + 1):
-        for active in combinations(range(m), size):
-            YA = gens[:, list(active)]
-            na = len(active)
-            A = np.zeros((nz + ny + na, nz + ny + na))
-            A[:nz, :nz] = H
-            A[:nz, nz : nz + ny] = J.T
-            A[nz : nz + ny, :nz] = J
-            A[nz : nz + ny, nz : nz + ny] = -rho * Minv
-            A[nz : nz + ny, nz + ny :] = -YA
-            A[nz + ny :, nz : nz + ny] = -YA.T
-            rhs = np.concatenate([-blocks["g"],
-                                  -blocks["Gval"] - rho * Minv @ blocks["lamk"],
-                                  np.zeros(na)])
-            x = np.linalg.solve(A, rhs)
-            d, l, c = x[:nz], x[nz : nz + ny], x[nz + ny :]
-            tol = 1e-9 * (1.0 + np.abs(x).max())
-            if (c >= -tol).all() and (gens.T @ l <= tol).all():
-                return d, l
-    raise AssertionError("no sign-feasible pattern")
-
-
 STORAGES = [(), ("H",), ("J",), ("H", "J")]
 
 
 def _check_agreement(blocks, My, gens, solve):
-    d_ref, l_ref = classical_oracle(blocks, My, gens)
+    d_ref, l_ref, _ = enumerate_patterns(_system(blocks, My), gens)
     scale = 1.0 + np.abs(d_ref).max() + np.abs(l_ref).max()
     for sparse_blocks in STORAGES:
         sys = _system(blocks, My, sparse_blocks)

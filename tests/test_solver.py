@@ -21,6 +21,7 @@ from ssqp.solver import (
     run,
 )
 from ssqp.spaces import Functional, InnerProductSpace, PrimalVec
+from saddle_reference import spd
 
 
 @pytest.fixture(scope="module")
@@ -339,13 +340,8 @@ def test_proportional_rule_is_quadratic_off_the_cone_vertex():
     rng = np.random.default_rng(2025)
     dim, m = 12, 6
 
-    def spd():
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        a = (q * rng.uniform(0.5, 2.0, dim)) @ q.T
-        return 0.5 * (a + a.T)
-
     for _ in range(12):
-        H, mass_y = spd(), spd()
+        H, mass_y = spd(rng, dim), spd(rng, dim)
         L = np.linalg.cholesky(H)
         while True:
             gens = rng.standard_normal((dim, m))

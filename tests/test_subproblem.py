@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,10 +9,17 @@ from ssqp.spaces import InnerProductSpace
 from ssqp.subproblem import (
     SaddleSystem,
     SingularSubproblem,
+    _solve_pattern,
     assemble_saddle_matrix,
     saddle_condition_estimate,
     solve_cone,
     solve_equality,
+)
+from saddle_reference import (
+    check_solution_invariants,
+    enumerate_patterns,
+    pattern_solve,
+    spd,
 )
 
 
@@ -31,65 +36,6 @@ def make_system(H, J, g, Gval, rho, lamk, zk=None, massZ=None, massY=None):
         zk=spaceZ.vector(zk if zk is not None else np.zeros(nz)),
         spaceZ=spaceZ, spaceY=spaceY,
     )
-
-
-def oracle_solve(sys, cone=None, active=()):
-    """Plain-LU reference solve of the saddle system, assembled separately."""
-    nz, ny = sys.spaceZ.dim, sys.spaceY.dim
-    Minv = np.linalg.inv(sys.spaceY.mass)
-    idx = list(active)
-    na = len(idx)
-    A = np.zeros((nz + ny + na, nz + ny + na))
-    rhs = np.zeros(nz + ny + na)
-    A[:nz, :nz] = sys.H
-    A[:nz, nz : nz + ny] = sys.J.T
-    A[nz : nz + ny, :nz] = sys.J
-    A[nz : nz + ny, nz : nz + ny] = -sys.rho * Minv
-    rhs[:nz] = -sys.g
-    rhs[nz : nz + ny] = -sys.Gval - sys.rho * Minv @ sys.lamk.coeffs
-    if na:
-        YG = cone.generator_matrix
-        A[nz : nz + ny, nz + ny :] = -YG[:, idx]
-        A[nz + ny :, nz : nz + ny] = YG[:, idx].T
-    x = np.linalg.solve(A, rhs)
-    d, l = x[:nz], x[nz : nz + ny]
-    c = np.zeros(cone.m if cone is not None else 0)
-    if na:
-        c[idx] = x[nz + ny :]
-    return d, l, c
-
-
-def oracle_cone_solve(sys, cone):
-    """Exhaustive enumeration over activity patterns; returns the feasible one."""
-    YG = cone.generator_matrix
-    for size in range(cone.m + 1):
-        for act in combinations(range(cone.m), size):
-            try:
-                d, l, c = oracle_solve(sys, cone, act)
-            except np.linalg.LinAlgError:
-                continue
-            if (c >= -1e-9).all() and (YG.T @ l <= 1e-9).all():
-                return d, l, c
-    raise AssertionError("oracle found no feasible pattern")
-
-
-def check_solution_invariants(sys, cone, sol):
-    """The residual bounds every subproblem solution must satisfy."""
-    d = sol.z_next.coords - sys.zk.coords
-    l = sol.lam_next.coeffs
-    g_scale = 1.0 + sys.spaceZ.dual_norm_arr(sys.g)
-    stat = sys.spaceZ.dual_norm_arr(sys.g + sys.J.T @ l + sys.H @ d)
-    assert stat <= 1e-9 * g_scale
-    r = sys.Gval + sys.J @ d - sys.rho * sys.spaceY.solve_mass(l - sys.lamk.coeffs)
-    if cone is None or cone.m == 0:
-        assert sys.spaceY.norm_arr(r) <= 1e-9 * (1.0 + sys.spaceY.norm_arr(sys.Gval))
-        return
-    pairings = cone.generator_matrix.T @ l
-    assert (pairings <= 1e-10).all()
-    c, residual = cone.coords(sys.spaceY.vector(r))
-    assert residual <= 1e-9
-    assert (c >= -1e-10).all()
-    assert np.abs(c * pairings).max() <= 1e-9
 
 
 class TestSolveEquality:
@@ -112,7 +58,7 @@ class TestSolveEquality:
             rho=0.05, lamk=np.array([-0.5, -0.5]), zk=zk,
         )
         sol = solve_equality(sys)
-        d, l, _ = oracle_solve(sys)
+        d, l, _ = pattern_solve(sys)
         assert_allclose(sol.z_next.coords, zk + d, atol=1e-12)
         assert_allclose(sol.lam_next.coeffs, l, atol=1e-12)
 
@@ -147,7 +93,7 @@ class TestSolveEquality:
                 zk=rng.standard_normal(nz), massY=My,
             )
             sol = solve_equality(sys)
-            d, l, _ = oracle_solve(sys)
+            d, l, _ = pattern_solve(sys)
             scale = 1.0 + np.abs(d).max() + np.abs(l).max()
             assert np.abs(sol.z_next.coords - sys.zk.coords - d).max() <= 1e-11 * scale
             assert np.abs(sol.lam_next.coeffs - l).max() <= 1e-11 * scale
@@ -249,6 +195,19 @@ def cone_of(sys, gens):
     return ConeSpec(sys.spaceY, tuple(sys.spaceY.vector(g) for g in gens))
 
 
+@pytest.fixture
+def solved_patterns(monkeypatch):
+    """The activity patterns solve_cone solves, in order."""
+    patterns = []
+
+    def counted(sys, cone, active):
+        patterns.append(active)
+        return _solve_pattern(sys, cone, active)
+
+    monkeypatch.setattr("ssqp.subproblem._solve_pattern", counted)
+    return patterns
+
+
 class TestSolveCone:
     def test_inactive_cone_matches_empty_pattern(self):
         # unconstrained multiplier already pairs negatively against y1
@@ -257,7 +216,7 @@ class TestSolveCone:
         cone = cone_of(sys, [[1.0, 0.0]])
         sol = solve_cone(sys, cone)
         assert sol.active_set == ()
-        d, l, _ = oracle_solve(sys, cone, ())
+        d, l, _ = pattern_solve(sys, cone.generator_matrix)
         assert_allclose(sol.z_next.coords, d, atol=1e-11)
         assert_allclose(sol.lam_next.coeffs, l, atol=1e-11)
         check_solution_invariants(sys, cone, sol)
@@ -268,11 +227,11 @@ class TestSolveCone:
         sys = make_system(np.eye(2), np.eye(2), np.array([-1.0, 0.0]),
                           np.array([0.3, 0.0]), 0.2, np.zeros(2))
         cone = cone_of(sys, [[1.0, 0.0]])
-        d0, l0, _ = oracle_solve(sys, cone, ())
+        d0, l0, _ = pattern_solve(sys, cone.generator_matrix)
         assert (cone.generator_matrix.T @ l0 > 1e-10).any()
         sol = solve_cone(sys, cone)
         assert sol.active_set == (0,)
-        d, l, _ = oracle_cone_solve(sys, cone)
+        d, l, _ = enumerate_patterns(sys, cone.generator_matrix)
         assert_allclose(sol.z_next.coords, d, atol=1e-10)
         assert_allclose(sol.lam_next.coeffs, l, atol=1e-10)
         check_solution_invariants(sys, cone, sol)
@@ -297,7 +256,7 @@ class TestSolveCone:
                 continue  # lam_k must start in the polar cone
             done += 1
             sol = solve_cone(sys, cone)
-            d, l, _ = oracle_cone_solve(sys, cone)
+            d, l, _ = enumerate_patterns(sys, cone.generator_matrix)
             scale = 1.0 + np.abs(d).max() + np.abs(l).max()
             assert np.abs(sol.z_next.coords - d).max() <= 1e-9 * scale
             assert np.abs(sol.lam_next.coeffs - l).max() <= 1e-9 * scale
@@ -339,25 +298,39 @@ class TestSolveCone:
         with pytest.raises(NoConvergence):
             solve_cone(sys, cone)
 
-    def test_inner_iterations_count_every_pattern_solve(self, monkeypatch):
+    def test_inner_iterations_count_every_pattern_solve(self, solved_patterns):
         # unstabilized with a rank-deficient J: the active set meets a
         # singular pattern and enumeration finishes the solve
-        import ssqp.subproblem as subproblem
-
         sys = make_system(np.eye(2), [[1.0, 0.0], [0.0, 0.0]], [0.1, 0.2],
                           [0.05, 0.3], 0.0, [0.0, -1.0])
         cone = cone_of(sys, [[0.0, 1.0]])
-        patterns = []
-        solve_pattern = subproblem._solve_pattern
-
-        def counted(sys, cone, active):
-            patterns.append(active)
-            return solve_pattern(sys, cone, active)
-
-        monkeypatch.setattr(subproblem, "_solve_pattern", counted)
         sol = solve_cone(sys, cone)
-        assert len(patterns) == 3
+        assert len(solved_patterns) == 3
         assert sol.inner_iterations == 3
+        d, l, _ = enumerate_patterns(sys, cone.generator_matrix)
+        assert_allclose(sol.z_next.coords, d, atol=1e-12)
+        assert_allclose(sol.lam_next.coeffs, l, atol=1e-12)
+
+    def test_cycling_active_set_falls_back_to_enumeration(self, solved_patterns):
+        # a generic draw on which the active set cycles back to (): the
+        # fallback then tries every pattern by size up to the solution
+        rng = np.random.default_rng(3106)
+        H, My = spd(rng, 3), spd(rng, 3)
+        J, gens = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        rho, lamk = 10.0 ** rng.uniform(-8, 0), rng.standard_normal(3)
+        sys = make_system(H, J, rng.standard_normal(3), rng.standard_normal(3),
+                          rho, lamk, zk=rng.standard_normal(3), massY=My)
+        cone = cone_of(sys, gens.T)
+        sol = solve_cone(sys, cone)
+        assert solved_patterns == [(), (0,), (0, 1, 2), (2,),  # active set
+                                   (), (0,), (1,), (2,), (0, 1), (0, 2)]
+        assert sol.active_set == (0, 2)
+        assert sol.inner_iterations == 10
+        d, l, _ = enumerate_patterns(sys, gens)
+        scale = 1.0 + np.abs(d).max() + np.abs(l).max()
+        assert np.abs(sol.z_next.coords - sys.zk.coords - d).max() <= 1e-9 * scale
+        assert np.abs(sol.lam_next.coeffs - l).max() <= 1e-9 * scale
+        check_solution_invariants(sys, cone, sol)
 
     def test_closed_form_multiplier_for_fixed_step(self):
         # with z_next frozen, the multiplier maximization has the closed
