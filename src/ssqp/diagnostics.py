@@ -119,7 +119,9 @@ def _factor_multiplier_set(ref: ReferenceSolution) -> _Projector:
     rejects: a pairing constant on the set was checked there, and each
     other pairing inequality is relaxed just enough that the certified
     member satisfies it, which is rounding unless lambda* carries a
-    certified positive pairing.
+    certified positive pairing.  The rank rule is not degeneracy_report's
+    on purpose: a direction cut at its larger threshold would join the
+    set although its members miss stationarity by that singular value.
     """
     Y = ref.space_y
     rcond = np.finfo(float).eps * max(ref.j_star.shape)
@@ -316,28 +318,25 @@ def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray:
     return x
 
 
-def coercivity_margin(H, J, massZ, massY, rho: float) -> float:
-    """Smallest eigenvalue of H + (1/rho) J^T massY J in the massZ metric.
+def _whitened_jacobian(J, Z: InnerProductSpace, Y: InnerProductSpace) -> np.ndarray:
+    """C = L_Y^T J L_Z^{-T} for the metric factors M = L L^T, dense."""
+    return Z.whiten_dual(Y.whiten(to_dense(J)).T).T
+
+
+def coercivity_margin(H, J, Z: InnerProductSpace, Y: InnerProductSpace,
+                      rho: float) -> float:
+    """Smallest eigenvalue of H + (1/rho) J^T M_Y J in the M_Z metric.
 
     The second term is the squared Y-norm of the linearized constraint,
     so the margin measures how much the stabilization term restores
-    coercivity of an indefinite Hessian.
+    coercivity of an indefinite Hessian.  It is computed whitened, as the
+    smallest eigenvalue of L_Z^{-1} H L_Z^{-T} + C^T C / rho.
     """
-    if rho <= 0:
+    if not rho > 0:  # written so that NaN fails too
         raise ValueError("rho must be positive")
-    H = to_dense(H)
-    J = to_dense(J)
-    massZ = np.asarray(massZ, dtype=float)
-    massY = np.asarray(massY, dtype=float)
-    A = H + (J.T @ massY @ J) / rho
-    A = 0.5 * (A + A.T)
-    try:
-        eigs = scipy.linalg.eigh(
-            A, 0.5 * (massZ + massZ.T), eigvals_only=True,
-            subset_by_index=[0, 0],
-        )
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise ValueError("massZ must be symmetric positive definite") from exc
+    C = _whitened_jacobian(J, Z, Y)
+    A = Z.whiten_dual(Z.whiten_dual(to_dense(H)).T) + (C.T @ C) / rho
+    eigs = scipy.linalg.eigvalsh(0.5 * (A + A.T), subset_by_index=[0, 0])
     return float(eigs[0])
 
 
@@ -355,12 +354,12 @@ def degeneracy_report(p: ProblemDef, z: PrimalVec) -> DegeneracyReport:
     matrices, so the singular values measure the map Z -> Y in the
     correct norms.  Surjectivity (the equality-constrained constraint
     qualification) holds when the smallest of the Y.dim values exceeds
-    rank_tol = RANK_TOL_FACTOR * largest.
+    rank_tol = RANK_TOL_FACTOR * largest: this flags a qualification
+    that nearly fails, while the projector (`_factor_multiplier_set`)
+    cuts at eps max(shape) |L_Y^T J|, for the null space to rounding.
     """
-    J = to_dense(p.jac_G(z))
-    # Jt = L_Y^T J L_Z^{-T} for the metric factors M = L L^T
-    Jt = p.Z.whiten_dual(p.Y.whiten(J).T).T
-    svals = np.linalg.svd(Jt, compute_uv=False)
+    C = _whitened_jacobian(p.jac_G(z), p.Z, p.Y)
+    svals = np.linalg.svd(C, compute_uv=False)
     rank_tol = RANK_TOL_FACTOR * (svals[0] if svals.size else 0.0)
     surjective = svals.size >= p.Y.dim and bool(svals[p.Y.dim - 1] > rank_tol)
     return DegeneracyReport(svals, float(rank_tol), surjective)

@@ -18,8 +18,7 @@ The mass matrix has one of two storages, chosen from the input:
   `diagonal` give banded storage with b = 0.
 
 Both storages offer the same operations, and norms are computed in
-whitened form on both.  `mass` on banded storage materializes a dense
-array, which costs O(n^2): it is for `ssqp diagnose` and tests only.
+whitened form on both.
 """
 
 from __future__ import annotations
@@ -313,11 +312,8 @@ class InnerProductSpace:
 
     @property
     def mass(self) -> np.ndarray:
-        """The mass matrix as a read-only dense array.
-
-        On banded storage each read materializes it, O(n^2) time and
-        memory: for `ssqp diagnose` and tests, not for solves.
-        """
+        """The mass matrix as a read-only dense array, materialized on each
+        read on banded storage (O(n^2)); only tests read it."""
         return self._metric.dense()
 
     def scaled_mass(self, sparse: bool = False) -> np.ndarray | sp.csr_matrix:

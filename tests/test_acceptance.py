@@ -157,17 +157,18 @@ def test_criterion_5_coercivity():
     H = p.hess_L(z, p.Y.zero_functional())
     J = p.jac_G(z)
     for rho in [10.0**-k for k in range(1, 7)]:
-        margin = ssqp.coercivity_margin(H, J, p.Z.mass, p.Y.mass, rho)
+        margin = ssqp.coercivity_margin(H, J, p.Z, p.Y, rho)
         assert margin == pytest.approx(1.0, abs=1e-9)
     # indefinite Hessian: the margin crosses the level only once rho is
     # small enough; the bisected threshold matches a dense eigensolve sweep
     Hind = np.diag([-1.0, 1.0])
     Jind = np.array([[1.0, 0.0]])
     level = 0.5
+    Zind, Yind = InnerProductSpace(np.eye(2)), InnerProductSpace(np.eye(1))
     lo, hi = 1e-3, 10.0
     for _ in range(80):
         mid = np.sqrt(lo * hi)
-        if ssqp.coercivity_margin(Hind, Jind, np.eye(2), np.eye(1), mid) >= level:
+        if ssqp.coercivity_margin(Hind, Jind, Zind, Yind, mid) >= level:
             lo = mid
         else:
             hi = mid

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,18 @@ class TestSolve:
                                  "--sweep", "rho_fixed", "--grid", "0.1,nan")
         assert (code, out) == (1, "")
         assert err == "error: rho must be finite and >= 0, got nan\n"
+
+    # the CLI sets the display of warnings, not which ones are raised, so
+    # the polar-cone warning is let through the suite's error filter
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_polar_cone_warning_is_one_stable_line(self, capsys):
+        shown = warnings.showwarning
+        code, out, err = run_cli(capsys, "solve", "--benchmark", "cone-active",
+                                 "--lambda0", "0.5,-0.5")
+        assert (code, out.splitlines()[0]) == (0, CSV_HEADER)
+        assert err == ("warning: initial multiplier is outside the polar "
+                       "cone; projecting pairings\n")
+        assert warnings.showwarning is shown
 
     def test_oracle_rho_rule(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--benchmark", "degenerate-line",
@@ -504,6 +517,12 @@ class TestDiagnose:
         payload = json.loads(out)
         assert payload["error_estimate_ratio"]["value"] is None
         assert payload["error_estimate_ratio"]["note"]
+
+    @pytest.mark.parametrize("grid", ["-1", "nan", "0.1,nan"])
+    def test_non_positive_rho_exits_1(self, capsys, grid):
+        code, out, err = run_cli(capsys, "diagnose", "--benchmark",
+                                 "degenerate-line", "--grid", grid)
+        assert (code, out, err) == (1, "", "error: rho must be positive\n")
 
 
 class TestList:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ssqp.bench import get_benchmark, make_degenerate_line, make_eigencontrol
+from ssqp.bench import (
+    fd_eigenvalue,
+    get_benchmark,
+    make_degenerate_line,
+    make_eigencontrol,
+)
 from ssqp.diagnostics import (
     InvalidReference,
     ReferenceSolution,
@@ -222,7 +227,8 @@ class TestCoercivityMargin:
     def test_zero_jacobian_leaves_hessian_spectrum(self):
         for rho in (1e-1, 1e-3, 1e-6):
             got = coercivity_margin(np.eye(2), np.zeros((1, 2)),
-                                    np.eye(2), np.eye(1), rho)
+                                    InnerProductSpace(np.eye(2)),
+                                    InnerProductSpace(np.eye(1)), rho)
             assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_line_pencil(self, degenerate):
@@ -232,7 +238,7 @@ class TestCoercivityMargin:
         H = p.hess_L(z, p.Y.zero_functional())
         J = p.jac_G(z)
         for rho in [10.0**-k for k in range(1, 7)]:
-            got = coercivity_margin(H, J, p.Z.mass, p.Y.mass, rho)
+            got = coercivity_margin(H, J, p.Z, p.Y, rho)
             assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_nonincreasing_in_rho(self):
@@ -241,7 +247,8 @@ class TestCoercivityMargin:
         H = 0.5 * (B + B.T)
         J = rng.standard_normal((2, 3))
         rhos = np.logspace(-6, 0, 13)
-        margins = [coercivity_margin(H, J, np.eye(3), np.eye(2), r) for r in rhos]
+        Z, Y = InnerProductSpace(np.eye(3)), InnerProductSpace(np.eye(2))
+        margins = [coercivity_margin(H, J, Z, Y, r) for r in rhos]
         assert all(a >= b - 1e-10 for a, b in zip(margins, margins[1:]))
 
     def test_indefinite_threshold_matches_eigensolve_sweep(self):
@@ -250,10 +257,11 @@ class TestCoercivityMargin:
         H = np.diag([-1.0, 1.0])
         J = np.array([[1.0, 0.0]])
         level = 0.5
+        Z, Y = InnerProductSpace(np.eye(2)), InnerProductSpace(np.eye(1))
         lo, hi = 1e-3, 10.0
         for _ in range(60):
             mid = np.sqrt(lo * hi)
-            if coercivity_margin(H, J, np.eye(2), np.eye(1), mid) >= level:
+            if coercivity_margin(H, J, Z, Y, mid) >= level:
                 lo = mid
             else:
                 hi = mid
@@ -267,15 +275,45 @@ class TestCoercivityMargin:
         assert abs(threshold - 2.0 / 3.0) / (2.0 / 3.0) <= 0.05
         assert abs(threshold - sweep_threshold) / sweep_threshold <= 0.05
 
+    @staticmethod
+    def eigencontrol_closed_form(n: int, rho: float, alpha: float = 1.0) -> float:
+        """The margin at (z*, 0) on eigencontrol, from the spectrum alone.
+
+        H = diag(h I, alpha) and J = [A - lam_1 I, 0], with M_Y = h I and
+        M_Z = diag(h (I + A^2), 1); A's eigenvector k diagonalizes the
+        state block, with eigenvalue (1 + (lam_k - lam_1)^2 / rho) /
+        (1 + lam_k^2), and the control block is alpha.
+        """
+        lam = np.array([fd_eigenvalue(n, k) for k in range(1, n + 1)])
+        return min(alpha, float(np.min(
+            (1.0 + (lam - lam[0]) ** 2 / rho) / (1.0 + lam**2))))
+
+    @pytest.mark.parametrize("n, rhos, rel", [
+        (49, [10.0**-k for k in range(1, 7)], 1e-6),
+        (200, [10.0**-k for k in range(1, 7)], 1e-6),
+        # the banded factor of the H^2 metric limits the accuracy (F1)
+        (1000, [1e-6], 1e-4),
+    ])
+    def test_eigencontrol_closed_form(self, n, rhos, rel):
+        bm = make_eigencontrol(n=n)
+        p, z = bm.problem, bm.reference.z_star
+        H = p.hess_L(z, p.Y.zero_functional())
+        J = p.jac_G(z)
+        for rho in rhos:
+            assert coercivity_margin(H, J, p.Z, p.Y, rho) == pytest.approx(
+                self.eigencontrol_closed_form(n, rho), rel=rel)
+
     def test_nonpositive_rho_rejected(self):
-        with pytest.raises(ValueError):
-            coercivity_margin(np.eye(2), np.zeros((1, 2)),
-                              np.eye(2), np.eye(1), 0.0)
+        Z, Y = InnerProductSpace(np.eye(2)), InnerProductSpace(np.eye(1))
+        for rho in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="rho must be positive"):
+                coercivity_margin(np.eye(2), np.zeros((1, 2)), Z, Y, rho)
 
     def test_indefinite_metric_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
             coercivity_margin(np.eye(2), np.zeros((1, 2)),
-                              np.diag([1.0, -1.0]), np.eye(1), 0.1)
+                              InnerProductSpace(np.diag([1.0, -1.0])),
+                              InnerProductSpace(np.eye(1)), 0.1)
 
 
 class TestDegeneracyReport:
@@ -312,6 +350,32 @@ class TestDegeneracyReport:
         base = degeneracy_report(p, z).singular_values
         got = degeneracy_report(scaled, z).singular_values
         assert_allclose(got, base, rtol=1e-9)
+
+    def test_rank_rules_differ_between_report_and_projector(self):
+        # a whitened singular value of 1e-10 lies between the two rank
+        # cut-offs: the report calls the constraint qualification failed,
+        # while both projectors keep its direction in the range
+        from ssqp.model import ProblemDef
+
+        J = np.diag([1.0, 1e-10])
+        Z = Y = InnerProductSpace.identity(2)
+        p = ProblemDef(
+            Z, Y, empty_cone(Y),
+            f=lambda z: 0.0,
+            grad_f=lambda z: Z.zero_functional(),
+            G=lambda z: Y.vector(J @ z.coords),
+            jac_G=lambda z: J,
+            hess_L=lambda z, lam: np.eye(2),
+        )
+        assert not degeneracy_report(p, Z.zero_vector()).rcq_satisfied
+        lam_star = Y.functional([0.3, -0.7])
+        ref = ReferenceSolution(
+            z_star=Z.zero_vector(), j_star=J, g_star=-J.T @ lam_star.coeffs,
+            cone=p.cone, lambda_star=lam_star,
+        )
+        for twin in (ref, csr_twin(ref)):
+            assert multiplier_distance(twin, lam_star)[0] <= 1e-12
+            assert null_dimension(twin) == 0
 
 
 class TestErrorEstimateRatio:
