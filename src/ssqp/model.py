@@ -99,17 +99,45 @@ def as_matrix(M) -> np.ndarray | sp.csr_matrix:
 
 def hessian_fault(H) -> str | None:
     """Why the matrix H, dense or sparse, is no Hessian: "not finite", or
-    "not symmetric to 1e-10" relative to max(|H|_max, 1); None if it is."""
+    "not symmetric to 1e-10" relative to max(|H|_max, 1); None if it is.
+
+    A sparse H is compared with its transpose through their canonical CSR
+    arrays, without sparse arithmetic (`_sparse_asymmetry`)."""
     sparse = issparse(H)
+    if sparse:
+        H = H.tocsr()
+        if not H.has_canonical_format:  # sorted, without duplicates
+            H = H.copy()
+            H.sum_duplicates()
     scale = max(_max(np.abs(H.data if sparse else H)), 1.0)
     if not math.isfinite(scale):
         return "not finite"
-    # a - b = -(b - a) exactly, so the finite H - H^T is antisymmetric and
-    # its largest entry is its largest absolute entry
-    asym = H - H.T
-    if _max(asym.data if sparse else asym) > 1e-10 * scale:
+    # a - b = -(b - a) exactly, so the finite dense H - H^T is antisymmetric
+    # and its largest entry is its largest absolute entry
+    asym = _sparse_asymmetry(H) if sparse else H - H.T
+    if _max(asym) > 1e-10 * scale:
         return "not symmetric to 1e-10"
     return None
+
+
+def _sparse_asymmetry(H: sp.csr_matrix) -> np.ndarray:
+    """|H - H^T| at the stored entries of a canonical CSR matrix H.
+
+    H's CSC arrays are the canonical CSR arrays of H^T, so on a symmetric
+    pattern the two data arrays line up.  Otherwise each entry is matched
+    with its mirror by binary search in row-major order, and an entry whose
+    mirror is not stored meets zero.  The entries of H^T outside H's
+    pattern mirror those of H outside H^T's, so they add no other value.
+    """
+    T = H.tocsc()
+    if np.array_equal(T.indptr, H.indptr) and np.array_equal(T.indices, H.indices):
+        return np.abs(H.data - T.data)
+    n = H.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(H.indptr))
+    keys, mirror_keys = rows * n + H.indices, H.indices * n + rows
+    mirror = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
+    mirror_data = np.where(keys[mirror] == mirror_keys, H.data[mirror], 0.0)
+    return np.abs(H.data - mirror_data)
 
 
 def _max(entries: np.ndarray) -> float:

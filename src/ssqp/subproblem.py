@@ -21,9 +21,16 @@ For a lumped mass M_Y = tau I this is the classical matrix
 condition number, and RCOND_FLOOR, in the units of that matrix.
 
 Dense blocks are factored by Bunch-Kaufman (LAPACK dsytrf).  When H or J
-is a scipy.sparse matrix the system is assembled in CSC and factored by
-sparse LU (splu).  For K = {0} one solve gives the step.  The cone case
-runs a primal-dual active set iteration over the generator
+is a scipy.sparse matrix the system is assembled in CSC and factored as a
+band with a dense border.  The rows and columns that store far more than
+the median (eigencontrol's control q, a cone's active generators) form the
+border, reverse Cuthill-McKee orders the rest into a narrow band, LAPACK
+dgbtrf factors the band block and dgetrf the border's Schur complement.
+This plan is the symbolic work; it is made once per sparsity pattern and
+memoised, so each iterate only scatters its entries and factors.  Sparse
+LU (splu) takes over where the band would be mostly fill or the band
+block is exactly singular.  For K = {0} one solve gives the step.  The
+cone case runs a primal-dual active set iteration over the generator
 complementarities, each trial pattern solved by the same factorization.
 
 A subproblem of a few unknowns costs microseconds, so each step calls
@@ -35,6 +42,7 @@ wrappers.  The arithmetic is that of the spelled-out forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -54,6 +62,20 @@ RCOND_FLOOR = 1e-15
 #: solve_cone's fallback after an active-set cycle enumerates all 2^m
 #: activity patterns only up to this many generators.
 MAX_ENUMERATED_GENERATORS = 12
+
+#: A row and column of a sparse saddle matrix joins the dense border when
+#: it stores more than this many times the median count of entries of a
+#: row plus its column; eigencontrol's control q and a cone's active
+#: generators do, so the rest is a narrow band.
+BORDER_DEGREE_RATIO = 4
+
+#: The band path is taken when the band block holds at most this many
+#: entries per stored entry of A.  A wider band is mostly fill, which
+#: splu's fill-reducing order avoids.
+BAND_FILL_LIMIT = 4
+
+#: Band plans kept, one per sparsity pattern; the least recently used goes.
+PLAN_CACHE_SIZE = 8
 
 
 class SingularSubproblem(RuntimeError):
@@ -77,9 +99,9 @@ class SaddleSystem:
     solutions report z_next = z_k + d.  rho = 0 is accepted to expose the
     unstabilized (classical SQP) system for diagnostics.  H and J may be
     scipy.sparse matrices; the system is then `sparse`, both are held as
-    CSR and the solve uses sparse LU.  `scaled_mass` and `weight` are
-    derived from spaceY and rho at construction: build a new system to
-    change either.
+    CSR and the solve uses the band LU with a dense border.  `scaled_mass`
+    and `weight` are derived from spaceY and rho at construction: build a
+    new system to change either.
     """
 
     H: np.ndarray | sp.csr_matrix
@@ -196,9 +218,8 @@ def _factor(A):
 
     `solve(b)` applies A^{-1} and rcond estimates 1 / (|A|_1 |A^{-1}|_1).
     A dense A is factored by Bunch-Kaufman, with LAPACK's estimate dsycon;
-    a sparse one by splu, with onenormest of A^{-1} applied through LU
-    solves.  One column (t=1) makes onenormest Hager's deterministic
-    method, the one dsycon uses.
+    a sparse one by `_factor_sparse`, whose estimate runs the same method
+    (Hager's, through the factored solve).
     """
     if issparse(A):
         return _factor_sparse(A)
@@ -219,25 +240,170 @@ def _factor(A):
 
 
 def _factor_sparse(A: sp.csc_matrix):
-    # scipy.sparse.linalg adds about 17 ms to every import; only sparse
-    # systems need it
-    from scipy.sparse.linalg import LinearOperator, onenormest, splu
+    """`_factor` of a CSC matrix: band LU with a dense border, else splu.
 
-    cols, _, data = _triplets(A)
-    anorm = float(np.bincount(cols, weights=np.abs(data), minlength=A.shape[0]).max())
-    try:
-        lu = splu(A)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise _exactly_singular(str(exc)) from None
-    inverse = LinearOperator(
-        A.shape, dtype=float, matvec=lu.solve, matmat=lu.solve,
-        rmatvec=lambda b: lu.solve(b, trans="T"),
-        rmatmat=lambda b: lu.solve(b, trans="T"),
-    )
-    inverse_norm = onenormest(inverse, t=1)
+    The symbolic work runs once per sparsity pattern (`_band_plan`); each
+    call only scatters A.data into LAPACK band storage, factors the band
+    block by dgbtrf and the border's k x k Schur complement by dgetrf.
+    splu factors A instead when the plan found the band too wide, or when
+    the band block is exactly singular.  |A|_1 is the largest column sum,
+    summed in row order as np.linalg.norm sums it.
+    """
+    plan = _band_plan(A)
+    anorm = float(np.bincount(plan.columns, weights=np.abs(A.data),
+                              minlength=A.shape[0]).max())
+    solve = _factor_band(A, plan)
+    if solve is None:
+        # scipy.sparse.linalg adds about 17 ms to every import; only
+        # sparse systems outside the band path need it
+        from scipy.sparse.linalg import splu
+
+        try:
+            solve = splu(A).solve
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise _exactly_singular(str(exc)) from None
+    inverse_norm = _inverse_norm_estimate(solve, A.shape[0])
     if not np.isfinite(inverse_norm) or anorm == 0.0:
-        return lu.solve, anorm, 0.0
-    return lu.solve, anorm, 1.0 / (anorm * inverse_norm)
+        return solve, anorm, 0.0
+    return solve, anorm, 1.0 / (anorm * inverse_norm)
+
+
+@dataclass(frozen=True, eq=False)
+class _BandPlan:
+    """The symbolic part of the band factorization of one sparsity pattern.
+
+    `columns` holds the column of each stored entry.  `order` lists A's
+    rows, which are also its columns: the band in reverse Cuthill-McKee
+    order, then the k border rows.  Entry e of A.data goes to slot
+    `slots[e]` of one flat workspace holding, in turn, the band block in
+    dgbtrf's storage (2 kl + ku + 1 rows, column-major), the border
+    columns (nb x k, column-major), the border rows (k x nb) and the
+    corner (k x k).  `order` is None when splu factors the pattern.
+    """
+
+    columns: np.ndarray
+    order: np.ndarray | None = None
+    k: int = 0
+    kl: int = 0
+    ku: int = 0
+    slots: np.ndarray | None = None
+
+
+def _band_plan(A: sp.csc_matrix) -> _BandPlan:
+    """The plan of A's sparsity pattern.  It is memoised by the exact
+    pattern and made from that key alone, so no other pattern can reuse
+    it.  scipy holds indptr and indices in one index type."""
+    return _pattern_plan(A.shape[0], A.indices.dtype.str, A.indptr.tobytes(),
+                         A.indices.tobytes())
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _pattern_plan(n: int, index_type: str, indptr: bytes, indices: bytes) -> _BandPlan:
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    indices = np.frombuffer(indices, index_type)
+    A = sp.csc_matrix((np.ones(indices.size), indices, np.frombuffer(indptr, index_type)),
+                      shape=(n, n))
+    columns, rows, _ = _triplets(A)
+    degree = np.bincount(columns, minlength=n) + np.bincount(rows, minlength=n)
+    dense = degree > BORDER_DEGREE_RATIO * np.median(degree)
+    inner, border = np.flatnonzero(~dense), np.flatnonzero(dense)
+    band = inner[reverse_cuthill_mckee(A[inner][:, inner].tocsr(),
+                                       symmetric_mode=False)]
+    order = np.concatenate([band, border])
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    r, c = position[rows], position[columns]
+    nb, k = band.size, border.size
+    row_in, col_in = r < nb, c < nb
+    offsets = (r - c)[row_in & col_in]
+    kl, ku = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
+    if (kl + ku + 1) * nb > BAND_FILL_LIMIT * A.nnz:
+        return _BandPlan(columns)
+    ldab = 2 * kl + ku + 1
+    border_cols = ldab * nb
+    border_rows = border_cols + nb * k
+    corner = border_rows + k * nb
+    slots = np.select(
+        [row_in & col_in, row_in, col_in],
+        [kl + ku + r - c + ldab * c, border_cols + r + nb * (c - nb),
+         border_rows + nb * (r - nb) + c],
+        corner + k * (r - nb) + c - nb,
+    )
+    return _BandPlan(columns, order, k, kl, ku, slots)
+
+
+def _factor_band(A: sp.csc_matrix, plan: _BandPlan):
+    """A^{-1} by the plan's band LU and the border's Schur complement
+    S = A_KK - A_KB B^{-1} A_BK; None when the plan leaves A to splu or
+    the band block B is exactly singular."""
+    order, k, kl, ku = plan.order, plan.k, plan.kl, plan.ku
+    if order is None:
+        return None
+    n = order.size
+    nb = n - k
+    ldab = 2 * kl + ku + 1
+    work = np.bincount(plan.slots, weights=A.data, minlength=ldab * nb + (2 * nb + k) * k)
+    lu, piv, info = lapack.dgbtrf(work[: ldab * nb].reshape((ldab, nb), order="F"),
+                                  kl, ku, overwrite_ab=1)
+    if info > 0:
+        return None
+    if info < 0:
+        raise RuntimeError(f"dgbtrf: illegal argument {-info}")
+    band, border = order[:nb], order[nb:]
+    if k:
+        cut = ldab * nb
+        border_cols = work[cut : cut + nb * k].reshape((nb, k), order="F")
+        B_inv_cols = lapack.dgbtrs(lu, kl, ku, border_cols, piv, overwrite_b=1)[0]
+        border_rows = work[cut + nb * k : cut + 2 * nb * k].reshape((k, nb))
+        schur = work[cut + 2 * nb * k :].reshape((k, k)) - border_rows.dot(B_inv_cols)
+        lu_s, piv_s, info = lapack.dgetrf(schur, overwrite_a=1)
+        if info > 0:
+            raise _exactly_singular(f"zero pivot at {nb + info}")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.empty(n)
+        y = lapack.dgbtrs(lu, kl, ku, b[band], piv)[0]
+        if k:
+            z = lapack.dgetrs(lu_s, piv_s, b[border] - border_rows.dot(y))[0]
+            y -= B_inv_cols.dot(z)
+            x[border] = z
+        x[band] = y
+        return x
+
+    return solve
+
+
+def _inverse_norm_estimate(solve, n: int) -> float:
+    """Hager's estimate of |A^{-1}|_1 (Higham 1988, Algorithm 4.1, with
+    the alternating-sign vector of LAPACK's dlacn2), a lower bound reached
+    in a few solves.  The saddle matrix is symmetric, so the solves with
+    A^T that the method asks for are solves with A, as in dsycon."""
+    x = solve(np.full(n, 1.0 / n))
+    est = float(np.abs(x).sum())
+    if n == 1 or not np.isfinite(est):
+        return est
+    sign = np.where(x >= 0.0, 1.0, -1.0)
+    z = np.abs(solve(sign))
+    j = int(z.argmax())
+    for _ in range(4):
+        e = np.zeros(n)
+        e[j] = 1.0
+        x = solve(e)
+        previous, est = est, float(np.abs(x).sum())
+        new_sign = np.where(x >= 0.0, 1.0, -1.0)
+        if est <= previous or (new_sign == sign).all():
+            est = max(est, previous)
+            break
+        sign = new_sign
+        z = np.abs(solve(sign))
+        last, j = j, int(z.argmax())
+        if z[last] == z[j]:
+            break
+    i = np.arange(n)
+    alternating = (1.0 + i / (n - 1)) * np.where(i % 2, -1.0, 1.0)
+    return max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3.0 * n))
 
 
 def _exactly_singular(detail: str) -> SingularSubproblem:

@@ -332,25 +332,65 @@ class TestValidation:
             validate_problem(broken, seed=2)
 
     def test_hessian_fault_matches_the_reference_test(self):
-        # max(H - H^T) in place of max|H - H^T|, on both storages
+        # max(H - H^T) in place of max|H - H^T|, on dense storage and on
+        # CSR as built, with a structurally asymmetric pattern, with
+        # explicit zeros, with unsorted indices and with duplicate entries
         import scipy.sparse as sp
 
         from ssqp.model import hessian_fault
 
+        def reference(M):
+            D = M.toarray() if sp.issparse(M) else M
+            scale = max(np.abs(D).max(), 1.0)
+            if not np.isfinite(scale):
+                return "not finite"
+            return "not symmetric to 1e-10" if np.abs(D - D.T).max() > 1e-10 * scale else None
+
+        def storages(H, rng):
+            csr = sp.csr_matrix(H)
+            yield H
+            yield csr
+            # explicit zeros: every position stored, zero or not
+            n = H.shape[0]
+            rows, cols = np.divmod(np.arange(n * n), n)
+            yield sp.csr_matrix((H.ravel(), (rows, cols)), shape=H.shape)
+            # unsorted: each row's entries in reverse order
+            order = np.concatenate([np.arange(a, b)[::-1]
+                                    for a, b in zip(csr.indptr[:-1], csr.indptr[1:])])
+            unsorted = sp.csr_matrix((csr.data[order], csr.indices[order], csr.indptr),
+                                     shape=H.shape)
+            yield unsorted
+            # duplicates: every entry stored twice, as two parts of its value
+            split = rng.standard_normal(csr.nnz)
+            counts = 2 * np.diff(csr.indptr)
+            yield sp.csr_matrix(
+                (np.column_stack([csr.data - split, split]).ravel(),
+                 np.repeat(csr.indices, 2), np.concatenate([[0], np.cumsum(counts)])),
+                shape=H.shape)
+
         rng = np.random.default_rng(8)
+        seen = {None: 0, "not symmetric to 1e-10": 0, "unsorted": 0}
         for _ in range(300):
             n = int(rng.integers(1, 6))
             H = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 2)
-            H = H + H.T
+            H = (H + H.T) * (rng.random((n, n)) < 0.7)
+            H = np.triu(H) + np.triu(H, 1).T
             i, j = rng.integers(0, n, 2)
-            H[i, j] += rng.choice([1, -1]) * 10.0 ** rng.uniform(-13, -8) * max(
+            delta = rng.choice([1, -1]) * 10.0 ** rng.uniform(-13, -8) * max(
                 np.abs(H).max(), 1.0)
-            asymmetric = (np.abs(H - H.T).max()
-                          > 1e-10 * max(np.abs(H).max(), 1.0))
-            for M in (H, sp.csr_matrix(H)):
-                assert hessian_fault(M) == (
-                    "not symmetric to 1e-10" if asymmetric else None)
+            if i != j and rng.random() < 0.5:
+                # structurally asymmetric: H_ij stored, its mirror not
+                H[i, j], H[j, i] = delta, 0.0
+            else:
+                H[i, j] += delta
+            for M in storages(H, rng):
+                fault = hessian_fault(M)
+                assert fault == reference(M)
+                seen[fault] += 1
+                seen["unsorted"] += sp.issparse(M) and not M.has_sorted_indices
+        assert min(seen.values()) >= 100
         assert hessian_fault(np.array([[1.0, np.nan], [0.0, 1.0]])) == "not finite"
+        assert hessian_fault(sp.csr_matrix(np.array([[1.0, np.inf], [0.0, 1.0]]))) == "not finite"
 
     def test_non_finite_hessian_detected(self):
         p = two_constraint_linear()

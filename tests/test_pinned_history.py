@@ -138,10 +138,14 @@ PINNED = {
         (3.0642493409338556e-07, 0.0, 3.0642493409338556e-07, 0.0, 6.128498681867711e-07, 1.9998855383478118),
         (9.392486788328824e-14, 0.0, 9.392486788328824e-14, 0.0, 1.8784973576657649e-13, None),
     ]),
+    # re-captured when sparse saddle matrices moved from splu to the band
+    # LU with a dense border: iterate 1 moved by 3e-16 (subproblem 0 has
+    # condition estimate 6.4e5), record 1's KKT parts by up to 7.4e-10
+    # relative
     'eigencontrol-n49': ('Converged', [
         (0.006200526349554824, 0.0004622022238586006, 0.005738324125696224, 0.0, 0.010000000000000002, None),
-        (1.1978206709203546e-07, 3.0970714826751803e-08, 8.881135226528366e-08, 0.0, 2.4894875983933396e-07, 1.7554513087924242),
-        (1e-14, 1.996043561565527e-17, 1.04987974463473e-16, 0.0, 2.06160369258851e-15, None),
+        (1.1978206702640806e-07, 3.097071482686928e-08, 8.881135219953877e-08, 0.0, 2.4894875998020136e-07, 1.7785518011779295),
+        (1e-14, 1.524533669734604e-17, 1.0498940014228076e-16, 0.0, 1.6138124346907796e-15, None),
     ]),
     'cone-12-m6': ('Converged', [
         (1.0, 2.471989376689469, 0.06311141550107802, 0.0, None, None),

@@ -2,9 +2,13 @@
 system, over generated subproblems.
 
 Each subproblem is solved with dense blocks (Bunch-Kaufman), with H, J
-or both as scipy.sparse CSR (sparse LU), and by the classical reference
-of `saddle_reference`, which assembles [[H, J^T], [J, -rho M_Y^{-1}]]
-with an explicit inverse, enumerating activity patterns for cones.
+or both as scipy.sparse CSR (band LU with a dense border, or splu), and
+by the classical reference of `saddle_reference`, which assembles
+[[H, J^T], [J, -rho M_Y^{-1}]] with an explicit inverse, enumerating
+activity patterns for cones.  Two kinds of subproblems are drawn: small
+dense ones, and structured ones shaped like a discretized problem, whose
+sparse saddle matrix is a band after reordering plus a few dense rows and
+columns.
 """
 
 import numpy as np
@@ -42,16 +46,65 @@ def subproblems(draw, cone: bool):
     gens = orthonormal(rng, ny, m) * rng.uniform(0.5, 2.0, m)
     lamk = rng.standard_normal(ny)
     if m:
-        # shift lam_k by M_Y gens c so that pairing i becomes
-        # min(pairing i, 0) - |s_i| <= 0
-        pairings = gens.T @ lamk
-        gram = gens.T @ My @ gens
-        target = np.minimum(pairings, 0.0) - np.abs(rng.standard_normal(m))
-        lamk = lamk - My @ gens @ np.linalg.solve(gram, pairings - target)
+        lamk = _polar_start(rng, lamk, My, gens)
     blocks = dict(H=H, J=J, g=rng.standard_normal(nz),
                   Gval=rng.standard_normal(ny), rho=rho, lamk=lamk,
                   zk=rng.standard_normal(nz))
     return blocks, My, gens
+
+
+def _polar_start(rng, lamk, My, gens):
+    """lam_k shifted by M_Y gens c so that pairing i becomes
+    min(pairing i, 0) - |s_i| <= 0."""
+    pairings = gens.T @ lamk
+    gram = gens.T @ My @ gens
+    target = np.minimum(pairings, 0.0) - np.abs(rng.standard_normal(gens.shape[1]))
+    return lamk - My @ gens @ np.linalg.solve(gram, pairings - target)
+
+
+def _banded(rng, rows: int, cols: int, width: int, scale: float) -> np.ndarray:
+    """Entries in U(-scale, scale) on the diagonals |j - i| <= width."""
+    i, j = np.indices((rows, cols))
+    return np.where(np.abs(j - i) <= width, rng.uniform(-scale, scale, (rows, cols)), 0.0)
+
+
+@st.composite
+def structured_subproblems(draw, cone: bool):
+    """(blocks, M_Y, generators) shaped like a discretized problem: H and
+    J banded with random bandwidths, plus `dense` variables whose rows and
+    columns of H and columns of J are full (eigencontrol's control q is
+    one), all variables relabelled at random.  H is SPD by diagonal
+    dominance, J's leading ny x ny block is diagonally dominant so its
+    singular values stay in about [0.9, 3], M_Y is a diagonally dominant
+    band of bandwidth <= 2 in sparse storage, rho is in [1e-8, 1], and
+    for cones m <= 3 full generators start lam_k in the polar cone."""
+    dense = draw(st.integers(0, 2))
+    ny = draw(st.integers(4, 32))
+    nz = draw(st.integers(ny + dense, 2 * ny + dense))
+    m = draw(st.integers(1, min(3, ny))) if cone else 0
+    rho = 10.0 ** draw(st.floats(-8.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hw, jw, mw = (draw(st.integers(0, 2)) for _ in range(3))
+    off = _banded(rng, nz, nz, hw, 1.0)
+    off[:, nz - dense :] = rng.uniform(-1.0, 1.0, (nz, dense))
+    off = np.triu(off, 1) + np.triu(off, 1).T
+    H = off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.5, 2.0, nz))
+    J = _banded(rng, ny, nz, jw, 0.3 / (jw + 1))
+    J[:, :ny] += np.diag(rng.choice([-1.0, 1.0], ny) * rng.uniform(1.5, 2.0, ny))
+    J[:, nz - dense :] = rng.uniform(-1.0, 1.0, (ny, dense))
+    relabel = rng.permutation(nz)
+    H, J = H[np.ix_(relabel, relabel)], J[:, relabel]
+    band = _banded(rng, ny, ny, mw, 0.2 / (mw + 1))
+    band = np.triu(band, 1) + np.triu(band, 1).T
+    My = band + np.diag(np.abs(band).sum(axis=1) + rng.uniform(0.5, 1.5, ny))
+    gens = orthonormal(rng, ny, m) * rng.uniform(0.5, 2.0, m)
+    lamk = rng.standard_normal(ny)
+    if m:
+        lamk = _polar_start(rng, lamk, My, gens)
+    blocks = dict(H=H, J=J, g=rng.standard_normal(nz),
+                  Gval=rng.standard_normal(ny), rho=rho, lamk=lamk,
+                  zk=rng.standard_normal(nz))
+    return blocks, sp.csr_matrix(My), gens
 
 
 def _system(blocks, My, sparse_blocks=()):
@@ -67,6 +120,11 @@ def _system(blocks, My, sparse_blocks=()):
 
 
 STORAGES = [(), ("H",), ("J",), ("H", "J")]
+
+
+def _cone(My, gens):
+    Y = InnerProductSpace(My)
+    return ConeSpec(Y, tuple(Y.vector(y) for y in gens.T))
 
 
 def _check_agreement(blocks, My, gens, solve):
@@ -93,6 +151,20 @@ def test_equality_solve_agrees_across_storage_and_with_classical_system(case):
 @given(subproblems(cone=True))
 def test_cone_solve_agrees_across_storage_and_with_classical_system(case):
     blocks, My, gens = case
-    Y = InnerProductSpace(My)
-    cone = ConeSpec(Y, tuple(Y.vector(y) for y in gens.T))
+    cone = _cone(My, gens)
+    _check_agreement(blocks, My, gens, lambda sys: solve_cone(sys, cone))
+
+
+@PROPERTY
+@given(structured_subproblems(cone=False))
+def test_structured_equality_solve_agrees_with_classical_system(case):
+    blocks, My, gens = case
+    _check_agreement(blocks, My, gens, solve_equality)
+
+
+@PROPERTY
+@given(structured_subproblems(cone=True))
+def test_structured_cone_solve_agrees_with_classical_system(case):
+    blocks, My, gens = case
+    cone = _cone(My, gens)
     _check_agreement(blocks, My, gens, lambda sys: solve_cone(sys, cone))

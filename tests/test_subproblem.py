@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from ssqp.bench import get_benchmark
@@ -128,8 +129,8 @@ class TestSaddleSystem:
 
 
 def test_dense_norms_are_numpy_norms():
-    # _factor's |A|_1 and euclidean_norm are np.linalg.norm's own
-    # arithmetic, bit for bit
+    # _factor's |A|_1, of dense and of CSC storage, and euclidean_norm are
+    # np.linalg.norm's own arithmetic, bit for bit
     from ssqp.spaces import euclidean_norm
     from ssqp.subproblem import _factor
 
@@ -138,8 +139,116 @@ def test_dense_norms_are_numpy_norms():
         A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
         A = A + A.T + 2 * n * np.eye(n)
         assert _factor(A)[1] == np.linalg.norm(A, 1)
+        assert _factor(scipy.sparse.csc_matrix(A))[1] == np.linalg.norm(A, 1)
         v = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
         assert euclidean_norm(v) == np.linalg.norm(v)
+
+
+def arrow_system(n: int, rho: float, zero_row: int | None = None,
+                 sparse: bool = True):
+    """An eigencontrol-shaped subproblem: n states and one control q, an
+    arrow Hessian [[h I, lam], [lam^T, alpha]], a Jacobian [K | u] with K
+    tridiagonal (row `zero_row` of K zero) and u full, lumped M_Y = h I.
+    Its sparse saddle matrix is a band plus the dense row and column of q."""
+    rng = np.random.default_rng(n)
+    h = 1.0 / (n + 1)
+    H = np.diag(np.append(np.full(n, h), 4.0))
+    H[:n, n] = H[n, :n] = 0.1 * h * rng.standard_normal(n)
+    K = (np.diag(rng.uniform(1.0, 2.0, n)) + np.diag(rng.uniform(-0.5, 0.5, n - 1), 1)
+         + np.diag(rng.uniform(-0.5, 0.5, n - 1), -1))
+    if zero_row is not None:
+        K[zero_row] = 0.0
+    J = np.column_stack([K, rng.uniform(0.5, 1.0, n)])
+    store = scipy.sparse.csr_matrix if sparse else np.asarray
+    spaceZ = InnerProductSpace.identity(n + 1)
+    spaceY = InnerProductSpace(h * scipy.sparse.identity(n, format="csr"))
+    return SaddleSystem(
+        H=store(H), J=store(J), g=rng.standard_normal(n + 1),
+        Gval=rng.standard_normal(n), rho=rho,
+        lamk=spaceY.functional(rng.standard_normal(n)),
+        zk=spaceZ.vector(rng.standard_normal(n + 1)), spaceZ=spaceZ, spaceY=spaceY,
+    )
+
+
+def assert_matches_reference(sys, dense_twin):
+    d_ref, l_ref, _ = pattern_solve(dense_twin)
+    sol = solve_equality(sys)
+    scale = 1.0 + np.abs(d_ref).max() + np.abs(l_ref).max()
+    assert np.abs(sol.z_next.coords - sys.zk.coords - d_ref).max() <= 1e-9 * scale
+    assert np.abs(sol.lam_next.coeffs - l_ref).max() <= 1e-9 * scale
+    check_solution_invariants(sys, None, sol)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """The matrices scipy.sparse.linalg.splu factors, in order."""
+    import scipy.sparse.linalg
+
+    calls, splu = [], scipy.sparse.linalg.splu
+
+    def counted(A, *args, **kwargs):
+        calls.append(A)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    return calls
+
+
+class TestBandPlan:
+    def test_eigencontrol_is_a_narrow_band_bordered_by_q(self, splu_calls):
+        from ssqp.subproblem import _band_plan
+
+        bm = get_benchmark("eigencontrol-n49", n=200)
+        p = bm.problem
+        z, lam = bm.default_start()
+        sys = SaddleSystem(
+            H=p.hess_L(z, lam), J=p.jac_G(z), g=p.grad_f(z).coeffs,
+            Gval=p.G(z).coords, rho=1e-3, lamk=lam, zk=z, spaceZ=p.Z, spaceY=p.Y,
+        )
+        plan = _band_plan(assemble_saddle_matrix(sys))
+        assert plan.order[-1] == 200 and plan.k == 1  # q, the last of z
+        assert max(plan.kl, plan.ku) <= 3
+        solve_equality(sys)
+        assert splu_calls == []
+
+    def test_singular_band_block_falls_back_to_splu(self, splu_calls):
+        # unstabilized, with row 7 of K zero: the band block has a zero
+        # row, and only u, in the border column of q, makes A nonsingular
+        from ssqp.subproblem import _band_plan, _factor_band
+
+        sys = arrow_system(30, 0.0, zero_row=7)
+        A = assemble_saddle_matrix(sys)
+        plan = _band_plan(A)
+        assert plan.k == 1
+        assert _factor_band(A, plan) is None
+        assert np.linalg.matrix_rank(A.toarray()) == A.shape[0]
+        assert_matches_reference(sys, arrow_system(30, 0.0, zero_row=7, sparse=False))
+        assert len(splu_calls) == 1
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-8, 1.0])
+    def test_bordered_solve_matches_reference(self, splu_calls, rho):
+        assert_matches_reference(arrow_system(30, rho), arrow_system(30, rho, sparse=False))
+        assert splu_calls == []
+
+    def test_each_pattern_gets_its_own_plan(self):
+        from ssqp.subproblem import PLAN_CACHE_SIZE, _band_plan, _pattern_plan
+
+        systems = {row: arrow_system(30, 1e-3, zero_row=row) for row in (None, 7, 8)}
+        matrices = {row: assemble_saddle_matrix(sys) for row, sys in systems.items()}
+        plans = {row: _band_plan(A) for row, A in matrices.items()}
+        # rows 7 and 8 of K zero: the same shape and entry count
+        assert matrices[7].shape == matrices[8].shape == matrices[None].shape
+        assert matrices[7].nnz == matrices[8].nnz
+        assert len({id(plan) for plan in plans.values()}) == 3
+        assert not np.array_equal(plans[7].slots, plans[8].slots)
+        # the same pattern with other values reuses its plan
+        same = assemble_saddle_matrix(arrow_system(30, 0.5))
+        assert _band_plan(same) is plans[None]
+        for row, sys in systems.items():
+            assert_matches_reference(sys, arrow_system(30, 1e-3, zero_row=row, sparse=False))
+        for n in range(3, 3 + 2 * PLAN_CACHE_SIZE):
+            _band_plan(assemble_saddle_matrix(arrow_system(n, 1e-3)))
+        assert _pattern_plan.cache_info().currsize == PLAN_CACHE_SIZE
 
 
 class TestConditionEstimate:
