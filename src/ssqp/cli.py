@@ -346,8 +346,7 @@ def cmd_diagnose(cfg: RunConfig, rho_grid: list[float] | None = None) -> int:
     H = problem.hess_L(point, lam)
     J = problem.jac_G(point)
     grid = rho_grid if rho_grid else _DIAGNOSE_RHO_GRID
-    margins = [diagnostics.coercivity_margin(H, J, problem.Z, problem.Y, rho)
-               for rho in grid]
+    margins = diagnostics.coercivity_margin(H, J, problem.Z, problem.Y, grid)
     if bm.reference is not None:
         rng = np.random.default_rng(cfg.seed)
         radius = 0.5 * bm.certified_radius
@@ -356,8 +355,7 @@ def cmd_diagnose(cfg: RunConfig, rho_grid: list[float] | None = None) -> int:
             dz = rng.standard_normal(problem.Z.dim)
             dz *= radius * rng.uniform(0.1, 1.0) / problem.Z.norm_arr(dz)
             dl = rng.standard_normal(problem.Y.dim)
-            dln = problem.Y.dual_norm_arr(dl)
-            dl *= radius * rng.uniform(0.1, 1.0) / dln
+            dl *= radius * rng.uniform(0.1, 1.0) / problem.Y.dual_norm_arr(dl)
             samples.append((
                 problem.Z.vector(bm.reference.z_star.coords + dz),
                 problem.Y.functional(bm.reference.lambda_star.coeffs + dl),

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .model import ConeSpec, ProblemDef, as_matrix, issparse, nnls, to_dense
 from .spaces import Functional, InnerProductSpace, PrimalVec, euclidean_norm
+from .subproblem import sparse_matrix, sparse_solver
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -49,7 +50,7 @@ class ReferenceSolution:
     the size of the terms they sum.  The projector onto the set is
     factored on the first projection and cached here, so the data must
     not change after construction.  A scipy.sparse `j_star` stays sparse
-    (as CSR), and the projector then factors it by sparse LU.
+    (as CSR), and the projector factors it as sparse saddle matrices are.
     """
 
     z_star: PrimalVec
@@ -112,7 +113,7 @@ def _factor_multiplier_set(ref: ReferenceSolution) -> _Projector:
     """Whitened affine hull of the multiplier set, once per reference.
 
     A dense `j_star` is factored by a rank-revealing QR, a scipy.sparse
-    one by sparse LU (`_sparse_affine_hull`); both decide the rank by
+    one by inverse iteration (`_sparse_affine_hull`); both decide the rank by
     numpy.linalg.lstsq's default cut-off, eps max(shape) times the
     largest whitened column norm, which is |R_00| under column pivoting.
     Membership is decided once, at construction, so the projector never
@@ -172,10 +173,11 @@ MAX_SWEEPS = 30
 
 def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
                         rcond: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(anchor, basis, cond) of B^T w = -g for B = L^T J, by sparse LU.
+    """(anchor, basis, cond) of B^T w = -g for B = L^T J, iteratively.
 
     The shifted Jordan-Wielandt matrix K = [[-s I, J], [J^T, -s I]], with
-    s the rank cut-off on J's own scale, is factored once.  The top-left
+    s the rank cut-off on J's own scale, is factored once, as the sparse
+    saddle matrices are (`subproblem.sparse_solver`).  The top-left
     block of K^{-1} is s (J J^T - s^2 I)^{-1}: it scales N(J^T) by -1/s
     and a range direction of singular value sigma by about s / sigma^2, so
     block inverse iteration through it finds N(J^T) without forming J J^T.
@@ -191,23 +193,20 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
     it is the minimum-norm solution.
     """
     import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
 
     n, m = J.shape
     massed = Y.scaled_mass(sparse=True) @ J
-    top = np.sqrt(Y.mass_scale * _column_sums(J.multiply(massed)).max())
-    s = rcond * np.sqrt(_column_sums(J.multiply(J)).max())
+    top = np.sqrt(Y.mass_scale * J.multiply(massed).sum(axis=0).max())
+    s = rcond * np.sqrt(J.multiply(J).sum(axis=0).max())
     if s == 0.0:  # J = 0, so the certified g* is 0 and the set is all of Y
         return np.zeros(n), np.eye(n), 1.0
-    coo, diagonal = J.tocoo(), np.arange(n + m)
-    lu = splu(sp.csc_matrix(
-        (np.concatenate([np.full(n + m, -s), coo.data, coo.data]),
-         (np.concatenate([diagonal, coo.row, coo.col + n]),
-          np.concatenate([diagonal, coo.col + n, coo.row]))),
-        shape=(n + m, n + m)))
+    solve_K = sparse_solver(sparse_matrix(
+        n + m, [(0, 0, False, sp.identity(n + m, format="csr")), (0, n, False, J),
+                (n, 0, True, J)],
+        np.concatenate([np.full(n + m, -s), J.data, J.data])))
 
     def solve(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-        return lu.solve(np.concatenate([upper, lower]))[:n]
+        return solve_K(np.concatenate([upper, lower]))[:n]
 
     rng = np.random.default_rng(0)  # a local stream: no global state
     p = min(n, START_BLOCK)
@@ -246,10 +245,6 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
             break
     anchor = Y.whiten_dual(x)
     return anchor - basis @ (basis.T @ anchor), basis, cond
-
-
-def _column_sums(M) -> np.ndarray:
-    return np.asarray(M.sum(axis=0)).ravel()
 
 
 def _ritz(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,20 +319,27 @@ def _whitened_jacobian(J, Z: InnerProductSpace, Y: InnerProductSpace) -> np.ndar
 
 
 def coercivity_margin(H, J, Z: InnerProductSpace, Y: InnerProductSpace,
-                      rho: float) -> float:
+                      rho: float | Sequence[float]) -> float | list[float]:
     """Smallest eigenvalue of H + (1/rho) J^T M_Y J in the M_Z metric.
 
     The second term is the squared Y-norm of the linearized constraint,
     so the margin measures how much the stabilization term restores
     coercivity of an indefinite Hessian.  It is computed whitened, as the
-    smallest eigenvalue of L_Z^{-1} H L_Z^{-T} + C^T C / rho.
+    smallest eigenvalue of L_Z^{-1} H L_Z^{-T} + C^T C / rho.  A sequence
+    of rho gives the list of their margins; H and J are whitened once.
     """
-    if not rho > 0:  # written so that NaN fails too
+    if not (np.asarray(rho) > 0).all():  # written so that NaN fails too
         raise ValueError("rho must be positive")
     C = _whitened_jacobian(J, Z, Y)
-    A = Z.whiten_dual(Z.whiten_dual(to_dense(H)).T) + (C.T @ C) / rho
-    eigs = scipy.linalg.eigvalsh(0.5 * (A + A.T), subset_by_index=[0, 0])
-    return float(eigs[0])
+    H, CtC = Z.whiten_dual(Z.whiten_dual(to_dense(H)).T), C.T @ C
+    margins = []
+    for r in np.atleast_1d(rho):
+        A = CtC / r  # 0.5 (A + A^T) for A = H + C^T C / rho, formed in place
+        A += H
+        A += A.T  # numpy reads the overlapping A.T from a copy
+        A *= 0.5
+        margins.append(float(scipy.linalg.eigvalsh(A, subset_by_index=[0, 0])[0]))
+    return margins if np.ndim(rho) else margins[0]
 
 
 @dataclass

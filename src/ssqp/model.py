@@ -168,8 +168,8 @@ class ProblemDef:
     hess_L(z, lam) is the full Lagrangian Hessian, symmetric and affine in
     the multiplier.  Both may return a numpy array or a scipy.sparse
     matrix; sparse output keeps the subproblem sparse, and its saddle
-    system is factored by sparse LU.  Callbacks must be pure so that
-    distinct solves can share a ProblemDef.
+    system is factored as a band with a dense border.  Callbacks must
+    be pure so that distinct solves can share a ProblemDef.
     """
 
     Z: InnerProductSpace

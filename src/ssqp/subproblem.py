@@ -26,11 +26,11 @@ band with a dense border.  The rows and columns that store far more than
 the median (eigencontrol's control q, a cone's active generators) form the
 border, reverse Cuthill-McKee orders the rest into a narrow band, LAPACK
 dgbtrf factors the band block and dgetrf the border's Schur complement.
-This plan is the symbolic work; it is made once per sparsity pattern and
-memoised, so each iterate only scatters its entries and factors.  Sparse
-LU (splu) takes over where the band would be mostly fill or the band
-block is exactly singular.  For K = {0} one solve gives the step.  The
-cone case runs a primal-dual active set iteration over the generator
+This plan and the CSC layout, the symbolic work, are made once per
+sparsity pattern and memoised (the projector's sparse solves share them).
+splu takes over where the band would be mostly fill or the band block is
+exactly singular.  For K = {0} one solve gives the step.  The cone case
+runs a primal-dual active set iteration over the generator
 complementarities, each trial pattern solved by the same factorization.
 
 A subproblem of a few unknowns costs microseconds, so each step calls
@@ -163,10 +163,20 @@ def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
     active generators: a dense array, or CSC when the system is sparse."""
     Mh, weight = sys.scaled_mass, sys.weight
     border = -Mh.dot(cone.generator_matrix[:, list(active)]) if active else None
-    if sys.sparse:
-        return _csc_from_blocks(sys.H, sys.J, Mh, weight, border)
     nz = sys.spaceZ.dim
     n = nz + sys.spaceY.dim
+    if sys.sparse:
+        import scipy.sparse as sp
+
+        MJ = Mh @ sys.J
+        blocks = [(0, 0, False, sys.H), (0, nz, True, MJ), (nz, 0, False, MJ),
+                  (nz, nz, False, Mh)]
+        data = [sys.H.data, MJ.data, MJ.data, -weight * Mh.data]
+        if active:
+            B = sp.csr_matrix(border)
+            blocks += [(nz, n, False, B), (n, nz, True, B)]
+            data += [B.data, B.data]
+        return sparse_matrix(n + len(active), blocks, np.concatenate(data))
     A = np.zeros((n + len(active), n + len(active)))
     A[:nz, :nz] = sys.H
     MJ = Mh.dot(sys.J)
@@ -179,31 +189,26 @@ def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
     return A
 
 
-def _triplets(M):
-    """(rows, cols, data) of a CSR matrix, in storage order; of a CSC
-    matrix this is (cols, rows, data)."""
-    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices, M.data
+def sparse_matrix(n: int, blocks, data: np.ndarray) -> sp.csc_matrix:
+    """The n x n CSC matrix of the triplets of `blocks`, in turn, with the
+    values `data`; entries at one position are summed, in triplet order.
 
-
-def _csc_from_blocks(H, J, Mh, weight: float, border) -> sp.csc_matrix:
-    """[[H, (M^ J)^T, 0], [M^ J, -weight M^, border], [0, border^T, 0]] as
-    CSC, from the CSR blocks' triplets (a third of the cost of
-    scipy.sparse.bmat at small sizes)."""
+    A block (row offset, column offset, transposed, M) places the CSR
+    matrix M, or its transpose, and `data` holds each block's M.data.  The
+    layout is that of `_sparse_plan`, memoised by the blocks' patterns, so
+    an iterate only gathers its values; the matrix carries it as `plan`.
+    """
     import scipy.sparse as sp
 
-    nz, ny = H.shape[0], Mh.shape[0]
-    jr, jc, jd = _triplets(Mh @ J)
-    hr, hc, hd = _triplets(H)
-    mr, mc, md = _triplets(Mh)
-    if border is None:
-        border = np.zeros((ny, 0))
-    br, bc = np.nonzero(border)
-    bd = border[br, bc]
-    rows = np.concatenate([hr, jc, jr + nz, mr + nz, br + nz, bc + nz + ny])
-    cols = np.concatenate([hc, jr + nz, jc, mc + nz, bc + nz + ny, br + nz])
-    data = np.concatenate([hd, jd, jd, -weight * md, bd, bd])
-    dim = nz + ny + border.shape[1]
-    return sp.csc_matrix((data, (rows, cols)), shape=(dim, dim))
+    plan = _sparse_plan(n, tuple(
+        (r0, c0, transposed, M.indices.dtype.str, M.indptr.tobytes(), M.indices.tobytes())
+        for r0, c0, transposed, M in blocks))
+    values = data.take(plan.gather)  # as fast as data[gather] for small index types
+    if plan.starts is not None:
+        values = np.add.reduceat(values, plan.starts)
+    A = sp.csc_matrix((values, plan.indices, plan.indptr), shape=(n, n))
+    A.plan = plan
+    return A
 
 
 def _saddle_rhs(sys: SaddleSystem, n_active: int = 0) -> np.ndarray:
@@ -218,11 +223,16 @@ def _factor(A):
 
     `solve(b)` applies A^{-1} and rcond estimates 1 / (|A|_1 |A^{-1}|_1).
     A dense A is factored by Bunch-Kaufman, with LAPACK's estimate dsycon;
-    a sparse one by `_factor_sparse`, whose estimate runs the same method
-    (Hager's, through the factored solve).
+    a sparse one by `sparse_solver`, with the same method (Hager's) run
+    through its solve and |A|_1 summed in row order as np.linalg.norm sums.
     """
-    if issparse(A):
-        return _factor_sparse(A)
+    if issparse(A):  # from sparse_matrix, with its plan
+        anorm = float(np.bincount(A.plan.columns, weights=np.abs(A.data),
+                                  minlength=A.shape[0]).max())
+        solve = sparse_solver(A)
+        inverse_norm = _inverse_norm_estimate(solve, A.shape[0])
+        finite = np.isfinite(inverse_norm) and anorm != 0.0
+        return solve, anorm, 1.0 / (anorm * inverse_norm) if finite else 0.0
     # np.linalg.norm(A, 1), the largest column sum, by its own reductions
     # without its dispatch and their Python wrappers
     anorm = float(np.maximum.reduce(np.add.reduce(np.abs(A), axis=0)))
@@ -239,49 +249,25 @@ def _factor(A):
     return solve, anorm, rcond
 
 
-def _factor_sparse(A: sp.csc_matrix):
-    """`_factor` of a CSC matrix: band LU with a dense border, else splu.
-
-    The symbolic work runs once per sparsity pattern (`_band_plan`); each
-    call only scatters A.data into LAPACK band storage, factors the band
-    block by dgbtrf and the border's k x k Schur complement by dgetrf.
-    splu factors A instead when the plan found the band too wide, or when
-    the band block is exactly singular.  |A|_1 is the largest column sum,
-    summed in row order as np.linalg.norm sums it.
-    """
-    plan = _band_plan(A)
-    anorm = float(np.bincount(plan.columns, weights=np.abs(A.data),
-                              minlength=A.shape[0]).max())
-    solve = _factor_band(A, plan)
-    if solve is None:
-        # scipy.sparse.linalg adds about 17 ms to every import; only
-        # sparse systems outside the band path need it
-        from scipy.sparse.linalg import splu
-
-        try:
-            solve = splu(A).solve
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise _exactly_singular(str(exc)) from None
-    inverse_norm = _inverse_norm_estimate(solve, A.shape[0])
-    if not np.isfinite(inverse_norm) or anorm == 0.0:
-        return solve, anorm, 0.0
-    return solve, anorm, 1.0 / (anorm * inverse_norm)
-
-
 @dataclass(frozen=True, eq=False)
-class _BandPlan:
-    """The symbolic part of the band factorization of one sparsity pattern.
+class _SparsePlan:
+    """The symbolic work for one triplet pattern of an n x n matrix.
 
-    `columns` holds the column of each stored entry.  `order` lists A's
-    rows, which are also its columns: the band in reverse Cuthill-McKee
-    order, then the k border rows.  Entry e of A.data goes to slot
-    `slots[e]` of one flat workspace holding, in turn, the band block in
-    dgbtrf's storage (2 kl + ku + 1 rows, column-major), the border
-    columns (nb x k, column-major), the border rows (k x nb) and the
-    corner (k x k).  `order` is None when splu factors the pattern.
+    `indptr` and `indices` are the CSC structure, `columns` each entry's
+    column; entry e sums the triplets `gather[starts[e]:starts[e + 1]]`
+    (`starts` is None when no position repeats).  `order` lists A's rows,
+    also its columns: the band in reverse Cuthill-McKee order, then the k
+    border rows.  Entry e of A.data goes to slot `slots[e]` of one flat
+    workspace holding, in turn, the band block in dgbtrf's storage
+    (2 kl + ku + 1 rows, column-major), the border columns (nb x k,
+    column-major), the border rows (k x nb) and the corner (k x k).
     """
 
+    indptr: np.ndarray
+    indices: np.ndarray
     columns: np.ndarray
+    gather: np.ndarray
+    starts: np.ndarray | None
     order: np.ndarray | None = None
     k: int = 0
     kl: int = 0
@@ -289,23 +275,30 @@ class _BandPlan:
     slots: np.ndarray | None = None
 
 
-def _band_plan(A: sp.csc_matrix) -> _BandPlan:
-    """The plan of A's sparsity pattern.  It is memoised by the exact
-    pattern and made from that key alone, so no other pattern can reuse
-    it.  scipy holds indptr and indices in one index type."""
-    return _pattern_plan(A.shape[0], A.indices.dtype.str, A.indptr.tobytes(),
-                         A.indices.tobytes())
-
-
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _pattern_plan(n: int, index_type: str, indptr: bytes, indices: bytes) -> _BandPlan:
+def _sparse_plan(n: int, blocks: tuple) -> _SparsePlan:
+    """The plan of `sparse_matrix`'s blocks, keyed by their exact patterns
+    (offsets, index type, indptr and indices bytes) and made from that key
+    alone, so no other pattern can reuse it."""
     import scipy.sparse as sp
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    indices = np.frombuffer(indices, index_type)
-    A = sp.csc_matrix((np.ones(indices.size), indices, np.frombuffer(indptr, index_type)),
+    rows, cols = [], []
+    for r0, c0, transposed, index_type, indptr, indices in blocks:
+        indptr, indices = np.frombuffer(indptr, index_type), np.frombuffer(indices, index_type)
+        major = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        rows.append((indices if transposed else major) + r0)
+        cols.append((major if transposed else indices) + c0)
+    key = np.concatenate(cols) * n + np.concatenate(rows)  # column-major
+    gather = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[gather], prepend=-1))
+    columns, rows = np.divmod(key[gather][starts], n)
+    A = sp.csc_matrix((np.ones(rows.size), rows, np.searchsorted(columns, np.arange(n + 1))),
                       shape=(n, n))
-    columns, rows, _ = _triplets(A)
+    A.indptr.flags.writeable = A.indices.flags.writeable = False  # every matrix shares them
+    small = np.min_scalar_type(max(n, gather.size))  # kept for the process's life
+    layout = (A.indptr, A.indices, columns.astype(small), gather.astype(small),
+              starts.astype(small) if starts.size < gather.size else None)
     degree = np.bincount(columns, minlength=n) + np.bincount(rows, minlength=n)
     dense = degree > BORDER_DEGREE_RATIO * np.median(degree)
     inner, border = np.flatnonzero(~dense), np.flatnonzero(dense)
@@ -320,7 +313,7 @@ def _pattern_plan(n: int, index_type: str, indptr: bytes, indices: bytes) -> _Ba
     offsets = (r - c)[row_in & col_in]
     kl, ku = int(offsets.max(initial=0)), int(-offsets.min(initial=0))
     if (kl + ku + 1) * nb > BAND_FILL_LIMIT * A.nnz:
-        return _BandPlan(columns)
+        return _SparsePlan(*layout)
     ldab = 2 * kl + ku + 1
     border_cols = ldab * nb
     border_rows = border_cols + nb * k
@@ -331,24 +324,31 @@ def _pattern_plan(n: int, index_type: str, indptr: bytes, indices: bytes) -> _Ba
          border_rows + nb * (r - nb) + c],
         corner + k * (r - nb) + c - nb,
     )
-    return _BandPlan(columns, order, k, kl, ku, slots)
+    return _SparsePlan(*layout, order, k, kl, ku,
+                       slots.astype(np.min_scalar_type(corner + k * k)))
 
 
-def _factor_band(A: sp.csc_matrix, plan: _BandPlan):
-    """A^{-1} by the plan's band LU and the border's Schur complement
-    S = A_KK - A_KB B^{-1} A_BK; None when the plan leaves A to splu or
-    the band block B is exactly singular."""
-    order, k, kl, ku = plan.order, plan.k, plan.kl, plan.ku
-    if order is None:
-        return None
-    n = order.size
-    nb = n - k
-    ldab = 2 * kl + ku + 1
-    work = np.bincount(plan.slots, weights=A.data, minlength=ldab * nb + (2 * nb + k) * k)
-    lu, piv, info = lapack.dgbtrf(work[: ldab * nb].reshape((ldab, nb), order="F"),
-                                  kl, ku, overwrite_ab=1)
-    if info > 0:
-        return None
+def sparse_solver(A: sp.csc_matrix):
+    """A^{-1} for a matrix from `sparse_matrix`, applied to a vector or to
+    the columns of a block: the plan's band LU and the border's Schur
+    complement S = A_KK - A_KB B^{-1} A_BK, or splu when the plan found
+    the band too wide or the band block B is exactly singular."""
+    order, k, kl, ku = A.plan.order, A.plan.k, A.plan.kl, A.plan.ku
+    if order is not None:
+        nb = order.size - k
+        ldab = 2 * kl + ku + 1
+        work = np.bincount(A.plan.slots, weights=A.data, minlength=ldab * nb + (2 * nb + k) * k)
+        lu, piv, info = lapack.dgbtrf(work[: ldab * nb].reshape((ldab, nb), order="F"),
+                                      kl, ku, overwrite_ab=1)
+    if order is None or info > 0:
+        # scipy.sparse.linalg adds about 17 ms to every import; only
+        # sparse systems outside the band path need it
+        from scipy.sparse.linalg import splu
+
+        try:
+            return splu(A).solve
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise _exactly_singular(str(exc)) from None
     if info < 0:
         raise RuntimeError(f"dgbtrf: illegal argument {-info}")
     band, border = order[:nb], order[nb:]
@@ -363,7 +363,7 @@ def _factor_band(A: sp.csc_matrix, plan: _BandPlan):
             raise _exactly_singular(f"zero pivot at {nb + info}")
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x = np.empty(n)
+        x = np.empty(b.shape)
         y = lapack.dgbtrs(lu, kl, ku, b[band], piv)[0]
         if k:
             z = lapack.dgetrs(lu_s, piv_s, b[border] - border_rows.dot(y))[0]

@@ -562,7 +562,7 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 def test_dense_reference_projection_leaves_scipy_sparse_unloaded():
     # a dense j_star keeps the pivoted QR; only a sparse one takes the
-    # sparse-LU projector and its imports
+    # sparse projector and its imports
     assert _python(
         "import contextlib, io, sys, ssqp.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -89,7 +89,7 @@ class TestMultiplierDistance:
 
 
 def csr_twin(ref: ReferenceSolution) -> ReferenceSolution:
-    """The same reference with j_star stored as CSR (the sparse-LU path)."""
+    """The same reference with j_star stored as CSR (the sparse path)."""
     import scipy.sparse as sp
 
     return dataclasses.replace(ref, j_star=sp.csr_matrix(ref.j_star))

@@ -141,10 +141,11 @@ PINNED = {
     # re-captured when sparse saddle matrices moved from splu to the band
     # LU with a dense border: iterate 1 moved by 3e-16 (subproblem 0 has
     # condition estimate 6.4e5), record 1's KKT parts by up to 7.4e-10
-    # relative
+    # relative; record 1's order re-captured again when the projector moved
+    # to the band LU: its stencil reads record 2's error, 1.6e-15
     'eigencontrol-n49': ('Converged', [
         (0.006200526349554824, 0.0004622022238586006, 0.005738324125696224, 0.0, 0.010000000000000002, None),
-        (1.1978206702640806e-07, 3.097071482686928e-08, 8.881135219953877e-08, 0.0, 2.4894875998020136e-07, 1.7785518011779295),
+        (1.1978206702640806e-07, 3.097071482686928e-08, 8.881135219953877e-08, 0.0, 2.4894875998020136e-07, 1.7785490365266157),
         (1e-14, 1.524533669734604e-17, 1.0498940014228076e-16, 0.0, 1.6138124346907796e-15, None),
     ]),
     'cone-12-m6': ('Converged', [

@@ -5,6 +5,7 @@ inequalities, one least-squares solve each.  Its feasibility tests use
 1e-9 tolerances, so it is only good to about 1e-10.
 """
 
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -171,3 +172,61 @@ def test_sparse_storage_matches_dense(ref, seed, size):
     sparse_dist, _ = multiplier_distance(csr, lam)
     assert sparse_dist == pytest.approx(dist, rel=1e-9, abs=1e-12)
     assert null_dimension(csr) == null_dimension(ref)
+
+
+@st.composite
+def banded_references(draw):
+    """(reference, k): a sparse j_star shaped like a discretized
+    constraint, whose transpose has a planted null space of dimension k.
+
+    The leading ny x ny block is banded (bandwidth <= 2) and diagonally
+    dominant, 0-2 more columns are full (eigencontrol's control is one),
+    and the columns are relabelled at random.  k rows, at least three
+    apart, are then replaced by a combination a r_{i-1} + b r_{i+1} of
+    their neighbours, so each plants a null vector (a, -1, b); the other
+    rows stay independent.  M_Y is a diagonally dominant band in sparse
+    storage."""
+    import scipy.sparse as sp
+
+    k = draw(st.sampled_from([1, 2]))
+    dense = draw(st.integers(0, 2))
+    ny = draw(st.integers(32, 64))  # enough rows that full columns join the border
+    width = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = np.indices((ny, ny))
+    J = np.where(np.abs(j - i) <= width, rng.uniform(-0.3, 0.3, (ny, ny)), 0.0)
+    J += np.diag(rng.choice([-1.0, 1.0], ny) * rng.uniform(1.5, 2.0, ny))
+    J = np.hstack([J, rng.uniform(-1.0, 1.0, (ny, dense))])[:, rng.permutation(ny + dense)]
+    rows = 1 + 3 * rng.choice((ny - 2) // 3, k, replace=False)
+    a, b = rng.uniform(0.5, 1.5, (2, k))
+    J[rows] = a[:, None] * J[rows - 1] + b[:, None] * J[rows + 1]
+    band = np.triu(np.where(np.abs(j - i) <= 1, rng.uniform(-0.2, 0.2, (ny, ny)), 0.0), 1)
+    Y = InnerProductSpace(sp.csr_matrix(band + band.T + np.diag(rng.uniform(1.0, 2.0, ny))))
+    lam_star = rng.standard_normal(ny)
+    return ReferenceSolution(
+        z_star=InnerProductSpace.identity(ny + dense).zero_vector(),
+        j_star=sp.csr_matrix(J),
+        g_star=-J.T @ lam_star,
+        cone=ConeSpec(Y, ()),
+        lambda_star=Y.functional(lam_star),
+    ), k
+
+
+@PROPERTY
+@given(banded_references(), st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
+def test_banded_sparse_jacobian_takes_the_band_path_and_matches_dense(case, seed, size):
+    from unittest import mock
+
+    import scipy.sparse.linalg
+
+    ref, k = case
+    rng = np.random.default_rng(seed)
+    Y = ref.space_y
+    lam = Y.functional(ref.lambda_star.coeffs + size * rng.standard_normal(Y.dim))
+    with mock.patch.object(scipy.sparse.linalg, "splu",
+                           side_effect=AssertionError("splu on the band path")):
+        sparse_dist, _ = multiplier_distance(ref, lam)
+    dense = dataclasses.replace(ref, j_star=ref.j_star.toarray())
+    assert sparse_dist == pytest.approx(multiplier_distance(dense, lam)[0],
+                                        rel=1e-9, abs=1e-12)
+    assert null_dimension(ref) == null_dimension(dense) == k

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from ssqp.model import ConeSpec
 from ssqp.spaces import InnerProductSpace
-from ssqp.subproblem import SaddleSystem, solve_cone, solve_equality
+from ssqp.subproblem import SaddleSystem, assemble_saddle_matrix, solve_cone, solve_equality
 from saddle_reference import enumerate_patterns, orthonormal, spd
 
 pytest.importorskip("hypothesis")  # declared in the `test` extra
@@ -168,3 +168,54 @@ def test_structured_cone_solve_agrees_with_classical_system(case):
     blocks, My, gens = case
     cone = _cone(My, gens)
     _check_agreement(blocks, My, gens, lambda sys: solve_cone(sys, cone))
+
+
+def _scipy_csc(sys, cone, active):
+    """The saddle matrix as scipy's COO to CSC conversion makes it from
+    the blocks' triplets: H, (M^ J)^T, M^ J, -weight M^ and the border."""
+    nz, ny = sys.spaceZ.dim, sys.spaceY.dim
+    Mh = sys.scaled_mass
+    H, MJ, M = sys.H.tocoo(), (Mh @ sys.J).tocoo(), Mh.tocoo()
+    border = -Mh.dot(cone.generator_matrix[:, list(active)])
+    br, bc = np.nonzero(border)
+    bd = border[br, bc]
+    rows = np.concatenate([H.row, MJ.col, MJ.row + nz, M.row + nz, br + nz, bc + nz + ny])
+    cols = np.concatenate([H.col, MJ.row + nz, MJ.col, M.col + nz, bc + nz + ny, br + nz])
+    data = np.concatenate([H.data, MJ.data, MJ.data, -sys.weight * M.data, bd, bd])
+    dim = nz + ny + len(active)
+    return sp.csc_matrix((data, (rows, cols)), shape=(dim, dim))
+
+
+def _with_duplicates(H, rng):
+    """H in non-canonical CSR: every entry stored twice, as a random part
+    and the rest, in shuffled order within each row."""
+    C = H.tocoo()
+    part = rng.uniform(-1.0, 1.0, C.nnz) * C.data
+    rows = np.concatenate([C.row, C.row])
+    order = np.lexsort((rng.random(rows.size), rows))
+    indptr = np.searchsorted(rows[order], np.arange(H.shape[0] + 1))
+    data = np.concatenate([part, C.data - part])[order]
+    indices = np.concatenate([C.col, C.col])[order]
+    return sp.csr_matrix((data, indices, indptr), shape=H.shape)
+
+
+@PROPERTY
+@given(structured_subproblems(cone=True), st.integers(0, 2**32 - 1))
+def test_assembled_matrix_is_scipys_csc_bit_for_bit(case, seed):
+    # the memoised layout against scipy's own conversion, on patterns that
+    # share a shape: a non-canonical H (duplicates, unsorted), and a
+    # border column with an exact zero (M^ e_0 is zero beyond row 2)
+    blocks, My, gens = case
+    rng = np.random.default_rng(seed)
+    sys = _system(blocks, My, ("H", "J"))
+    twin = _system(dict(blocks, H=_with_duplicates(sys.H, rng)), My, ("J",))
+    assert twin.H.nnz == 2 * sys.H.nnz and not twin.H.has_canonical_format
+    sparse_gens = gens.copy()
+    sparse_gens[:, 0] = np.eye(len(gens))[0]
+    every = tuple(range(gens.shape[1]))
+    for s, g, active in [(sys, gens, ()), (sys, gens, every), (twin, gens, every),
+                         (sys, sparse_gens, every), (twin, sparse_gens, every)]:
+        cone = _cone(My, g)
+        A, want = assemble_saddle_matrix(s, active, cone), _scipy_csc(s, cone, active)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(A, name).tobytes() == getattr(want, name).tobytes(), name

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from ssqp.bench import get_benchmark
 from ssqp.model import ConeSpec
+from ssqp.solver import SolverOptions, run
 from ssqp.spaces import InnerProductSpace
 from ssqp.subproblem import (
     SaddleSystem,
@@ -132,14 +133,15 @@ def test_dense_norms_are_numpy_norms():
     # _factor's |A|_1, of dense and of CSC storage, and euclidean_norm are
     # np.linalg.norm's own arithmetic, bit for bit
     from ssqp.spaces import euclidean_norm
-    from ssqp.subproblem import _factor
+    from ssqp.subproblem import _factor, sparse_matrix
 
     rng = np.random.default_rng(3)
     for n in (1, 2, 4, 7, 12, 33, 100):
         A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
         A = A + A.T + 2 * n * np.eye(n)
         assert _factor(A)[1] == np.linalg.norm(A, 1)
-        assert _factor(scipy.sparse.csc_matrix(A))[1] == np.linalg.norm(A, 1)
+        S = scipy.sparse.csr_matrix(A)
+        assert _factor(sparse_matrix(n, [(0, 0, False, S)], S.data))[1] == np.linalg.norm(A, 1)
         v = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
         assert euclidean_norm(v) == np.linalg.norm(v)
 
@@ -196,8 +198,6 @@ def splu_calls(monkeypatch):
 
 class TestBandPlan:
     def test_eigencontrol_is_a_narrow_band_bordered_by_q(self, splu_calls):
-        from ssqp.subproblem import _band_plan
-
         bm = get_benchmark("eigencontrol-n49", n=200)
         p = bm.problem
         z, lam = bm.default_start()
@@ -205,22 +205,43 @@ class TestBandPlan:
             H=p.hess_L(z, lam), J=p.jac_G(z), g=p.grad_f(z).coeffs,
             Gval=p.G(z).coords, rho=1e-3, lamk=lam, zk=z, spaceZ=p.Z, spaceY=p.Y,
         )
-        plan = _band_plan(assemble_saddle_matrix(sys))
+        plan = assemble_saddle_matrix(sys).plan
         assert plan.order[-1] == 200 and plan.k == 1  # q, the last of z
         assert max(plan.kl, plan.ku) <= 3
         solve_equality(sys)
         assert splu_calls == []
 
+    def test_solve_with_reference_makes_one_plan_each_for_saddle_and_projector(
+            self, splu_calls, monkeypatch):
+        # every iterate's saddle matrix shares one pattern; the projector's
+        # Jordan-Wielandt matrix K is the second; both take the band path
+        from ssqp import diagnostics, subproblem
+
+        plans, solver = [], subproblem.sparse_solver
+
+        def recorded(A):
+            plans.append(A.plan)
+            return solver(A)
+
+        for owner in (subproblem, diagnostics):
+            monkeypatch.setattr(owner, "sparse_solver", recorded)
+        subproblem._sparse_plan.cache_clear()
+        bm = get_benchmark("eigencontrol-n49", n=200)
+        z, lam = bm.default_start()
+        report = run(bm.problem, z, lam, SolverOptions(), reference=bm.reference)
+        assert report.status.value == "Converged"
+        assert splu_calls == []
+        assert subproblem._sparse_plan.cache_info().currsize == 2
+        assert len(plans) == len(report.history)  # a subproblem per record but one, and K
+        assert len({id(plan) for plan in plans}) == 2
+        assert all(plan.order is not None for plan in plans)
+
     def test_singular_band_block_falls_back_to_splu(self, splu_calls):
         # unstabilized, with row 7 of K zero: the band block has a zero
         # row, and only u, in the border column of q, makes A nonsingular
-        from ssqp.subproblem import _band_plan, _factor_band
-
         sys = arrow_system(30, 0.0, zero_row=7)
         A = assemble_saddle_matrix(sys)
-        plan = _band_plan(A)
-        assert plan.k == 1
-        assert _factor_band(A, plan) is None
+        assert A.plan.order is not None and A.plan.k == 1  # planned as a band
         assert np.linalg.matrix_rank(A.toarray()) == A.shape[0]
         assert_matches_reference(sys, arrow_system(30, 0.0, zero_row=7, sparse=False))
         assert len(splu_calls) == 1
@@ -231,11 +252,11 @@ class TestBandPlan:
         assert splu_calls == []
 
     def test_each_pattern_gets_its_own_plan(self):
-        from ssqp.subproblem import PLAN_CACHE_SIZE, _band_plan, _pattern_plan
+        from ssqp.subproblem import PLAN_CACHE_SIZE, _sparse_plan
 
         systems = {row: arrow_system(30, 1e-3, zero_row=row) for row in (None, 7, 8)}
         matrices = {row: assemble_saddle_matrix(sys) for row, sys in systems.items()}
-        plans = {row: _band_plan(A) for row, A in matrices.items()}
+        plans = {row: A.plan for row, A in matrices.items()}
         # rows 7 and 8 of K zero: the same shape and entry count
         assert matrices[7].shape == matrices[8].shape == matrices[None].shape
         assert matrices[7].nnz == matrices[8].nnz
@@ -243,12 +264,12 @@ class TestBandPlan:
         assert not np.array_equal(plans[7].slots, plans[8].slots)
         # the same pattern with other values reuses its plan
         same = assemble_saddle_matrix(arrow_system(30, 0.5))
-        assert _band_plan(same) is plans[None]
+        assert same.plan is plans[None]
         for row, sys in systems.items():
             assert_matches_reference(sys, arrow_system(30, 1e-3, zero_row=row, sparse=False))
         for n in range(3, 3 + 2 * PLAN_CACHE_SIZE):
-            _band_plan(assemble_saddle_matrix(arrow_system(n, 1e-3)))
-        assert _pattern_plan.cache_info().currsize == PLAN_CACHE_SIZE
+            assemble_saddle_matrix(arrow_system(n, 1e-3))
+        assert _sparse_plan.cache_info().currsize == PLAN_CACHE_SIZE
 
 
 class TestConditionEstimate:
