@@ -338,29 +338,37 @@ def make_eigencontrol(
 
     # The Jacobian [A + q I | u] and the arrow Hessian
     # [[h I, lam], [lam^T, alpha]] keep their sparsity patterns, so each
-    # call only fills a data array in front of copies of fixed CSR index
-    # arrays (copies, so that a caller editing a matrix in place cannot
-    # change later calls).
-    row_ends = A.indptr[1:]
+    # call only fills a data array through slots fixed here, in front of
+    # copies of fixed CSR index arrays (copies, so that a caller editing a
+    # matrix in place cannot change later calls).  Row i of the Jacobian
+    # stores A's row i and then u_i, so A's entries move on by their row.
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
     jac_indptr = A.indptr + np.arange(n + 1)
-    jac_indices = np.insert(A.indices, row_ends, n)
-    on_diagonal = A.indices == np.repeat(np.arange(n), np.diff(A.indptr))
+    u_slots = jac_indptr[1:] - 1
+    a_slots = np.arange(A.nnz) + rows
+    jac_indices = np.empty(A.nnz + n, dtype=A.indices.dtype)
+    jac_indices[a_slots] = A.indices
+    jac_indices[u_slots] = n
+    on_diagonal = A.indices == rows
+    # the arrow stores (i, i) and (i, n) in each row i < n, then row n
     arrow_indptr = np.append(2 * np.arange(n + 1), 3 * n + 1)
     arrow_indices = np.concatenate([
         np.column_stack([np.arange(n), np.full(n, n)]).ravel(), np.arange(n + 1),
     ])
-    h_diagonal = np.full(n, h)
 
     def jac_G(z: PrimalVec) -> sp.csr_matrix:
         u, q = split(z)
-        data = np.insert(A.data + q * on_diagonal, row_ends, u)
+        data = np.empty(A.nnz + n)
+        data[a_slots] = A.data + q * on_diagonal
+        data[u_slots] = u
         return sp.csr_matrix((data, jac_indices.copy(), jac_indptr.copy()),
                              shape=(n, n + 1))
 
     def hess_L(z: PrimalVec, lam: Functional) -> sp.csr_matrix:
-        data = np.concatenate([
-            np.column_stack([h_diagonal, lam.coeffs]).ravel(), lam.coeffs, [alpha],
-        ])
+        data = np.empty(3 * n + 1)
+        data[: 2 * n : 2] = h
+        data[1 : 2 * n : 2] = data[2 * n : 3 * n] = lam.coeffs
+        data[3 * n] = alpha
         return sp.csr_matrix((data, arrow_indices.copy(), arrow_indptr.copy()),
                              shape=(n + 1, n + 1))
 

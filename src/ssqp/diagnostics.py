@@ -17,9 +17,18 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 import scipy.linalg
 
-from .model import ConeSpec, ProblemDef, as_matrix, issparse, nnls, to_dense
+from .model import (
+    ConeSpec,
+    ProblemDef,
+    as_matrix,
+    csr_pattern,
+    issparse,
+    nnls,
+    to_dense,
+    transpose_dot,
+)
 from .spaces import Functional, InnerProductSpace, PrimalVec, euclidean_norm
-from .subproblem import sparse_matrix, sparse_solver
+from .subproblem import identity_pattern, product_map, sparse_matrix, sparse_solver
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -192,18 +201,18 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
     residual -g - J^T x; whitened and cleared of its null-space component
     it is the minimum-norm solution.
     """
-    import scipy.sparse as sp
-
     n, m = J.shape
-    massed = Y.scaled_mass(sparse=True) @ J
-    top = np.sqrt(Y.mass_scale * J.multiply(massed).sum(axis=0).max())
-    s = rcond * np.sqrt(J.multiply(J).sum(axis=0).max())
+    massed, squares = _column_norms(J, Y)
+    top = np.sqrt(Y.mass_scale * massed.max())
+    s = rcond * np.sqrt(squares.max())
     if s == 0.0:  # J = 0, so the certified g* is 0 and the set is all of Y
         return np.zeros(n), np.eye(n), 1.0
+    J_pattern = csr_pattern(J)
     solve_K = sparse_solver(sparse_matrix(
-        n + m, [(0, 0, False, sp.identity(n + m, format="csr")), (0, n, False, J),
-                (n, 0, True, J)],
+        n + m, [(0, 0, False, identity_pattern(n + m)), (0, n, False, J_pattern),
+                (n, 0, True, J_pattern)],
         np.concatenate([np.full(n + m, -s), J.data, J.data])))
+    JT = J.T  # one transpose for every product below
 
     def solve(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
         return solve_K(np.concatenate([upper, lower]))[:n]
@@ -215,7 +224,7 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
         null, change = np.zeros((n, 0)), np.inf
         for _ in range(MAX_SWEEPS):
             Q = np.linalg.qr(solve(X, np.zeros((m, p))))[0]
-            svals, right = _ritz(J.T @ Q)
+            svals, right = _ritz(JT @ Q)
             X = Q @ right[::-1].T  # ascending Ritz values: null first
             k = int(np.count_nonzero(svals <= s))
             previous, null = null, X[:, :k]
@@ -225,7 +234,7 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
             if 0.5 * last <= change < np.inf:  # no longer shrinking
                 break
         Q = np.linalg.qr(Y.whiten_dual(X))[0]
-        svals, right = _ritz(J.T @ Y.unwhiten_dual(Q))
+        svals, right = _ritz(JT @ Y.unwhiten_dual(Q))
         kept = svals > rcond * top
         if kept.any() or p == n:
             break
@@ -236,7 +245,7 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
     x, residual = np.zeros(n), -g
     for _ in range(MAX_SWEEPS):
         refined = x + solve(np.zeros(n), residual)
-        remaining = -g - J.T @ refined
+        remaining = -g - transpose_dot(J, refined)
         before, after = np.linalg.norm(residual), np.linalg.norm(remaining)
         if not after < before:
             break
@@ -245,6 +254,29 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
             break
     anchor = Y.whiten_dual(x)
     return anchor - basis @ (basis.T @ anchor), basis, cond
+
+
+def _column_norms(J: sp.csr_matrix, Y: InnerProductSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The column sums of J o (M^ J) and of J o J (o the entrywise
+    product, M^ = M_Y / tau): the squared whitened column norms of J over
+    tau, and the squared column norms.
+
+    On a canonical J (sorted, without duplicates) each sum adds its
+    column's products in row order by bincount, as scipy's
+    `J.multiply(M).sum(axis=0)` does, with M^ J from `product_map`;
+    otherwise it is that scipy expression.
+    """
+    Mh = Y.scaled_mass(sparse=True)
+    m = J.shape[1]
+    if not J.has_canonical_format:
+        return (np.asarray(J.multiply(Mh @ J).sum(axis=0)).ravel(),
+                np.asarray(J.multiply(J).sum(axis=0)).ravel())
+    product = product_map(csr_pattern(Mh), csr_pattern(J))
+    # J's value at each entry of M^ J, zero where J stores none
+    J_at = np.append(J.data, 0.0).take(product.right_at)
+    massed = J_at * product.values(Mh.data, J.data)
+    return (np.bincount(product.columns, weights=massed, minlength=m),
+            np.bincount(J.indices, weights=J.data * J.data, minlength=m))
 
 
 def _ritz(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

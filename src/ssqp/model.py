@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -29,6 +30,11 @@ from .spaces import (
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+
+#: Maps on CSR arrays kept per memo, one per sparsity pattern; the least
+#: recently used goes.
+PLAN_CACHE_SIZE = 8
+
 
 @dataclass
 class ConeSpec:
@@ -90,18 +96,50 @@ def empty_cone(space: InnerProductSpace) -> ConeSpec:
 
 def as_matrix(M) -> np.ndarray | sp.csr_matrix:
     """A callback's matrix output: scipy.sparse as CSR, else a float array."""
-    if issparse(M):
-        import scipy.sparse as sp
+    return as_csr(M) if issparse(M) else np.asarray(M, dtype=float)
 
-        return sp.csr_matrix(M, dtype=float)
-    return np.asarray(M, dtype=float)
+
+def as_csr(M) -> sp.csr_matrix:
+    """M as a float CSR matrix: M itself when it is one already, which is
+    what the conversion would share its arrays with."""
+    import scipy.sparse as sp
+
+    if type(M) is sp.csr_matrix and M.dtype == np.float64:
+        return M
+    return sp.csr_matrix(M, dtype=float)
+
+
+def csr_pattern(M) -> tuple[str, bytes, bytes]:
+    """The exact sparsity pattern of a CSR matrix, the memo key of the maps
+    on its arrays: index type, `indptr` bytes and `indices` bytes.  A map
+    is made from its key alone, so no other pattern can reuse it."""
+    return M.indices.dtype.str, M.indptr.tobytes(), M.indices.tobytes()
+
+
+def pattern_arrays(pattern: tuple[str, bytes, bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """The `indptr` and `indices` arrays of a `csr_pattern` key."""
+    index_type, indptr, indices = pattern
+    return np.frombuffer(indptr, index_type), np.frombuffer(indices, index_type)
+
+
+def transpose_dot(J, v: np.ndarray) -> np.ndarray:
+    """J^T v for a matrix J, dense or sparse, and a vector or a block v.
+
+    For a CSR J and a vector v each stored entry's product with v is added
+    into its column in storage order by bincount, which is the arithmetic
+    of scipy's product with the CSC matrix J^T, without building J^T.
+    """
+    if isinstance(J, np.ndarray) or v.ndim != 1 or J.format != "csr":
+        return J.T.dot(v)
+    return np.bincount(J.indices, weights=J.data * v.repeat(np.diff(J.indptr)),
+                       minlength=J.shape[1])
 
 
 def hessian_fault(H) -> str | None:
     """Why the matrix H, dense or sparse, is no Hessian: "not finite", or
     "not symmetric to 1e-10" relative to max(|H|_max, 1); None if it is.
 
-    A sparse H is compared with its transpose through their canonical CSR
+    A sparse H is compared with its transpose through its canonical CSR
     arrays, without sparse arithmetic (`_sparse_asymmetry`)."""
     sparse = issparse(H)
     if sparse:
@@ -123,21 +161,40 @@ def hessian_fault(H) -> str | None:
 def _sparse_asymmetry(H: sp.csr_matrix) -> np.ndarray:
     """|H - H^T| at the stored entries of a canonical CSR matrix H.
 
-    H's CSC arrays are the canonical CSR arrays of H^T, so on a symmetric
-    pattern the two data arrays line up.  Otherwise each entry is matched
-    with its mirror by binary search in row-major order, and an entry whose
-    mirror is not stored meets zero.  The entries of H^T outside H's
-    pattern mirror those of H outside H^T's, so they add no other value.
+    On a pattern equal to its transpose, H^T's data in H's own order is
+    H.data gathered by `_mirror_map`, memoised by the pattern.  Otherwise
+    each entry is matched with its mirror by binary search in row-major
+    order, and an entry whose mirror is not stored meets zero.  The entries
+    of H^T outside H's pattern mirror those of H outside H^T's, so they add
+    no other value.
     """
-    T = H.tocsc()
-    if np.array_equal(T.indptr, H.indptr) and np.array_equal(T.indices, H.indices):
-        return np.abs(H.data - T.data)
+    mirror = _mirror_map(csr_pattern(H))
+    if mirror is not None:
+        return np.abs(H.data - H.data.take(mirror))
     n = H.shape[0]
     rows = np.repeat(np.arange(n), np.diff(H.indptr))
     keys, mirror_keys = rows * n + H.indices, H.indices * n + rows
     mirror = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
     mirror_data = np.where(keys[mirror] == mirror_keys, H.data[mirror], 0.0)
     return np.abs(H.data - mirror_data)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _mirror_map(pattern: tuple[str, bytes, bytes]) -> np.ndarray | None:
+    """Each entry's mirror in a canonical square CSR pattern that equals
+    its transpose: the position of entry (j, i) for entry (i, j), so that
+    data.take(mirror) is the transpose's data, as tocsc() would give it;
+    None on any other pattern."""
+    indptr, indices = pattern_arrays(pattern)
+    n = indptr.size - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    mirror_keys = indices.astype(np.intp) * n + rows
+    mirror = np.argsort(mirror_keys, kind="stable")  # the entries in column-major order
+    if not np.array_equal(mirror_keys.take(mirror), rows * n + indices):
+        return None
+    mirror = mirror.astype(np.min_scalar_type(max(mirror.size - 1, 0)))
+    mirror.flags.writeable = False  # every caller shares it
+    return mirror
 
 
 def _max(entries: np.ndarray) -> float:
@@ -213,9 +270,8 @@ class ProblemDef:
         `evaluate(z)` when the caller has it already.
         """
         at = at if at is not None else self.evaluate(z)
-        # the coefficients of lagrangian_grad, without wrapping them; .dot
-        # is @ without matmul's dispatch
-        stationarity = self.Z.dual_norm_arr(at.g + at.J.T.dot(lam.coeffs))
+        # the coefficients of lagrangian_grad, without wrapping them
+        stationarity = self.Z.dual_norm_arr(at.g + transpose_dot(at.J, lam.coeffs))
         m = self.cone.m
         if m == 0:
             return KKTResidual(stationarity, self.Y.norm_arr(at.Gval), 0.0)

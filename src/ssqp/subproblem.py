@@ -33,6 +33,29 @@ exactly singular.  For K = {0} one solve gives the step.  The cone case
 runs a primal-dual active set iteration over the generator
 complementarities, each trial pattern solved by the same factorization.
 
+The sparse operations of an iterate run as maps on the CSR arrays, each
+keyed by the exact pattern of its operands (`model.csr_pattern`: index
+type, indptr and indices bytes), made from that key alone and memoised
+(`functools.lru_cache`, the last PLAN_CACHE_SIZE patterns), so that a
+changed pattern can never reuse a stale map.  Each map does the
+arithmetic of the scipy.sparse expression it stands for, in the same
+order, so the results are the same bits:
+
+* `product_map`: the symbolic product M^ J, in the order of scipy's
+  csr_matmat, so that M^ J costs one multiplication per term (plus one
+  addition per further term of an entry); where an entry sums to exactly
+  zero, which scipy leaves out, the product is scipy's;
+* `model._mirror_map`: the permutation taking a symmetric pattern's data
+  to its transpose's, for the Hessian's symmetry test; other patterns
+  take the binary search of `model._sparse_asymmetry`;
+* `_sparse_plan`: the CSC layout and the band plan above, whose solve
+  gathers a right-hand side into the plan's order once and puts the
+  result back once, and `identity_pattern`, the projector's identity;
+* `model.transpose_dot`, J^T l summed into the columns by bincount in
+  storage order, as scipy's product with the CSC transpose sums it, and
+  the projector's column sums of J o J and J o (M^ J)
+  (`diagnostics._column_norms`), which read the arrays directly.
+
 A subproblem of a few unknowns costs microseconds, so each step calls
 its numpy and LAPACK routines directly: `ndarray.dot` makes the BLAS call
 of `@` without matmul's dispatch, and `lapack.dsy*` are scipy's raw
@@ -49,7 +72,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import lapack
 
-from .model import ConeSpec, hessian_fault, issparse
+from .model import (
+    PLAN_CACHE_SIZE,
+    ConeSpec,
+    as_csr,
+    csr_pattern,
+    hessian_fault,
+    issparse,
+    pattern_arrays,
+    transpose_dot,
+)
 from .spaces import Functional, InnerProductSpace, PrimalVec, euclidean_norm
 
 if TYPE_CHECKING:
@@ -73,9 +105,6 @@ BORDER_DEGREE_RATIO = 4
 #: entries per stored entry of A.  A wider band is mostly fill, which
 #: splu's fill-reducing order avoids.
 BAND_FILL_LIMIT = 4
-
-#: Band plans kept, one per sparsity pattern; the least recently used goes.
-PLAN_CACHE_SIZE = 8
 
 
 class SingularSubproblem(RuntimeError):
@@ -124,10 +153,8 @@ class SaddleSystem:
         H, J = self.H, self.J
         self.sparse = sparse = issparse(H) or issparse(J)
         if sparse:
-            import scipy.sparse as sp
-
-            self.H = H = sp.csr_matrix(H, dtype=float)
-            self.J = J = sp.csr_matrix(J, dtype=float)
+            self.H = H = as_csr(H)
+            self.J = J = as_csr(J)
         else:
             self.H = H = np.asarray(H, dtype=float)
             self.J = J = np.asarray(J, dtype=float)
@@ -168,13 +195,14 @@ def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
     if sys.sparse:
         import scipy.sparse as sp
 
-        MJ = Mh @ sys.J
-        blocks = [(0, 0, False, sys.H), (0, nz, True, MJ), (nz, 0, False, MJ),
-                  (nz, nz, False, Mh)]
-        data = [sys.H.data, MJ.data, MJ.data, -weight * Mh.data]
+        MJ, MJ_data = sparse_product(Mh, sys.J)
+        blocks = [(0, 0, False, csr_pattern(sys.H)), (0, nz, True, MJ),
+                  (nz, 0, False, MJ), (nz, nz, False, csr_pattern(Mh))]
+        data = [sys.H.data, MJ_data, MJ_data, -weight * Mh.data]
         if active:
             B = sp.csr_matrix(border)
-            blocks += [(nz, n, False, B), (n, nz, True, B)]
+            B_pattern = csr_pattern(B)
+            blocks += [(nz, n, False, B_pattern), (n, nz, True, B_pattern)]
             data += [B.data, B.data]
         return sparse_matrix(n + len(active), blocks, np.concatenate(data))
     A = np.zeros((n + len(active), n + len(active)))
@@ -189,20 +217,123 @@ def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
     return A
 
 
+def sparse_product(M: sp.csr_matrix, J: sp.csr_matrix) -> tuple[tuple, np.ndarray]:
+    """(pattern, data) of the CSR product M J, bit for bit scipy's `M @ J`.
+
+    The symbolic product is `product_map`'s, memoised by the patterns of
+    M and J; scipy leaves out the entries whose sum is exactly zero, so
+    when one is, the product is scipy's own.
+    """
+    product = product_map(csr_pattern(M), csr_pattern(J))
+    data = product.values(M.data, J.data)
+    if data.all():
+        return product.pattern, data
+    MJ = M @ J
+    return csr_pattern(MJ), MJ.data
+
+
+@dataclass(frozen=True, eq=False)
+class _ProductMap:
+    """The symbolic product of two CSR patterns M and J in the order of
+    scipy's csr_matmat: row by row, each row's columns from the last one
+    reached to the first, and each entry the sum, from zero, of its terms
+    M_ij J_jk in the order M's row stores j.
+
+    `pattern` is the product's `csr_pattern` and `columns` its indices.
+    `terms` lists for each rank r the entries that have an r-th term, with
+    the positions of its factors in M.data and in J.data; rank 0 lists
+    every entry in order.  `right_at` is the position in J.data of each
+    entry's (row, column), J.nnz where J stores none, when J's pattern is
+    canonical (sorted, without duplicates); else None.
+    """
+
+    pattern: tuple
+    columns: np.ndarray
+    terms: tuple
+    right_at: np.ndarray | None
+
+    def values(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The product's data for the data `left` of M and `right` of J.
+
+        Each entry starts from its first term rather than from zero, which
+        can change only the sign of a zero sum, an entry scipy leaves out.
+        """
+        (_, first_left, first_right), *later = self.terms
+        data = left.take(first_left) * right.take(first_right)
+        for entries, left_at, right_at in later:
+            data[entries] += left.take(left_at) * right.take(right_at)
+        return data
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def product_map(left: tuple, right: tuple) -> _ProductMap:
+    """The product map of two `csr_pattern` keys, made from them alone."""
+    l_indptr, l_indices = pattern_arrays(left)
+    r_indptr, r_indices = pattern_arrays(right)
+    width = int(r_indices.max(initial=0)) + 1
+    r_counts = np.diff(r_indptr).astype(np.intp)
+    r_keys = np.repeat(np.arange(r_counts.size), r_counts) * width + r_indices
+    # the terms in turn: left entry (i, j) meets the right entries of row j
+    counts = r_counts[l_indices]
+    term_left = np.repeat(np.arange(l_indices.size), counts)
+    term_right = (np.repeat(r_indptr[l_indices] - (np.cumsum(counts) - counts), counts)
+                  + np.arange(term_left.size))
+    l_rows = np.repeat(np.arange(l_indptr.size - 1), np.diff(l_indptr))
+    keys = l_rows[term_left] * width + r_indices[term_right]
+    unique, first, entry = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.lexsort((-first, unique // width))
+    unique = unique[order]
+    position = np.empty(order.size, dtype=np.intp)
+    position[order] = np.arange(order.size)
+    term_entry = position[entry]
+    # a term's rank among the terms of its entry, which come in term order
+    by_entry = np.argsort(term_entry, kind="stable")
+    rank = np.empty(term_entry.size, dtype=np.intp)
+    rank[by_entry] = (np.arange(term_entry.size)
+                      - np.searchsorted(term_entry[by_entry], term_entry[by_entry]))
+    small = np.min_scalar_type(max(unique.size, l_indices.size, r_indices.size))
+    terms = []
+    for r in range(int(rank.max(initial=0)) + 1):
+        at = np.flatnonzero(rank == r)
+        at = at[np.argsort(term_entry[at])]
+        terms.append(tuple(a.astype(small) for a in
+                           (term_entry[at], term_left[at], term_right[at])))
+    right_at = None
+    if (np.diff(r_keys) > 0).all():  # canonical: sorted, without duplicates
+        found = np.searchsorted(r_keys, unique)
+        stored = found < r_keys.size
+        stored[stored] = r_keys[found[stored]] == unique[stored]
+        right_at = np.where(stored, found, r_keys.size).astype(small)
+    indptr = np.zeros(l_indptr.size, dtype=r_indices.dtype)
+    np.cumsum(np.bincount(unique // width, minlength=l_indptr.size - 1), out=indptr[1:])
+    columns = (unique % width).astype(r_indices.dtype)
+    for a in [columns, right_at, *(a for t in terms for a in t)]:
+        if a is not None:
+            a.flags.writeable = False  # every caller shares them
+    pattern = (columns.dtype.str, indptr.tobytes(), columns.tobytes())
+    return _ProductMap(pattern, columns, tuple(terms), right_at)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def identity_pattern(n: int) -> tuple[str, bytes, bytes]:
+    """The `csr_pattern` of the n x n identity, as scipy stores it."""
+    diagonal = np.arange(n + 1, dtype=np.int32)
+    return diagonal.dtype.str, diagonal.tobytes(), diagonal[:n].tobytes()
+
+
 def sparse_matrix(n: int, blocks, data: np.ndarray) -> sp.csc_matrix:
     """The n x n CSC matrix of the triplets of `blocks`, in turn, with the
     values `data`; entries at one position are summed, in triplet order.
 
-    A block (row offset, column offset, transposed, M) places the CSR
-    matrix M, or its transpose, and `data` holds each block's M.data.  The
-    layout is that of `_sparse_plan`, memoised by the blocks' patterns, so
-    an iterate only gathers its values; the matrix carries it as `plan`.
+    A block (row offset, column offset, transposed, pattern) places a CSR
+    matrix of that `csr_pattern`, or its transpose, and `data` holds each
+    block's data.  The layout is that of `_sparse_plan`, memoised by the
+    blocks' patterns, so an iterate only gathers its values; the matrix
+    carries it as `plan`.
     """
     import scipy.sparse as sp
 
-    plan = _sparse_plan(n, tuple(
-        (r0, c0, transposed, M.indices.dtype.str, M.indptr.tobytes(), M.indices.tobytes())
-        for r0, c0, transposed, M in blocks))
+    plan = _sparse_plan(n, tuple(blocks))
     values = data.take(plan.gather)  # as fast as data[gather] for small index types
     if plan.starts is not None:
         values = np.add.reduceat(values, plan.starts)
@@ -257,10 +388,11 @@ class _SparsePlan:
     column; entry e sums the triplets `gather[starts[e]:starts[e + 1]]`
     (`starts` is None when no position repeats).  `order` lists A's rows,
     also its columns: the band in reverse Cuthill-McKee order, then the k
-    border rows.  Entry e of A.data goes to slot `slots[e]` of one flat
-    workspace holding, in turn, the band block in dgbtrf's storage
-    (2 kl + ku + 1 rows, column-major), the border columns (nb x k,
-    column-major), the border rows (k x nb) and the corner (k x k).
+    border rows; `position` is its inverse.  Entry e of A.data goes to
+    slot `slots[e]` of one flat workspace holding, in turn, the band block
+    in dgbtrf's storage (2 kl + ku + 1 rows, column-major), the border
+    columns (nb x k, column-major), the border rows (k x nb) and the
+    corner (k x k).
     """
 
     indptr: np.ndarray
@@ -269,6 +401,7 @@ class _SparsePlan:
     gather: np.ndarray
     starts: np.ndarray | None
     order: np.ndarray | None = None
+    position: np.ndarray | None = None
     k: int = 0
     kl: int = 0
     ku: int = 0
@@ -277,15 +410,15 @@ class _SparsePlan:
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _sparse_plan(n: int, blocks: tuple) -> _SparsePlan:
-    """The plan of `sparse_matrix`'s blocks, keyed by their exact patterns
-    (offsets, index type, indptr and indices bytes) and made from that key
-    alone, so no other pattern can reuse it."""
+    """The plan of `sparse_matrix`'s blocks, keyed by their offsets and
+    exact patterns and made from that key alone, so no other pattern can
+    reuse it."""
     import scipy.sparse as sp
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     rows, cols = [], []
-    for r0, c0, transposed, index_type, indptr, indices in blocks:
-        indptr, indices = np.frombuffer(indptr, index_type), np.frombuffer(indices, index_type)
+    for r0, c0, transposed, pattern in blocks:
+        indptr, indices = pattern_arrays(pattern)
         major = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
         rows.append((indices if transposed else major) + r0)
         cols.append((major if transposed else indices) + c0)
@@ -324,7 +457,7 @@ def _sparse_plan(n: int, blocks: tuple) -> _SparsePlan:
          border_rows + nb * (r - nb) + c],
         corner + k * (r - nb) + c - nb,
     )
-    return _SparsePlan(*layout, order, k, kl, ku,
+    return _SparsePlan(*layout, order, position, k, kl, ku,
                        slots.astype(np.min_scalar_type(corner + k * k)))
 
 
@@ -351,7 +484,7 @@ def sparse_solver(A: sp.csc_matrix):
             raise _exactly_singular(str(exc)) from None
     if info < 0:
         raise RuntimeError(f"dgbtrf: illegal argument {-info}")
-    band, border = order[:nb], order[nb:]
+    position = A.plan.position
     if k:
         cut = ldab * nb
         border_cols = work[cut : cut + nb * k].reshape((nb, k), order="F")
@@ -363,14 +496,15 @@ def sparse_solver(A: sp.csc_matrix):
             raise _exactly_singular(f"zero pivot at {nb + info}")
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x = np.empty(b.shape)
-        y = lapack.dgbtrs(lu, kl, ku, b[band], piv)[0]
+        # in the plan's order, gathered once and put back once
+        w = b.take(order, axis=0)
+        y = lapack.dgbtrs(lu, kl, ku, w[:nb], piv, overwrite_b=1)[0]
         if k:
-            z = lapack.dgetrs(lu_s, piv_s, b[border] - border_rows.dot(y))[0]
+            z = lapack.dgetrs(lu_s, piv_s, w[nb:] - border_rows.dot(y))[0]
             y -= B_inv_cols.dot(z)
-            x[border] = z
-        x[band] = y
-        return x
+            w[nb:] = z
+        w[:nb] = y  # a block of columns is solved in a copy
+        return w.take(position, axis=0)
 
     return solve
 
@@ -401,9 +535,16 @@ def _inverse_norm_estimate(solve, n: int) -> float:
         last, j = j, int(z.argmax())
         if z[last] == z[j]:
             break
+    return max(est, 2.0 * float(np.abs(solve(_alternating(n))).sum()) / (3.0 * n))
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _alternating(n: int) -> np.ndarray:
+    """dlacn2's last test vector, (-1)^i (1 + i / (n - 1)), once per size."""
     i = np.arange(n)
     alternating = (1.0 + i / (n - 1)) * np.where(i % 2, -1.0, 1.0)
-    return max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3.0 * n))
+    alternating.flags.writeable = False  # every caller shares it
+    return alternating
 
 
 def _exactly_singular(detail: str) -> SingularSubproblem:
@@ -432,7 +573,7 @@ def _factor_solve(A, rhs: np.ndarray) -> np.ndarray:
 
 def _solution_from(sys: SaddleSystem, d: np.ndarray, l: np.ndarray,
                    active: tuple[int, ...], iterations: int) -> SubproblemSolution:
-    stat = sys.spaceZ.dual_norm_arr(sys.g + sys.J.T.dot(l) + sys.H.dot(d))
+    stat = sys.spaceZ.dual_norm_arr(sys.g + transpose_dot(sys.J, l) + sys.H.dot(d))
     return SubproblemSolution(
         z_next=PrimalVec(sys.spaceZ, sys.zk.coords + d),
         lam_next=Functional(sys.spaceY, l),

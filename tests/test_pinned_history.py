@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from ssqp.bench import get_benchmark, make_degenerate_line
+from ssqp.bench import get_benchmark, make_degenerate_line, make_eigencontrol
 from ssqp.model import ConeSpec, ProblemDef
 from ssqp.solver import Fixed, SolverOptions, run
 from ssqp.spaces import Functional, InnerProductSpace, PrimalVec
@@ -57,6 +57,22 @@ def _random_cone(seed: int, dim: int = 12, m: int = 6):
     return p, Z.vector(gens @ w + dz), Y.zero_functional(), SolverOptions(), None
 
 
+def _eigencontrol_low_modes(seed: int, n: int = 1000):
+    """eigencontrol from a seeded smooth start: modes 1..4 of the state
+    with 1/k weights plus a control shift, scaled to 0.3-0.7 of the
+    certified radius in the Z metric, and a zero multiplier."""
+    bm = make_eigencontrol(n=n)
+    p = bm.problem
+    rng = np.random.default_rng([seed, 1])
+    x = np.arange(1, n + 1) / (n + 1)
+    amp = rng.standard_normal(4) / np.arange(1, 5)
+    u = sum(a * np.sin((k + 1) * np.pi * x) for k, a in enumerate(amp))
+    off = np.concatenate([u, [rng.standard_normal()]])
+    off *= rng.uniform(0.3, 0.7) * bm.certified_radius / p.Z.norm_arr(off)
+    z0 = p.Z.vector(bm.reference.z_star.coords + off)
+    return p, z0, p.Y.zero_functional(), SolverOptions(tol=1e-10), bm.reference
+
+
 CASES = {
     "degenerate-line": lambda: _benchmark("degenerate-line", SolverOptions()),
     "degenerate-line-fixed": lambda: _benchmark(
@@ -67,6 +83,7 @@ CASES = {
     "cone-active": lambda: _benchmark("cone-active", SolverOptions()),
     "eigencontrol-n49": lambda: _benchmark("eigencontrol-n49", SolverOptions()),
     "cone-12-m6": lambda: _random_cone(7),
+    "eigencontrol-n1000-low-modes": lambda: _eigencontrol_low_modes(7),
 }
 
 
@@ -158,6 +175,12 @@ PINNED = {
         (0.0006877577700828385, 9.291486796494968e-16, 0.0006877577700819094, 0.0, None, 1.9786011896185252),
         (1.1245116470455505e-06, 8.510041963373216e-16, 1.1245116461945462e-06, 2.1469249800953063e-15, None, 1.998333714716915),
         (3.0385327503372695e-12, 1.2742404523933694e-15, 3.037258509884876e-12, 0.0, None, None),
+    ]),
+    # captured before the sparse per-iterate maps on the CSR arrays
+    'eigencontrol-n1000-low-modes': ('Converged', [
+        (0.008214505114685848, 0.00017242651354258836, 0.00804207860114326, 0.0, 0.010013827772020869, None),
+        (3.763173354107798e-08, 8.847448880244293e-11, 3.754325905227554e-08, 0.0, 4.9915485008889465e-08, 1.3759599572184038),
+        (1e-14, 1.72233512879732e-17, 1.765190984550734e-18, 0.0, 2.5257689568309077e-15, None),
     ]),
 }
 

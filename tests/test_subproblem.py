@@ -133,6 +133,7 @@ def test_dense_norms_are_numpy_norms():
     # _factor's |A|_1, of dense and of CSC storage, and euclidean_norm are
     # np.linalg.norm's own arithmetic, bit for bit
     from ssqp.spaces import euclidean_norm
+    from ssqp.model import csr_pattern
     from ssqp.subproblem import _factor, sparse_matrix
 
     rng = np.random.default_rng(3)
@@ -141,7 +142,7 @@ def test_dense_norms_are_numpy_norms():
         A = A + A.T + 2 * n * np.eye(n)
         assert _factor(A)[1] == np.linalg.norm(A, 1)
         S = scipy.sparse.csr_matrix(A)
-        assert _factor(sparse_matrix(n, [(0, 0, False, S)], S.data))[1] == np.linalg.norm(A, 1)
+        assert _factor(sparse_matrix(n, [(0, 0, False, csr_pattern(S))], S.data))[1] == np.linalg.norm(A, 1)
         v = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
         assert euclidean_norm(v) == np.linalg.norm(v)
 
