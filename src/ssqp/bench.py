@@ -399,12 +399,17 @@ def make_eigencontrol(
     # notes describe the eigen point when neither branch certifies
     best = min(certified, key=lambda name: f(branches[name][0]), default="eigen")
     z_star, t_star = branches[best]
+    # At (0, q_h) the Jacobian is [A - lam_h I | 0]; A's eigenvalues are
+    # simple, so the multiplier set is lambda* + span{phi}, declared here.
+    # Elsewhere the projector works the set out from the Jacobian.
+    at_eigenvalue = not z_star.coords[:n].any() and z_star.coords[n] == q_h
     reference = ReferenceSolution(
         z_star=z_star,
         j_star=jac_G(z_star),
         g_star=grad_f(z_star).coeffs,
         cone=problem.cone,
         lambda_star=Y.functional(t_star * phi),
+        multiplier_directions=phi[:, None] if at_eigenvalue else None,
     ) if certified else None
 
     # Default start: eigenfunction + low-mode wiggle in u, small q shift,

@@ -60,6 +60,19 @@ class ReferenceSolution:
     factored on the first projection and cached here, so the data must
     not change after construction.  A scipy.sparse `j_star` stays sparse
     (as CSR), and the projector factors it as sparse saddle matrices are.
+
+    A caller that knows the set in closed form may pass
+    `multiplier_directions`, Y-coefficient columns (dim Y x d, d >= 0)
+    whose span it asserts is all of N(j_star^T); the set is then
+    lambda_star + their span and the projector factors nothing.  Only
+    membership is certified, again by matrix-vector products: for each
+    column n the largest entry of |j_star^T n| must be at most
+    MEMBERSHIP_TOL times the largest of |j_star|^T |n|.  The columns must
+    also be finite and of full column rank, and the cone {0}.
+    Completeness is the caller's assertion: a missing direction shrinks
+    the set and overstates distances.  The anchor is then only as exact
+    as lambda_star, where the computed hull's anchor solves the
+    stationarity system.
     """
 
     z_star: PrimalVec
@@ -67,6 +80,7 @@ class ReferenceSolution:
     g_star: np.ndarray
     cone: ConeSpec
     lambda_star: Functional
+    multiplier_directions: np.ndarray | None = None
     _projector: _Projector | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -75,9 +89,10 @@ class ReferenceSolution:
         self.j_star = as_matrix(self.j_star)
         self.g_star = np.asarray(self.g_star, dtype=float)
         lam = self.lambda_star.coeffs
-        residual = np.abs(self.j_star.T @ lam + self.g_star).max()
-        scale = (1.0 + np.abs(self.g_star).max()
-                 + (np.abs(self.j_star).T @ np.abs(lam)).max())
+        # j_star^T and |j_star|^T, shared with the directions' certificate
+        JT, sizes = self.j_star.T, np.abs(self.j_star).T
+        residual = np.abs(JT @ lam + self.g_star).max()
+        scale = 1.0 + np.abs(self.g_star).max() + (sizes @ np.abs(lam)).max()
         pairing, polar_scale = 0.0, 1.0
         if self.cone.m:
             gens = self.cone.generator_matrix
@@ -90,6 +105,30 @@ class ReferenceSolution:
                 "stored multiplier is not in the multiplier set: stationarity "
                 f"residual {residual:.3e}, largest generator pairing {pairing:.3e}"
             )
+        if self.multiplier_directions is not None:
+            self._certify_directions(JT, sizes)
+
+    def _certify_directions(self, JT, sizes) -> None:
+        N = self.multiplier_directions = np.asarray(self.multiplier_directions,
+                                                    dtype=float)
+        if N.ndim != 2 or N.shape[0] != self.space_y.dim:
+            raise InvalidReference(
+                f"multiplier_directions must have {self.space_y.dim} rows and "
+                f"one column per direction, got shape {N.shape}")
+        if self.cone.m:
+            raise InvalidReference("multiplier_directions need the cone {0}")
+        if not np.isfinite(N).all():
+            raise InvalidReference("multiplier_directions are not finite")
+        # per column, as lambda*'s residual: a bound entry by entry would
+        # fail a direction whose zeros are rounded, such as sin(k pi x)
+        residual = np.abs(JT @ N).max(axis=0, initial=0.0)
+        scale = (sizes @ np.abs(N)).max(axis=0, initial=0.0)
+        if not (residual <= MEMBERSHIP_TOL * scale).all():
+            raise InvalidReference(
+                "a multiplier direction is not in the null space of j_star^T: "
+                f"residual {residual.max():.3e}")
+        if N.shape[1] and np.linalg.matrix_rank(N) < N.shape[1]:
+            raise InvalidReference("multiplier_directions are linearly dependent")
 
     @property
     def space_y(self) -> InnerProductSpace:
@@ -121,8 +160,13 @@ class _Projector:
 def _factor_multiplier_set(ref: ReferenceSolution) -> _Projector:
     """Whitened affine hull of the multiplier set, once per reference.
 
-    A dense `j_star` is factored by a rank-revealing QR, a scipy.sparse
-    one by inverse iteration (`_sparse_affine_hull`); both decide the rank by
+    Declared `multiplier_directions` give the hull without a
+    factorization: the basis is the Q factor of the whitened directions
+    and the anchor the whitened lambda* less its part along that basis,
+    so the anchor is as exact as the certified lambda*, and the span as
+    complete as the caller asserted.  Otherwise a dense `j_star` is
+    factored by a rank-revealing QR, a scipy.sparse one by inverse
+    iteration (`_sparse_affine_hull`); both decide the rank by
     numpy.linalg.lstsq's default cut-off, eps max(shape) times the
     largest whitened column norm, which is |R_00| under column pivoting.
     Membership is decided once, at construction, so the projector never
@@ -135,8 +179,13 @@ def _factor_multiplier_set(ref: ReferenceSolution) -> _Projector:
     """
     Y = ref.space_y
     rcond = np.finfo(float).eps * max(ref.j_star.shape)
-    hull = _sparse_affine_hull if issparse(ref.j_star) else _dense_affine_hull
-    anchor, basis, cond = hull(ref.j_star, ref.g_star, Y, rcond)
+    w_star = Y.whiten_dual(ref.lambda_star.coeffs)
+    if ref.multiplier_directions is not None:
+        basis = np.linalg.qr(Y.whiten_dual(ref.multiplier_directions))[0]
+        anchor, cond = w_star - basis @ (basis.T @ w_star), 1.0
+    else:
+        hull = _sparse_affine_hull if issparse(ref.j_star) else _dense_affine_hull
+        anchor, basis, cond = hull(ref.j_star, ref.g_star, Y, rcond)
     W = ref.cone.whitened_generators
     polar = W.T @ basis
     # the computed null space is off by an angle of about rcond * cond,
@@ -144,7 +193,7 @@ def _factor_multiplier_set(ref: ReferenceSolution) -> _Projector:
     movable = (np.linalg.norm(polar, axis=1)
                > rcond * cond * np.linalg.norm(W, axis=0))
     polar = polar[movable]
-    t_star = basis.T @ Y.whiten_dual(ref.lambda_star.coeffs)
+    t_star = basis.T @ w_star
     return _Projector(
         anchor=anchor,
         basis=basis,

@@ -474,8 +474,8 @@ def sparse_solver(A: sp.csc_matrix):
         lu, piv, info = lapack.dgbtrf(work[: ldab * nb].reshape((ldab, nb), order="F"),
                                       kl, ku, overwrite_ab=1)
     if order is None or info > 0:
-        # scipy.sparse.linalg adds about 17 ms to every import; only
-        # sparse systems outside the band path need it
+        # imported here to keep scipy.sparse.linalg out of `import ssqp`;
+        # by now `_sparse_plan`'s scipy.sparse.csgraph import has loaded it
         from scipy.sparse.linalg import splu
 
         try:

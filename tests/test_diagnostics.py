@@ -100,16 +100,46 @@ def null_dimension(ref: ReferenceSolution) -> int:
     return ref._projector.basis.shape[1]
 
 
+def undeclared(ref: ReferenceSolution) -> ReferenceSolution:
+    """The same reference without its declared multiplier directions, so
+    the projector works the set out from j_star (the computed path)."""
+    return dataclasses.replace(ref, multiplier_directions=None)
+
+
+@pytest.fixture
+def factors_nothing(monkeypatch):
+    """Fail any Jordan-Wielandt plan or projector product map."""
+    from ssqp import diagnostics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a declared reference must not factor its set")
+
+    for name in ("sparse_matrix", "sparse_solver", "product_map"):
+        monkeypatch.setattr(diagnostics, name, refuse)
+
+
+def second_mode(n: int) -> np.ndarray:
+    return np.sin(2 * np.pi * np.arange(1, n + 1) / (n + 1))
+
+
 class TestMultiplierDistanceFarFromSet:
     """The set is span{sin(pi x)} on eigencontrol.  Far from it, a
     projection through the normal equations, which square the condition
     number of the stationarity system, fails its own residual check and
-    reports an empty set."""
+    reports an empty set.  eigencontrol declares that span, so each test
+    runs on the undeclared twin too, the only path to the computed sparse
+    projector at these sizes."""
 
-    @pytest.mark.parametrize("n, amp", [(49, 1.0), (49, 1e-6), (200, 1e-2),
-                                        (200, 3.0)])
+    CASES = [(49, 1.0), (49, 1e-6), (200, 1e-2), (200, 3.0)]
+    AMPS = (1.0, 1e-6, 1e-2, 3.0)
+
+    @pytest.mark.parametrize("n, amp", CASES)
     def test_eigencontrol_closed_form(self, n, amp):
-        self.check(make_eigencontrol(n=n), amp)
+        self.check(undeclared(make_eigencontrol(n=n).reference), amp)
+
+    @pytest.mark.parametrize("n, amp", CASES)
+    def test_declared_eigencontrol_closed_form(self, n, amp, factors_nothing):
+        self.check(make_eigencontrol(n=n).reference, amp)
 
     def test_sparse_jacobian_at_n2000_needs_no_dense_qr(self, monkeypatch):
         import scipy.linalg
@@ -118,39 +148,92 @@ class TestMultiplierDistanceFarFromSet:
             raise AssertionError("a sparse j_star must not reach the dense QR")
 
         monkeypatch.setattr(scipy.linalg, "qr", no_qr)
-        bm = make_eigencontrol(n=2000)
-        ref = bm.reference
+        ref = undeclared(make_eigencontrol(n=2000).reference)
         assert issparse(ref.j_star)
-        amps = (1.0, 1e-6, 1e-2, 3.0)
-        dists = [self.check(bm, amp) for amp in amps]
+        dists = [self.check(ref, amp) for amp in self.AMPS]
         monkeypatch.undo()
         dense = dataclasses.replace(ref, j_star=to_dense(ref.j_star))
-        for amp, dist in zip(amps, dists):
-            lam = ref.lambda_star.coeffs + amp * self.second_mode(bm)
+        for amp, dist in zip(self.AMPS, dists):
+            lam = ref.lambda_star.coeffs + amp * second_mode(2000)
             assert dist == pytest.approx(
                 multiplier_distance(dense, ref.space_y.functional(lam))[0],
                 rel=1e-9)
         assert null_dimension(ref) == null_dimension(dense) == 1
 
-    @staticmethod
-    def second_mode(bm) -> np.ndarray:
-        n = bm.problem.Y.dim
-        return np.sin(2 * np.pi * np.arange(1, n + 1) / (n + 1))
+    def test_declared_at_n2000_factors_nothing(self, factors_nothing):
+        ref = make_eigencontrol(n=2000).reference
+        assert issparse(ref.j_star)
+        for amp in self.AMPS:
+            self.check(ref, amp)
+        assert null_dimension(ref) == 1
 
-    def check(self, bm, amp) -> float:
-        Y = bm.problem.Y
+    @staticmethod
+    def check(ref, amp) -> float:
+        Y = ref.space_y
         n = Y.dim
         h = 1.0 / (n + 1)
         x = h * np.arange(1, n + 1)
         phi = np.sin(np.pi * x)
-        lam = bm.reference.lambda_star.coeffs + amp * self.second_mode(bm)
+        lam = ref.lambda_star.coeffs + amp * second_mode(n)
         on_line = (lam @ phi) / (phi @ phi) * phi
         # M_Y = h I, so the Y*-norm is the Euclidean norm over sqrt(h)
         expected = np.linalg.norm(lam - on_line) / np.sqrt(h)
-        dist, proj = multiplier_distance(bm.reference, Y.functional(lam))
+        dist, proj = multiplier_distance(ref, Y.functional(lam))
         assert dist == pytest.approx(expected, rel=1e-12)
         assert_allclose(proj.coeffs, on_line, rtol=0, atol=1e-12 * (1 + amp))
         return dist
+
+
+class TestDeclaredMultiplierDirections:
+    """A reference may declare N(j_star^T) in closed form; the projector
+    then factors nothing, and a declaration that fails its certificate is
+    refused at construction."""
+
+    @pytest.mark.parametrize("n", [49, 200, 1000, 2000])
+    def test_agrees_with_the_computed_projector(self, n):
+        declared = make_eigencontrol(n=n).reference
+        computed = undeclared(declared)
+        lam = declared.lambda_star.coeffs + second_mode(n)
+        for ref in (declared, computed):
+            multiplier_distance(ref, declared.space_y.functional(lam))
+        a, b = declared._projector.basis, computed._projector.basis
+        assert a.shape[1] == b.shape[1] == 1
+        # the sine of the angle between the two lines
+        assert np.linalg.norm(b - a @ (a.T @ b)) <= 1e-11
+        TestMultiplierDistanceFarFromSet.check(declared, 1.0)
+
+    def test_declares_only_at_the_eigenvalue(self):
+        assert make_eigencontrol(n=49).reference.multiplier_directions.shape == (49, 1)
+        for params in ({"u_d_amp": 0.1}, {"q_d": -2.0}):
+            ref = make_eigencontrol(n=49, **params).reference
+            assert ref.multiplier_directions is None
+
+    @staticmethod
+    def declare(directions, reference=None) -> ReferenceSolution:
+        ref = reference or get_benchmark("degenerate-line").reference
+        return dataclasses.replace(ref, multiplier_directions=directions)
+
+    def test_direction_outside_the_null_space_rejected(self):
+        with pytest.raises(InvalidReference, match="null space"):
+            self.declare(np.array([[1.0], [0.0]]))
+
+    def test_dependent_directions_rejected(self):
+        with pytest.raises(InvalidReference, match="dependent"):
+            self.declare(np.array([[1.0, -3.0], [-1.0, 3.0]]))
+
+    def test_wrong_row_count_rejected(self):
+        with pytest.raises(InvalidReference, match="rows"):
+            self.declare(np.array([[1.0], [-1.0], [0.0]]))
+
+    def test_non_finite_direction_rejected(self):
+        with pytest.raises(InvalidReference, match="finite"):
+            self.declare(np.array([[np.inf], [-np.inf]]))
+
+    def test_nontrivial_cone_rejected(self):
+        # cone-active's set is a single point, so no direction is declared
+        cone = get_benchmark("cone-active").reference
+        with pytest.raises(InvalidReference, match="cone"):
+            self.declare(np.zeros((2, 0)), cone)
 
 
 class TestPairingConstantOnTheSet:

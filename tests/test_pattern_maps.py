@@ -9,6 +9,8 @@ expression it replaces in every bit, and a changed pattern of the same
 shape and entry count must get its own map.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -181,23 +183,41 @@ def _dense_asymmetry(H: sp.csr_matrix) -> np.ndarray:
     return np.abs(D - D.T)[np.repeat(np.arange(H.shape[0]), np.diff(H.indptr)), H.indices]
 
 
-def test_eigencontrol_solve_builds_each_map_once():
-    # one solve at n = 1000 with its reference: the Hessian's mirror map,
-    # the product M^ J and the plans of the saddle matrix and of the
-    # projector's K are each made once; every later use hits
+def _map_counts(declared: bool):
+    """(subproblems, cache_info of the Hessian's mirror map, of M^ J's
+    product map and of the sparse plans) over one eigencontrol n = 1000
+    solve with its reference, declared or its undeclared twin."""
     maps = (model._mirror_map, subproblem.product_map, subproblem._sparse_plan)
     for memo in maps:
         memo.cache_clear()
     bm = make_eigencontrol(n=1000)
+    ref = bm.reference
+    if not declared:
+        ref = dataclasses.replace(ref, multiplier_directions=None)
     z, lam = bm.default_start()
-    report = run(bm.problem, z, lam, SolverOptions(), reference=bm.reference)
+    report = run(bm.problem, z, lam, SolverOptions(), reference=ref)
     assert report.status.value == "Converged"
     subproblems = len(report.history) - 1
     assert subproblems >= 2
-    mirror, product, plan = (memo.cache_info() for memo in maps)
+    return subproblems, *(memo.cache_info() for memo in maps)
+
+
+def test_eigencontrol_solve_builds_each_map_once():
+    # undeclared: the Hessian's mirror map, the product M^ J and the plans
+    # of the saddle matrix and of the projector's K are each made once;
+    # every later use hits
+    subproblems, mirror, product, plan = _map_counts(declared=False)
     # one Hessian per subproblem
     assert (mirror.misses, mirror.hits) == (1, subproblems - 1)
     # one M^ J per subproblem, and the projector's J o (M^ J)
     assert (product.misses, product.hits) == (1, subproblems)
     # one saddle matrix per subproblem, and K
     assert (plan.misses, plan.hits) == (2, subproblems - 1)
+
+
+def test_declared_eigencontrol_solve_maps_only_its_subproblems():
+    # the declared projector needs no K and no J o (M^ J)
+    subproblems, mirror, product, plan = _map_counts(declared=True)
+    assert (mirror.misses, mirror.hits) == (1, subproblems - 1)
+    assert (product.misses, product.hits) == (1, subproblems - 1)
+    assert (plan.misses, plan.hits) == (1, subproblems - 1)

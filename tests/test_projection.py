@@ -60,8 +60,10 @@ def enumeration_oracle(
 
 @st.composite
 def references(draw):
-    """A reference whose multiplier set has a k-dimensional affine hull
-    cut by m <= 4 generator pairings, some of them tight at lambda*."""
+    """(reference, null): a reference whose multiplier set has a
+    k-dimensional affine hull cut by m <= 4 generator pairings, some of
+    them tight at lambda*, and the planted orthonormal basis (ny x k) of
+    N(j_star^T)."""
     k = draw(st.sampled_from([0, 1, 2]))
     m = draw(st.integers(0, 4))
     ny = draw(st.integers(max(k + 1, m, 2), 5))
@@ -72,7 +74,8 @@ def references(draw):
     # j_star: ny x nz of rank ny - k, singular values in [0.5, 2]
     rank = ny - k
     nz = rank + int(rng.integers(0, 2))
-    j_star = (orthonormal(rng, ny, rank) * rng.uniform(0.5, 2.0, rank)) @ (
+    left = orthonormal(rng, ny, ny)  # its last k columns span N(j_star^T)
+    j_star = (left[:, :rank] * rng.uniform(0.5, 2.0, rank)) @ (
         orthonormal(rng, nz, rank).T
     )
     lam_star = rng.standard_normal(ny)
@@ -91,7 +94,7 @@ def references(draw):
         g_star=-j_star.T @ lam_star,
         cone=cone,
         lambda_star=Y.functional(lam_star),
-    )
+    ), left[:, rank:]
 
 
 def _in_set(ref: ReferenceSolution, mu: np.ndarray, tol: float) -> bool:
@@ -106,21 +109,29 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
 
 @PROPERTY
 @given(references(), st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
-def test_distance_matches_enumeration(ref, seed, size):
+def test_distance_matches_enumeration(case, seed, size):
+    ref, null = case
     rng = np.random.default_rng(seed)
     Y = ref.space_y
     lam = Y.functional(ref.lambda_star.coeffs + size * rng.standard_normal(Y.dim))
-    dist, proj = multiplier_distance(ref, lam)
     oracle_dist, oracle_proj = enumeration_oracle(ref, lam)
-    assert dist == pytest.approx(oracle_dist, rel=1e-9, abs=1e-12)
     scale = 1.0 + np.abs(oracle_proj.coeffs).max()
-    np.testing.assert_allclose(proj.coeffs, oracle_proj.coeffs,
-                               rtol=0, atol=1e-7 * scale)
+    refs = [ref]
+    if not ref.cone.m:  # the declared twin, its basis mixed
+        k = null.shape[1]
+        mixed = null @ rng.standard_normal((k, k))
+        refs.append(dataclasses.replace(ref, multiplier_directions=mixed))
+    for r in refs:
+        dist, proj = multiplier_distance(r, lam)
+        assert dist == pytest.approx(oracle_dist, rel=1e-9, abs=1e-12)
+        np.testing.assert_allclose(proj.coeffs, oracle_proj.coeffs,
+                                   rtol=0, atol=1e-7 * scale)
 
 
 @PROPERTY
 @given(references(), st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
-def test_projection_lies_in_the_set_and_is_fixed(ref, seed, size):
+def test_projection_lies_in_the_set_and_is_fixed(case, seed, size):
+    ref, _ = case
     rng = np.random.default_rng(seed)
     Y = ref.space_y
     lam = Y.functional(ref.lambda_star.coeffs + size * rng.standard_normal(Y.dim))
@@ -134,7 +145,8 @@ def test_projection_lies_in_the_set_and_is_fixed(ref, seed, size):
 
 @PROPERTY
 @given(references())
-def test_stored_member_is_a_fixed_point(ref):
+def test_stored_member_is_a_fixed_point(case):
+    ref, _ = case
     lam = ref.lambda_star
     dist, proj = multiplier_distance(ref, lam)
     scale = 1.0 + np.abs(lam.coeffs).max()
@@ -163,7 +175,8 @@ def test_least_distance_lands_on_the_binding_pairing():
 
 @PROPERTY
 @given(references(), st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
-def test_sparse_storage_matches_dense(ref, seed, size):
+def test_sparse_storage_matches_dense(case, seed, size):
+    ref, _ = case
     rng = np.random.default_rng(seed)
     Y = ref.space_y
     lam = Y.functional(ref.lambda_star.coeffs + size * rng.standard_normal(Y.dim))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -212,10 +214,10 @@ class TestBandPlan:
         solve_equality(sys)
         assert splu_calls == []
 
-    def test_solve_with_reference_makes_one_plan_each_for_saddle_and_projector(
-            self, splu_calls, monkeypatch):
-        # every iterate's saddle matrix shares one pattern; the projector's
-        # Jordan-Wielandt matrix K is the second; both take the band path
+    @staticmethod
+    def planned_solve(monkeypatch, declared: bool):
+        """One eigencontrol n=200 solve with its reference, declared or its
+        undeclared twin: the report and each plan passed to sparse_solver."""
         from ssqp import diagnostics, subproblem
 
         plans, solver = [], subproblem.sparse_solver
@@ -228,14 +230,32 @@ class TestBandPlan:
             monkeypatch.setattr(owner, "sparse_solver", recorded)
         subproblem._sparse_plan.cache_clear()
         bm = get_benchmark("eigencontrol-n49", n=200)
+        ref = bm.reference
+        if not declared:
+            ref = dataclasses.replace(ref, multiplier_directions=None)
         z, lam = bm.default_start()
-        report = run(bm.problem, z, lam, SolverOptions(), reference=bm.reference)
+        report = run(bm.problem, z, lam, SolverOptions(), reference=ref)
         assert report.status.value == "Converged"
+        assert all(plan.order is not None for plan in plans)
+        return report, plans, subproblem._sparse_plan.cache_info().currsize
+
+    def test_solve_with_reference_makes_one_plan_each_for_saddle_and_projector(
+            self, splu_calls, monkeypatch):
+        # undeclared, every iterate's saddle matrix shares one pattern; the
+        # projector's Jordan-Wielandt matrix K is the second; both take the
+        # band path
+        report, plans, planned = self.planned_solve(monkeypatch, declared=False)
         assert splu_calls == []
-        assert subproblem._sparse_plan.cache_info().currsize == 2
+        assert planned == 2
         assert len(plans) == len(report.history)  # a subproblem per record but one, and K
         assert len({id(plan) for plan in plans}) == 2
-        assert all(plan.order is not None for plan in plans)
+
+    def test_declared_reference_plans_the_saddle_matrix_only(self, splu_calls, monkeypatch):
+        report, plans, planned = self.planned_solve(monkeypatch, declared=True)
+        assert splu_calls == []
+        assert planned == 1
+        assert len(plans) == len(report.history) - 1
+        assert len({id(plan) for plan in plans}) == 1
 
     def test_singular_band_block_falls_back_to_splu(self, splu_calls):
         # unstabilized, with row 7 of K zero: the band block has a zero
