@@ -28,7 +28,7 @@ from .model import (
     transpose_dot,
 )
 from .spaces import Functional, InnerProductSpace, PrimalVec, euclidean_norm
-from .subproblem import identity_pattern, product_map, sparse_matrix, sparse_solver
+from .subproblem import sparse_matrix, sparse_solver
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -257,8 +257,10 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
     if s == 0.0:  # J = 0, so the certified g* is 0 and the set is all of Y
         return np.zeros(n), np.eye(n), 1.0
     J_pattern = csr_pattern(J)
+    diagonal = np.arange(n + m + 1, dtype=np.int32)  # the identity's indptr and indices
+    identity = (diagonal.dtype.str, diagonal.tobytes(), diagonal[:-1].tobytes())
     solve_K = sparse_solver(sparse_matrix(
-        n + m, [(0, 0, False, identity_pattern(n + m)), (0, n, False, J_pattern),
+        n + m, [(0, 0, False, identity), (0, n, False, J_pattern),
                 (n, 0, True, J_pattern)],
         np.concatenate([np.full(n + m, -s), J.data, J.data])))
     JT = J.T  # one transpose for every product below
@@ -308,24 +310,10 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
 def _column_norms(J: sp.csr_matrix, Y: InnerProductSpace) -> tuple[np.ndarray, np.ndarray]:
     """The column sums of J o (M^ J) and of J o J (o the entrywise
     product, M^ = M_Y / tau): the squared whitened column norms of J over
-    tau, and the squared column norms.
-
-    On a canonical J (sorted, without duplicates) each sum adds its
-    column's products in row order by bincount, as scipy's
-    `J.multiply(M).sum(axis=0)` does, with M^ J from `product_map`;
-    otherwise it is that scipy expression.
-    """
+    tau, and the squared column norms."""
     Mh = Y.scaled_mass(sparse=True)
-    m = J.shape[1]
-    if not J.has_canonical_format:
-        return (np.asarray(J.multiply(Mh @ J).sum(axis=0)).ravel(),
-                np.asarray(J.multiply(J).sum(axis=0)).ravel())
-    product = product_map(csr_pattern(Mh), csr_pattern(J))
-    # J's value at each entry of M^ J, zero where J stores none
-    J_at = np.append(J.data, 0.0).take(product.right_at)
-    massed = J_at * product.values(Mh.data, J.data)
-    return (np.bincount(product.columns, weights=massed, minlength=m),
-            np.bincount(J.indices, weights=J.data * J.data, minlength=m))
+    return (np.asarray(J.multiply(Mh @ J).sum(axis=0)).ravel(),
+            np.asarray(J.multiply(J).sum(axis=0)).ravel())
 
 
 def _ritz(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -159,42 +159,30 @@ def hessian_fault(H) -> str | None:
 
 
 def _sparse_asymmetry(H: sp.csr_matrix) -> np.ndarray:
-    """|H - H^T| at the stored entries of a canonical CSR matrix H.
-
-    On a pattern equal to its transpose, H^T's data in H's own order is
-    H.data gathered by `_mirror_map`, memoised by the pattern.  Otherwise
-    each entry is matched with its mirror by binary search in row-major
-    order, and an entry whose mirror is not stored meets zero.  The entries
-    of H^T outside H's pattern mirror those of H outside H^T's, so they add
-    no other value.
-    """
-    mirror = _mirror_map(csr_pattern(H))
-    if mirror is not None:
-        return np.abs(H.data - H.data.take(mirror))
-    n = H.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(H.indptr))
-    keys, mirror_keys = rows * n + H.indices, H.indices * n + rows
-    mirror = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
-    mirror_data = np.where(keys[mirror] == mirror_keys, H.data[mirror], 0.0)
-    return np.abs(H.data - mirror_data)
+    """|H - H^T| at the stored entries of a canonical CSR matrix H: each
+    entry meets its mirror's value from `_mirror_map`, or zero where H
+    stores no mirror.  The entries of H^T outside H's pattern mirror
+    those of H outside H^T's, so they add no other value."""
+    mirror, stored = _mirror_map(csr_pattern(H))
+    return np.abs(H.data - np.where(stored, H.data.take(mirror), 0.0))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _mirror_map(pattern: tuple[str, bytes, bytes]) -> np.ndarray | None:
-    """Each entry's mirror in a canonical square CSR pattern that equals
-    its transpose: the position of entry (j, i) for entry (i, j), so that
-    data.take(mirror) is the transpose's data, as tocsc() would give it;
-    None on any other pattern."""
+def _mirror_map(pattern: tuple[str, bytes, bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """(mirror, stored) of a canonical square CSR pattern: for entry (i, j)
+    the position of entry (j, i), found by binary search in row-major
+    order, and whether the pattern stores it (where it does not, mirror
+    is some valid position)."""
     indptr, indices = pattern_arrays(pattern)
     n = indptr.size - 1
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    mirror_keys = indices.astype(np.intp) * n + rows
-    mirror = np.argsort(mirror_keys, kind="stable")  # the entries in column-major order
-    if not np.array_equal(mirror_keys.take(mirror), rows * n + indices):
-        return None
-    mirror = mirror.astype(np.min_scalar_type(max(mirror.size - 1, 0)))
-    mirror.flags.writeable = False  # every caller shares it
-    return mirror
+    keys, mirror_keys = rows * n + indices, indices.astype(np.intp) * n + rows
+    mirror = np.minimum(np.searchsorted(keys, mirror_keys), max(keys.size - 1, 0))
+    stored = keys.take(mirror) == mirror_keys
+    mirror = mirror.astype(np.min_scalar_type(max(keys.size - 1, 0)))
+    for a in (mirror, stored):
+        a.flags.writeable = False  # every caller shares them
+    return mirror, stored
 
 
 def _max(entries: np.ndarray) -> float:
@@ -341,10 +329,10 @@ def validate_problem(
 ) -> None:
     """Cross-check the supplied derivatives at sampled points.
 
-    Verifies jac_G against central finite differences of G (relative
-    tolerance `fd_tol`), symmetry of hess_L to 1e-10 and affinity of
-    hess_L in the multiplier to 1e-10.  Raises ValueError on the first
-    violation.
+    Verifies the shapes of jac_G and hess_L, jac_G against central finite
+    differences of G (relative tolerance `fd_tol`), symmetry of hess_L to
+    1e-10 and affinity of hess_L in the multiplier to 1e-10.  Raises
+    ValueError on the first violation.
     """
     rng = np.random.default_rng(seed)
     if points is None:
@@ -352,7 +340,7 @@ def validate_problem(
             p.Z.vector(scale * rng.standard_normal(p.Z.dim)) for _ in range(n_points)
         ]
     for z in points:
-        J = to_dense(p.jac_G(z))
+        J = to_dense(_shaped("jac_G", p.jac_G(z), (p.Y.dim, p.Z.dim)))
         Jfd = np.empty_like(J)
         for j in range(p.Z.dim):
             step = 1e-6 * (1.0 + abs(z.coords[j]))
@@ -370,14 +358,24 @@ def validate_problem(
             )
         lam1 = p.Y.functional(rng.standard_normal(p.Y.dim))
         lam2 = p.Y.functional(rng.standard_normal(p.Y.dim))
-        H0 = to_dense(p.hess_L(z, p.Y.zero_functional()))
-        for lam in (lam1, lam2):
-            fault = hessian_fault(as_matrix(p.hess_L(z, lam)))
+        H0, H1, H2, H12 = (
+            _shaped("hess_L", p.hess_L(z, lam), (p.Z.dim, p.Z.dim))
+            for lam in (p.Y.zero_functional(), lam1, lam2,
+                        p.Y.functional(lam1.coeffs + lam2.coeffs))
+        )
+        for H in (H1, H2):
+            fault = hessian_fault(H)
             if fault is not None:
                 raise ValueError(f"hess_L is {fault}")
-        H1 = to_dense(p.hess_L(z, lam1))
-        H2 = to_dense(p.hess_L(z, lam2))
-        H12 = to_dense(p.hess_L(z, p.Y.functional(lam1.coeffs + lam2.coeffs)))
+        H0, H1, H2, H12 = map(to_dense, (H0, H1, H2, H12))
         lin_err = np.abs((H12 - H0) - ((H1 - H0) + (H2 - H0))).max()
         if lin_err > 1e-10 * max(np.abs(H12).max(), 1.0):
             raise ValueError("hess_L is not affine in the multiplier to 1e-10")
+
+
+def _shaped(name: str, M, shape: tuple[int, int]) -> np.ndarray | sp.csr_matrix:
+    """A callback's matrix output, checked for its shape."""
+    M = as_matrix(M)
+    if M.shape != shape:
+        raise ValueError(f"callback {name} returned shape {M.shape}, expected {shape}")
+    return M

@@ -37,24 +37,22 @@ The sparse operations of an iterate run as maps on the CSR arrays, each
 keyed by the exact pattern of its operands (`model.csr_pattern`: index
 type, indptr and indices bytes), made from that key alone and memoised
 (`functools.lru_cache`, the last PLAN_CACHE_SIZE patterns), so that a
-changed pattern can never reuse a stale map.  Each map does the
-arithmetic of the scipy.sparse expression it stands for, in the same
-order, so the results are the same bits:
+changed pattern can never reuse a stale map.  Each map is structural: it
+depends on the stored patterns only, never on the values, so an entry
+whose value cancels exactly stays stored as 0.0.  Where scipy.sparse
+stores an entry, the map gives it the same bits:
 
-* `product_map`: the symbolic product M^ J, in the order of scipy's
-  csr_matmat, so that M^ J costs one multiplication per term (plus one
-  addition per further term of an entry); where an entry sums to exactly
-  zero, which scipy leaves out, the product is scipy's;
-* `model._mirror_map`: the permutation taking a symmetric pattern's data
-  to its transpose's, for the Hessian's symmetry test; other patterns
-  take the binary search of `model._sparse_asymmetry`;
+* `product_map`: the structural product M^ J (an entry wherever a term
+  M^_ij J_jk exists, the columns of each row sorted), whose values are
+  one bincount over the terms, adding each entry's terms from zero in
+  the order of scipy's csr_matmat;
+* `model._mirror_map`: each entry's mirror and whether the pattern
+  stores it, for the Hessian's symmetry test;
 * `_sparse_plan`: the CSC layout and the band plan above, whose solve
   gathers a right-hand side into the plan's order once and puts the
-  result back once, and `identity_pattern`, the projector's identity;
+  result back once;
 * `model.transpose_dot`, J^T l summed into the columns by bincount in
-  storage order, as scipy's product with the CSC transpose sums it, and
-  the projector's column sums of J o J and J o (M^ J)
-  (`diagnostics._column_norms`), which read the arrays directly.
+  storage order, as scipy's product with the CSC transpose sums it.
 
 A subproblem of a few unknowns costs microseconds, so each step calls
 its numpy and LAPACK routines directly: `ndarray.dot` makes the BLAS call
@@ -195,7 +193,8 @@ def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
     if sys.sparse:
         import scipy.sparse as sp
 
-        MJ, MJ_data = sparse_product(Mh, sys.J)
+        product = product_map(csr_pattern(Mh), csr_pattern(sys.J))
+        MJ, MJ_data = product.pattern, product.values(Mh.data, sys.J.data)
         blocks = [(0, 0, False, csr_pattern(sys.H)), (0, nz, True, MJ),
                   (nz, 0, False, MJ), (nz, nz, False, csr_pattern(Mh))]
         data = [sys.H.data, MJ_data, MJ_data, -weight * Mh.data]
@@ -217,52 +216,31 @@ def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
     return A
 
 
-def sparse_product(M: sp.csr_matrix, J: sp.csr_matrix) -> tuple[tuple, np.ndarray]:
-    """(pattern, data) of the CSR product M J, bit for bit scipy's `M @ J`.
-
-    The symbolic product is `product_map`'s, memoised by the patterns of
-    M and J; scipy leaves out the entries whose sum is exactly zero, so
-    when one is, the product is scipy's own.
-    """
-    product = product_map(csr_pattern(M), csr_pattern(J))
-    data = product.values(M.data, J.data)
-    if data.all():
-        return product.pattern, data
-    MJ = M @ J
-    return csr_pattern(MJ), MJ.data
-
-
 @dataclass(frozen=True, eq=False)
 class _ProductMap:
-    """The symbolic product of two CSR patterns M and J in the order of
-    scipy's csr_matmat: row by row, each row's columns from the last one
-    reached to the first, and each entry the sum, from zero, of its terms
-    M_ij J_jk in the order M's row stores j.
+    """The structural product of two CSR patterns M and J: an entry
+    wherever a term M_ij J_jk exists, the columns of each row sorted.
 
-    `pattern` is the product's `csr_pattern` and `columns` its indices.
-    `terms` lists for each rank r the entries that have an r-th term, with
-    the positions of its factors in M.data and in J.data; rank 0 lists
-    every entry in order.  `right_at` is the position in J.data of each
-    entry's (row, column), J.nnz where J stores none, when J's pattern is
-    canonical (sorted, without duplicates); else None.
+    `pattern` is the product's `csr_pattern`.  The terms come in the
+    order of M's entries and, for each, of J's row j; `entry` is each
+    term's entry, `left` and `right` the positions of its factors in
+    M.data and J.data.
     """
 
     pattern: tuple
-    columns: np.ndarray
-    terms: tuple
-    right_at: np.ndarray | None
+    entry: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
     def values(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """The product's data for the data `left` of M and `right` of J.
 
-        Each entry starts from its first term rather than from zero, which
-        can change only the sign of a zero sum, an entry scipy leaves out.
+        bincount adds each entry's terms from zero in term order, as
+        scipy's csr_matmat does, so every entry scipy stores has scipy's
+        bits; an entry whose terms cancel exactly stays stored as 0.0.
         """
-        (_, first_left, first_right), *later = self.terms
-        data = left.take(first_left) * right.take(first_right)
-        for entries, left_at, right_at in later:
-            data[entries] += left.take(left_at) * right.take(right_at)
-        return data
+        # every entry has a term, so bincount's length is the entry count
+        return np.bincount(self.entry, weights=left.take(self.left) * right.take(self.right))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -271,54 +249,23 @@ def product_map(left: tuple, right: tuple) -> _ProductMap:
     l_indptr, l_indices = pattern_arrays(left)
     r_indptr, r_indices = pattern_arrays(right)
     width = int(r_indices.max(initial=0)) + 1
-    r_counts = np.diff(r_indptr).astype(np.intp)
-    r_keys = np.repeat(np.arange(r_counts.size), r_counts) * width + r_indices
     # the terms in turn: left entry (i, j) meets the right entries of row j
-    counts = r_counts[l_indices]
+    counts = np.diff(r_indptr).astype(np.intp)[l_indices]
     term_left = np.repeat(np.arange(l_indices.size), counts)
     term_right = (np.repeat(r_indptr[l_indices] - (np.cumsum(counts) - counts), counts)
                   + np.arange(term_left.size))
     l_rows = np.repeat(np.arange(l_indptr.size - 1), np.diff(l_indptr))
     keys = l_rows[term_left] * width + r_indices[term_right]
-    unique, first, entry = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.lexsort((-first, unique // width))
-    unique = unique[order]
-    position = np.empty(order.size, dtype=np.intp)
-    position[order] = np.arange(order.size)
-    term_entry = position[entry]
-    # a term's rank among the terms of its entry, which come in term order
-    by_entry = np.argsort(term_entry, kind="stable")
-    rank = np.empty(term_entry.size, dtype=np.intp)
-    rank[by_entry] = (np.arange(term_entry.size)
-                      - np.searchsorted(term_entry[by_entry], term_entry[by_entry]))
-    small = np.min_scalar_type(max(unique.size, l_indices.size, r_indices.size))
-    terms = []
-    for r in range(int(rank.max(initial=0)) + 1):
-        at = np.flatnonzero(rank == r)
-        at = at[np.argsort(term_entry[at])]
-        terms.append(tuple(a.astype(small) for a in
-                           (term_entry[at], term_left[at], term_right[at])))
-    right_at = None
-    if (np.diff(r_keys) > 0).all():  # canonical: sorted, without duplicates
-        found = np.searchsorted(r_keys, unique)
-        stored = found < r_keys.size
-        stored[stored] = r_keys[found[stored]] == unique[stored]
-        right_at = np.where(stored, found, r_keys.size).astype(small)
+    unique, term_entry = np.unique(keys, return_inverse=True)
     indptr = np.zeros(l_indptr.size, dtype=r_indices.dtype)
     np.cumsum(np.bincount(unique // width, minlength=l_indptr.size - 1), out=indptr[1:])
     columns = (unique % width).astype(r_indices.dtype)
-    for a in [columns, right_at, *(a for t in terms for a in t)]:
-        if a is not None:
-            a.flags.writeable = False  # every caller shares them
+    small = np.min_scalar_type(max(unique.size, l_indices.size, r_indices.size))
+    terms = [a.astype(small) for a in (term_entry, term_left, term_right)]
+    for a in terms:
+        a.flags.writeable = False  # every caller shares them
     pattern = (columns.dtype.str, indptr.tobytes(), columns.tobytes())
-    return _ProductMap(pattern, columns, tuple(terms), right_at)
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def identity_pattern(n: int) -> tuple[str, bytes, bytes]:
-    """The `csr_pattern` of the n x n identity, as scipy stores it."""
-    diagonal = np.arange(n + 1, dtype=np.int32)
-    return diagonal.dtype.str, diagonal.tobytes(), diagonal[:n].tobytes()
+    return _ProductMap(pattern, *terms)
 
 
 def sparse_matrix(n: int, blocks, data: np.ndarray) -> sp.csc_matrix:

@@ -108,13 +108,13 @@ def undeclared(ref: ReferenceSolution) -> ReferenceSolution:
 
 @pytest.fixture
 def factors_nothing(monkeypatch):
-    """Fail any Jordan-Wielandt plan or projector product map."""
+    """Fail any Jordan-Wielandt matrix or solve."""
     from ssqp import diagnostics
 
     def refuse(*args, **kwargs):
         raise AssertionError("a declared reference must not factor its set")
 
-    for name in ("sparse_matrix", "sparse_solver", "product_map"):
+    for name in ("sparse_matrix", "sparse_solver"):
         monkeypatch.setattr(diagnostics, name, refuse)
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -330,6 +333,26 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="finite differences"):
             validate_problem(broken, seed=2)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_callback_shapes_checked_first(self, sparse):
+        # a wrong shape is named as such, not as an asymmetry or a
+        # finite-difference mismatch, or not at all (a square hess_L)
+        import scipy.sparse as sp
+
+        p = two_constraint_linear()
+        wrap = sp.csr_matrix if sparse else np.asarray
+        cases = {
+            "hess_L returned shape (3, 3), expected (2, 2)":
+                dataclasses.replace(p, hess_L=lambda z, lam: wrap(np.eye(3))),
+            "hess_L returned shape (2, 3), expected (2, 2)":
+                dataclasses.replace(p, hess_L=lambda z, lam: wrap(np.eye(2, 3))),
+            "jac_G returned shape (2, 3), expected (2, 2)":
+                dataclasses.replace(p, jac_G=lambda z: wrap(np.eye(2, 3))),
+        }
+        for message, broken in cases.items():
+            with pytest.raises(ValueError, match=re.escape(f"callback {message}")):
+                validate_problem(broken, seed=2)
 
     def test_hessian_fault_matches_the_reference_test(self):
         # max(H - H^T) in place of max|H - H^T|, on dense storage and on

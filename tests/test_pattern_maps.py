@@ -1,12 +1,13 @@
-"""The maps on CSR arrays agree bit for bit with scipy.sparse.
+"""The maps on CSR arrays are structural and keep scipy.sparse's bits.
 
 Each per-iterate sparse operation on a fixed pattern runs through a map
-on the CSR arrays, memoised by the exact pattern: J^T l, the projector's
-column sums of squares, the product M^ J and the Hessian's asymmetry.
-Over generated canonical CSR matrices, with empty rows and columns and
-explicitly stored zeros, each result must equal the scipy.sparse
-expression it replaces in every bit, and a changed pattern of the same
-shape and entry count must get its own map.
+on the CSR arrays, memoised by the exact pattern: J^T l, the product
+M^ J and the Hessian's asymmetry.  Each map depends on the stored
+patterns only, so the product stores an entry wherever a term exists,
+0.0 where its terms cancel.  Over generated canonical CSR matrices, with
+empty rows and columns and explicitly stored zeros, each value scipy
+stores must equal scipy's in every bit, and a changed pattern of the
+same shape and entry count must get its own map.
 """
 
 import dataclasses
@@ -16,12 +17,10 @@ import pytest
 import scipy.sparse as sp
 
 from ssqp import model, subproblem
-from ssqp.bench import make_eigencontrol
-from ssqp.diagnostics import _column_norms
+from ssqp.bench import fd_eigenvalue, make_eigencontrol
 from ssqp.model import _mirror_map, _sparse_asymmetry, csr_pattern, transpose_dot
 from ssqp.solver import SolverOptions, run
-from ssqp.spaces import InnerProductSpace
-from ssqp.subproblem import product_map, sparse_product
+from ssqp.subproblem import product_map
 
 pytest.importorskip("hypothesis")  # declared in the `test` extra
 from hypothesis import assume, given, settings
@@ -86,48 +85,38 @@ def test_transpose_dot_is_scipys_product_with_the_transpose(drawn, canonical):
 
 @PROPERTY
 @given(matrices(), st.integers(0, 2), st.booleans())
-def test_product_is_scipys_product(drawn, bandwidth, general):
-    # M^ J for a diagonal or banded M^, or any sparse M, as scipy forms it:
-    # the same pattern in the same order and the same bits
+def test_product_is_structural_with_scipys_values(drawn, bandwidth, general):
+    # M^ J for a diagonal or banded M^, or any sparse M
     rng, J = drawn
     n = J.shape[0]
     M = (_csr(rng, rng.random((n, n)) < 0.5, rng.random() < 0.5) if general
          else _banded(rng, n, bandwidth))
-    pattern, data = sparse_product(M, J)
-    want = M @ J
-    index_type, indptr, indices = pattern
-    assert np.array_equal(np.frombuffer(indptr, index_type), want.indptr)
-    assert np.array_equal(np.frombuffer(indices, index_type), want.indices)
-    assert _same(data, want.data)
-    # where scipy drops no exact zero, the map's own values are scipy's
+    _check_product(M, J)
+
+
+def _check_product(M: sp.csr_matrix, J: sp.csr_matrix) -> None:
+    """The product map of M and J stores an entry, in sorted columns,
+    wherever a term M_ij J_jk exists; at each entry scipy's `M @ J`
+    stores its value has scipy's bits, and elsewhere it is 0.0."""
     product = product_map(csr_pattern(M), csr_pattern(J))
-    values = product.values(M.data, J.data)
-    if values.all():
-        assert product.pattern == pattern and _same(values, want.data)
-
-
-@PROPERTY
-@given(matrices(), st.integers(0, 2), st.booleans())
-def test_column_norms_are_scipys_column_sums(drawn, bandwidth, canonical):
-    # the projector's J o J and J o (M^ J) summed over each column, for a
-    # diagonal or banded mass M_Y; a J stored otherwise takes scipy's path
-    rng, J = drawn
-    if not canonical and J.nnz:
-        J = _stored_twice(rng, J)
-    n = J.shape[0]
-    mass = _banded(rng, n, bandwidth).toarray()
-    mass = 0.5 * (np.abs(mass) + np.abs(mass).T) / 10.0 ** 8 + n * np.eye(n)
-    Y = InnerProductSpace(sp.csr_matrix(mass))
-    Mh = Y.scaled_mass(sparse=True)
-    massed, squares = _column_norms(J, Y)
-    assert _same(massed, np.asarray(J.multiply(Mh @ J).sum(axis=0)).ravel())
-    assert _same(squares, np.asarray(J.multiply(J).sum(axis=0)).ravel())
+    index_type, indptr, indices = product.pattern
+    P = sp.csr_matrix((product.values(M.data, J.data), np.frombuffer(indices, index_type),
+                       np.frombuffer(indptr, index_type)), shape=(M.shape[0], J.shape[1]))
+    assert P.has_canonical_format
+    structural = _mask(M).astype(int) @ _mask(J).astype(int) > 0
+    assert np.array_equal(_mask(P), structural)
+    want = M @ J
+    dense = P.toarray()
+    assert _same(dense[_positions(want)], want.data)
+    dropped = structural & ~_mask(want)
+    assert _same(dense[dropped], np.zeros(np.count_nonzero(dropped)))
 
 
 @PROPERTY
 @given(matrices(square=True), st.booleans())
 def test_asymmetry_is_the_transposes(drawn, symmetric):
-    # a symmetric pattern takes the mirror map, any other the binary search
+    # one map for every pattern: a symmetric one stores each mirror, any
+    # other meets zero where it stores none
     rng, M = drawn
     n = M.shape[0]
     mask = _mask(M) | (rng.random((n, n)) < 0.3)
@@ -136,12 +125,9 @@ def test_asymmetry_is_the_transposes(drawn, symmetric):
     elif n > 1:  # (0, n - 1) stored without its mirror
         mask[0, n - 1], mask[n - 1, 0] = True, False
     H = _csr(rng, mask, rng.random() < 0.5)
-    pattern_symmetric = np.array_equal(mask, mask.T)
-    assert (_mirror_map(csr_pattern(H)) is not None) == pattern_symmetric
-    got = _sparse_asymmetry(H)
-    if pattern_symmetric:  # as computed before, through H's CSC arrays
-        assert _same(got, np.abs(H.data - H.tocsc().data))
-    assert _same(got, _dense_asymmetry(H))
+    _, stored = _mirror_map(csr_pattern(H))
+    assert stored.all() == np.array_equal(mask, mask.T)
+    assert _same(_sparse_asymmetry(H), _dense_asymmetry(H))
 
 
 @PROPERTY
@@ -161,8 +147,7 @@ def test_a_changed_pattern_of_one_shape_and_size_gets_its_own_map(drawn, seed):
     assert K.shape == J.shape and K.nnz == J.nnz
     M = _banded(rng, J.shape[0], 1)
     for A in (J, K):  # J's maps are made first, then K's
-        _, data = sparse_product(M, A)
-        assert _same(data, (M @ A).data)
+        _check_product(M, A)
         l = rng.standard_normal(A.shape[0])
         assert _same(transpose_dot(A, l), A.T.dot(l))
         assert _same(_sparse_asymmetry(A), _dense_asymmetry(A))
@@ -170,17 +155,22 @@ def test_a_changed_pattern_of_one_shape_and_size_gets_its_own_map(drawn, seed):
             is not product_map(csr_pattern(M), csr_pattern(K)))
 
 
+def _positions(M: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, columns) of M's stored entries, in storage order."""
+    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices
+
+
 def _mask(M: sp.csr_matrix) -> np.ndarray:
     """The stored positions of M, stored zeros included."""
     mask = np.zeros(M.shape, dtype=bool)
-    mask[np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices] = True
+    mask[_positions(M)] = True
     return mask
 
 
 def _dense_asymmetry(H: sp.csr_matrix) -> np.ndarray:
     """|H - H^T| at H's stored entries, from the dense matrix."""
     D = H.toarray()
-    return np.abs(D - D.T)[np.repeat(np.arange(H.shape[0]), np.diff(H.indptr)), H.indices]
+    return np.abs(D - D.T)[_positions(H)]
 
 
 def _map_counts(declared: bool):
@@ -207,17 +197,34 @@ def test_eigencontrol_solve_builds_each_map_once():
     # of the saddle matrix and of the projector's K are each made once;
     # every later use hits
     subproblems, mirror, product, plan = _map_counts(declared=False)
-    # one Hessian per subproblem
+    # one Hessian and one M^ J per subproblem
     assert (mirror.misses, mirror.hits) == (1, subproblems - 1)
-    # one M^ J per subproblem, and the projector's J o (M^ J)
-    assert (product.misses, product.hits) == (1, subproblems)
+    assert (product.misses, product.hits) == (1, subproblems - 1)
     # one saddle matrix per subproblem, and K
     assert (plan.misses, plan.hits) == (2, subproblems - 1)
 
 
 def test_declared_eigencontrol_solve_maps_only_its_subproblems():
-    # the declared projector needs no K and no J o (M^ J)
+    # the declared projector needs no K
     subproblems, mirror, product, plan = _map_counts(declared=True)
     assert (mirror.misses, mirror.hits) == (1, subproblems - 1)
     assert (product.misses, product.hits) == (1, subproblems - 1)
     assert (plan.misses, plan.hits) == (1, subproblems - 1)
+
+
+def test_a_cancelled_product_entry_keeps_the_saddle_plan():
+    # u = 0 at every other grid point stores zeros in J's last column, so
+    # entries of M^ J cancel on the first subproblem and not on the
+    # second; the structural product keeps one pattern, and one plan
+    n = 49
+    bm = make_eigencontrol(n=n)
+    phi = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    u = 0.01 * phi
+    u[::2] = 0.0
+    z = bm.problem.Z.vector(np.append(u, -fd_eigenvalue(n, 1) + 0.01))
+    lam = bm.problem.Y.functional(0.01 * phi)
+    subproblem._sparse_plan.cache_clear()
+    report = run(bm.problem, z, lam, SolverOptions(), reference=bm.reference)
+    assert report.status.value == "Converged"
+    assert len(report.history) - 1 == 2
+    assert subproblem._sparse_plan.cache_info().misses == 1
