@@ -262,7 +262,7 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
     solve_K = sparse_solver(sparse_matrix(
         n + m, [(0, 0, False, identity), (0, n, False, J_pattern),
                 (n, 0, True, J_pattern)],
-        np.concatenate([np.full(n + m, -s), J.data, J.data])))
+        [np.full(n + m, -s), J.data, J.data]))
     JT = J.T  # one transpose for every product below
 
     def solve(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:

@@ -229,15 +229,7 @@ class ProblemDef:
     def evaluate(self, z: PrimalVec) -> Evaluation:
         """grad_f, G and jac_G at z, one call each."""
         return Evaluation(self.grad_f(z).coeffs, self.G(z).coords,
-                          self._jacobian(z))
-
-    def _jacobian(self, z: PrimalVec) -> np.ndarray | sp.csr_matrix:
-        J = as_matrix(self.jac_G(z))
-        if J.shape != (self.Y.dim, self.Z.dim):
-            raise DimensionMismatch(
-                f"jac_G returned shape {J.shape}, expected {(self.Y.dim, self.Z.dim)}"
-            )
-        return J
+                          _shaped("jac_G", self.jac_G(z), (self.Y.dim, self.Z.dim)))
 
     def lagrangian_grad(self, z: PrimalVec, lam: Functional,
                         at: Evaluation | None = None) -> Functional:
@@ -373,9 +365,10 @@ def validate_problem(
             raise ValueError("hess_L is not affine in the multiplier to 1e-10")
 
 
-def _shaped(name: str, M, shape: tuple[int, int]) -> np.ndarray | sp.csr_matrix:
-    """A callback's matrix output, checked for its shape."""
+def _shaped(name: str, M, shape: tuple[int, ...]) -> np.ndarray | sp.csr_matrix:
+    """A callback's output as `as_matrix` gives it, checked for its shape:
+    DimensionMismatch names the callback `name` and both shapes."""
     M = as_matrix(M)
     if M.shape != shape:
-        raise ValueError(f"callback {name} returned shape {M.shape}, expected {shape}")
+        raise DimensionMismatch(f"callback {name} returned shape {M.shape}, expected {shape}")
     return M

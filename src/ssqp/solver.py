@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import ReferenceSolution, multiplier_distance
-from .model import KKTResidual, ProblemDef, as_matrix, hessian_fault, issparse
+from .model import KKTResidual, ProblemDef, _shaped, hessian_fault, issparse
 from .spaces import DimensionMismatch, Functional, PrimalVec
 from .subproblem import (
     NoConvergence,
@@ -213,11 +213,13 @@ def _callback_fault(p: ProblemDef, z: PrimalVec, lam: Functional,
     )
     for name, evaluate, shape in outputs:
         try:
-            value = as_matrix(evaluate())
+            value = evaluate()
         except DimensionMismatch as raised:  # it built an element of the wrong shape
             return f"callback {name} raised DimensionMismatch: {raised}"
-        if value.shape != shape:
-            return f"callback {name} returned shape {value.shape}, expected {shape}"
+        try:
+            value = _shaped(name, value, shape)
+        except DimensionMismatch as wrong:
+            return str(wrong)
         if not np.isfinite(value.data if issparse(value) else value).all():
             return f"callback {name} returned a value that is not finite"
         fault = hessian_fault(value) if name == "hess_L" else None

@@ -42,15 +42,16 @@ depends on the stored patterns only, never on the values, so an entry
 whose value cancels exactly stays stored as 0.0.  Where scipy.sparse
 stores an entry, the map gives it the same bits:
 
-* `product_map`: the structural product M^ J (an entry wherever a term
-  M^_ij J_jk exists, the columns of each row sorted), whose values are
-  one bincount over the terms, adding each entry's terms from zero in
-  the order of scipy's csr_matmat;
+* `_sparse_plan`, the one symbolic object of a sparse matrix: the CSC
+  layout, every term with the entry it adds to (a stored value of a
+  block, or a term M^_ij J_jk of the product M^ J, in the order of
+  scipy's csr_matmat), and the band plan above.  The values are one
+  bincount over the terms, which adds each entry's terms from zero in
+  that order, so every entry scipy's `M^ @ J` stores has scipy's bits.
+  `sparse_solver` gathers a right-hand side into the plan's order once
+  and puts the result back once;
 * `model._mirror_map`: each entry's mirror and whether the pattern
   stores it, for the Hessian's symmetry test;
-* `_sparse_plan`: the CSC layout and the band plan above, whose solve
-  gathers a right-hand side into the plan's order once and puts the
-  result back once;
 * `model.transpose_dot`, J^T l summed into the columns by bincount in
   storage order, as scipy's product with the CSC transpose sums it.
 
@@ -185,25 +186,29 @@ class SubproblemSolution:
 def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
                            cone: ConeSpec | None = None):
     """Inverse-free symmetric saddle matrix, optionally bordered by the
-    active generators: a dense array, or CSC when the system is sparse."""
+    active generators: a dense array, or CSC when the system is sparse.
+
+    The CSC matrix is the `sparse_matrix` of the blocks H, (M^ J)^T, M^ J,
+    -(rho/tau) M^ and the border, where M^ J is a product block: its
+    values are summed from the terms M^_ij J_jk straight into the CSC
+    values, and M^ J is never stored on its own."""
     Mh, weight = sys.scaled_mass, sys.weight
     border = -Mh.dot(cone.generator_matrix[:, list(active)]) if active else None
     nz = sys.spaceZ.dim
     n = nz + sys.spaceY.dim
     if sys.sparse:
-        import scipy.sparse as sp
-
-        product = product_map(csr_pattern(Mh), csr_pattern(sys.J))
-        MJ, MJ_data = product.pattern, product.values(Mh.data, sys.J.data)
+        MJ, MJ_data = (csr_pattern(Mh), csr_pattern(sys.J)), (Mh.data, sys.J.data)
         blocks = [(0, 0, False, csr_pattern(sys.H)), (0, nz, True, MJ),
-                  (nz, 0, False, MJ), (nz, nz, False, csr_pattern(Mh))]
+                  (nz, 0, False, MJ), (nz, nz, False, MJ[0])]
         data = [sys.H.data, MJ_data, MJ_data, -weight * Mh.data]
         if active:
+            import scipy.sparse as sp
+
             B = sp.csr_matrix(border)
             B_pattern = csr_pattern(B)
             blocks += [(nz, n, False, B_pattern), (n, nz, True, B_pattern)]
             data += [B.data, B.data]
-        return sparse_matrix(n + len(active), blocks, np.concatenate(data))
+        return sparse_matrix(n + len(active), blocks, data)
     A = np.zeros((n + len(active), n + len(active)))
     A[:nz, :nz] = sys.H
     MJ = Mh.dot(sys.J)
@@ -216,74 +221,28 @@ def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
     return A
 
 
-@dataclass(frozen=True, eq=False)
-class _ProductMap:
-    """The structural product of two CSR patterns M and J: an entry
-    wherever a term M_ij J_jk exists, the columns of each row sorted.
-
-    `pattern` is the product's `csr_pattern`.  The terms come in the
-    order of M's entries and, for each, of J's row j; `entry` is each
-    term's entry, `left` and `right` the positions of its factors in
-    M.data and J.data.
-    """
-
-    pattern: tuple
-    entry: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    def values(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """The product's data for the data `left` of M and `right` of J.
-
-        bincount adds each entry's terms from zero in term order, as
-        scipy's csr_matmat does, so every entry scipy stores has scipy's
-        bits; an entry whose terms cancel exactly stays stored as 0.0.
-        """
-        # every entry has a term, so bincount's length is the entry count
-        return np.bincount(self.entry, weights=left.take(self.left) * right.take(self.right))
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def product_map(left: tuple, right: tuple) -> _ProductMap:
-    """The product map of two `csr_pattern` keys, made from them alone."""
-    l_indptr, l_indices = pattern_arrays(left)
-    r_indptr, r_indices = pattern_arrays(right)
-    width = int(r_indices.max(initial=0)) + 1
-    # the terms in turn: left entry (i, j) meets the right entries of row j
-    counts = np.diff(r_indptr).astype(np.intp)[l_indices]
-    term_left = np.repeat(np.arange(l_indices.size), counts)
-    term_right = (np.repeat(r_indptr[l_indices] - (np.cumsum(counts) - counts), counts)
-                  + np.arange(term_left.size))
-    l_rows = np.repeat(np.arange(l_indptr.size - 1), np.diff(l_indptr))
-    keys = l_rows[term_left] * width + r_indices[term_right]
-    unique, term_entry = np.unique(keys, return_inverse=True)
-    indptr = np.zeros(l_indptr.size, dtype=r_indices.dtype)
-    np.cumsum(np.bincount(unique // width, minlength=l_indptr.size - 1), out=indptr[1:])
-    columns = (unique % width).astype(r_indices.dtype)
-    small = np.min_scalar_type(max(unique.size, l_indices.size, r_indices.size))
-    terms = [a.astype(small) for a in (term_entry, term_left, term_right)]
-    for a in terms:
-        a.flags.writeable = False  # every caller shares them
-    pattern = (columns.dtype.str, indptr.tobytes(), columns.tobytes())
-    return _ProductMap(pattern, *terms)
-
-
-def sparse_matrix(n: int, blocks, data: np.ndarray) -> sp.csc_matrix:
-    """The n x n CSC matrix of the triplets of `blocks`, in turn, with the
-    values `data`; entries at one position are summed, in triplet order.
+def sparse_matrix(n: int, blocks, data) -> sp.csc_matrix:
+    """The n x n CSC matrix of `blocks`, with the values `data`.
 
     A block (row offset, column offset, transposed, pattern) places a CSR
-    matrix of that `csr_pattern`, or its transpose, and `data` holds each
-    block's data.  The layout is that of `_sparse_plan`, memoised by the
-    blocks' patterns, so an iterate only gathers its values; the matrix
-    carries it as `plan`.
+    matrix, or its transpose, whose `pattern` is its `csr_pattern`, or the
+    product M J of two, given as the pair of their patterns.  `data`
+    holds one item per block: its data, or (M.data, J.data) for a
+    product.  One bincount sums the terms `_sparse_plan` lists for each
+    entry, from zero and in turn, so where scipy's `M @ J` stores an
+    entry it has scipy's bits, an entry whose terms cancel exactly stays
+    stored as 0.0, and a stored -0.0 comes out as +0.0.  The plan is
+    memoised by the blocks' patterns, so an iterate only computes its
+    terms; the matrix carries it as `plan`.
     """
     import scipy.sparse as sp
 
     plan = _sparse_plan(n, tuple(blocks))
-    values = data.take(plan.gather)  # as fast as data[gather] for small index types
-    if plan.starts is not None:
-        values = np.add.reduceat(values, plan.starts)
+    terms = np.concatenate([
+        block if factors is None else block[0].take(factors[0]) * block[1].take(factors[1])
+        for block, factors in zip(data, plan.factors)
+    ])
+    values = np.bincount(plan.entry, weights=terms, minlength=plan.indices.size)
     A = sp.csc_matrix((values, plan.indices, plan.indptr), shape=(n, n))
     A.plan = plan
     return A
@@ -308,7 +267,7 @@ def _factor(A):
         anorm = float(np.bincount(A.plan.columns, weights=np.abs(A.data),
                                   minlength=A.shape[0]).max())
         solve = sparse_solver(A)
-        inverse_norm = _inverse_norm_estimate(solve, A.shape[0])
+        inverse_norm = _inverse_norm_estimate(solve, A.plan.alternating)
         finite = np.isfinite(inverse_norm) and anorm != 0.0
         return solve, anorm, 1.0 / (anorm * inverse_norm) if finite else 0.0
     # np.linalg.norm(A, 1), the largest column sum, by its own reductions
@@ -329,30 +288,56 @@ def _factor(A):
 
 @dataclass(frozen=True, eq=False)
 class _SparsePlan:
-    """The symbolic work for one triplet pattern of an n x n matrix.
+    """The symbolic work for the blocks of one n x n `sparse_matrix`.
 
     `indptr` and `indices` are the CSC structure, `columns` each entry's
-    column; entry e sums the triplets `gather[starts[e]:starts[e + 1]]`
-    (`starts` is None when no position repeats).  `order` lists A's rows,
-    also its columns: the band in reverse Cuthill-McKee order, then the k
-    border rows; `position` is its inverse.  Entry e of A.data goes to
-    slot `slots[e]` of one flat workspace holding, in turn, the band block
-    in dgbtrf's storage (2 kl + ku + 1 rows, column-major), the border
-    columns (nb x k, column-major), the border rows (k x nb) and the
-    corner (k x k).
+    column.  The terms come block by block, as `_block_terms` lists them;
+    `entry` is each term's entry and `factors` holds, per block, None, or
+    for a product the positions of each term's factors in M.data and
+    J.data.  `alternating` is dlacn2's last test vector,
+    (-1)^i (1 + i / (n - 1)).  `order` lists A's rows, also its columns:
+    the band in reverse Cuthill-McKee order, then the k border rows;
+    `position` is its inverse.  Entry e of A.data goes to slot `slots[e]`
+    of one flat workspace holding, in turn, the band block in dgbtrf's
+    storage (2 kl + ku + 1 rows, column-major), the border columns
+    (nb x k, column-major), the border rows (k x nb) and the corner
+    (k x k).  The index arrays an iterate reads are intp, which bincount
+    and take use without a conversion.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     columns: np.ndarray
-    gather: np.ndarray
-    starts: np.ndarray | None
+    entry: np.ndarray
+    factors: tuple
+    alternating: np.ndarray
     order: np.ndarray | None = None
     position: np.ndarray | None = None
     k: int = 0
     kl: int = 0
     ku: int = 0
     slots: np.ndarray | None = None
+
+
+def _block_terms(pattern: tuple):
+    """(rows, columns, factors) of the terms of one block, in intp.
+
+    Those of a `csr_pattern` are its stored entries, in storage order,
+    with factors None.  Those of a product (M, J) are the terms
+    M_ij J_jk in the order of scipy's csr_matmat, M's entries in turn and
+    for each the entries of J's row j, with the positions of their
+    factors in M.data and J.data.
+    """
+    if len(pattern) == 3:  # one csr_pattern
+        indptr, indices = pattern_arrays(pattern)
+        return np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), indices.astype(np.intp), None
+    (l_indptr, l_indices), (r_indptr, r_indices) = map(pattern_arrays, pattern)
+    counts = np.diff(r_indptr).astype(np.intp)[l_indices]
+    left = np.repeat(np.arange(l_indices.size), counts)
+    right = (np.repeat(r_indptr[l_indices] - (np.cumsum(counts) - counts), counts)
+             + np.arange(left.size))
+    l_rows = np.repeat(np.arange(l_indptr.size - 1), np.diff(l_indptr))
+    return l_rows[left], r_indices[right].astype(np.intp), (left, right)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -363,22 +348,23 @@ def _sparse_plan(n: int, blocks: tuple) -> _SparsePlan:
     import scipy.sparse as sp
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    rows, cols = [], []
+    rows, cols, factors = [], [], []
     for r0, c0, transposed, pattern in blocks:
-        indptr, indices = pattern_arrays(pattern)
-        major = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        rows.append((indices if transposed else major) + r0)
-        cols.append((major if transposed else indices) + c0)
-    key = np.concatenate(cols) * n + np.concatenate(rows)  # column-major
-    gather = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[gather], prepend=-1))
-    columns, rows = np.divmod(key[gather][starts], n)
+        major, minor, factor = _block_terms(pattern)
+        rows.append((minor if transposed else major) + r0)
+        cols.append((major if transposed else minor) + c0)
+        factors.append(factor)
+    # column-major, in intp: n * n overflows int32 from n = 46341
+    key = np.concatenate(cols) * n + np.concatenate(rows)
+    unique, entry = np.unique(key, return_inverse=True)
+    columns, rows = np.divmod(unique, n)
     A = sp.csc_matrix((np.ones(rows.size), rows, np.searchsorted(columns, np.arange(n + 1))),
                       shape=(n, n))
-    A.indptr.flags.writeable = A.indices.flags.writeable = False  # every matrix shares them
-    small = np.min_scalar_type(max(n, gather.size))  # kept for the process's life
-    layout = (A.indptr, A.indices, columns.astype(small), gather.astype(small),
-              starts.astype(small) if starts.size < gather.size else None)
+    i = np.arange(n)
+    alternating = (1.0 + i / max(n - 1, 1)) * np.where(i % 2, -1.0, 1.0)
+    for shared in (A.indptr, A.indices, alternating):  # every matrix shares them
+        shared.flags.writeable = False
+    layout = (A.indptr, A.indices, columns, entry, tuple(factors), alternating)
     degree = np.bincount(columns, minlength=n) + np.bincount(rows, minlength=n)
     dense = degree > BORDER_DEGREE_RATIO * np.median(degree)
     inner, border = np.flatnonzero(~dense), np.flatnonzero(dense)
@@ -404,8 +390,7 @@ def _sparse_plan(n: int, blocks: tuple) -> _SparsePlan:
          border_rows + nb * (r - nb) + c],
         corner + k * (r - nb) + c - nb,
     )
-    return _SparsePlan(*layout, order, position, k, kl, ku,
-                       slots.astype(np.min_scalar_type(corner + k * k)))
+    return _SparsePlan(*layout, order, position, k, kl, ku, slots)
 
 
 def sparse_solver(A: sp.csc_matrix):
@@ -456,11 +441,13 @@ def sparse_solver(A: sp.csc_matrix):
     return solve
 
 
-def _inverse_norm_estimate(solve, n: int) -> float:
+def _inverse_norm_estimate(solve, alternating: np.ndarray) -> float:
     """Hager's estimate of |A^{-1}|_1 (Higham 1988, Algorithm 4.1, with
-    the alternating-sign vector of LAPACK's dlacn2), a lower bound reached
-    in a few solves.  The saddle matrix is symmetric, so the solves with
-    A^T that the method asks for are solves with A, as in dsycon."""
+    `alternating`, the last test vector of LAPACK's dlacn2), a lower bound
+    reached in a few solves.  The saddle matrix is symmetric, so the
+    solves with A^T that the method asks for are solves with A, as in
+    dsycon."""
+    n = alternating.size
     x = solve(np.full(n, 1.0 / n))
     est = float(np.abs(x).sum())
     if n == 1 or not np.isfinite(est):
@@ -482,16 +469,7 @@ def _inverse_norm_estimate(solve, n: int) -> float:
         last, j = j, int(z.argmax())
         if z[last] == z[j]:
             break
-    return max(est, 2.0 * float(np.abs(solve(_alternating(n))).sum()) / (3.0 * n))
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _alternating(n: int) -> np.ndarray:
-    """dlacn2's last test vector, (-1)^i (1 + i / (n - 1)), once per size."""
-    i = np.arange(n)
-    alternating = (1.0 + i / (n - 1)) * np.where(i % 2, -1.0, 1.0)
-    alternating.flags.writeable = False  # every caller shares it
-    return alternating
+    return max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3.0 * n))
 
 
 def _exactly_singular(detail: str) -> SingularSubproblem:

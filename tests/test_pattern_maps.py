@@ -1,13 +1,15 @@
 """The maps on CSR arrays are structural and keep scipy.sparse's bits.
 
 Each per-iterate sparse operation on a fixed pattern runs through a map
-on the CSR arrays, memoised by the exact pattern: J^T l, the product
-M^ J and the Hessian's asymmetry.  Each map depends on the stored
-patterns only, so the product stores an entry wherever a term exists,
-0.0 where its terms cancel.  Over generated canonical CSR matrices, with
-empty rows and columns and explicitly stored zeros, each value scipy
-stores must equal scipy's in every bit, and a changed pattern of the
-same shape and entry count must get its own map.
+on the CSR arrays: J^T l, the Hessian's asymmetry, memoised by the exact
+pattern, and `sparse_matrix`, whose plan, memoised by its blocks'
+patterns, sums the product M^ J's terms straight into the CSC values.
+Each map depends on the stored patterns only, so a product block stores
+an entry wherever a term exists, 0.0 where its terms cancel.  Over
+generated canonical CSR matrices, with empty rows and columns and
+explicitly stored zeros, each value scipy stores must equal scipy's in
+every bit, and a changed pattern of the same shape and entry count must
+get its own map.
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ from ssqp import model, subproblem
 from ssqp.bench import fd_eigenvalue, make_eigencontrol
 from ssqp.model import _mirror_map, _sparse_asymmetry, csr_pattern, transpose_dot
 from ssqp.solver import SolverOptions, run
-from ssqp.subproblem import product_map
+from ssqp.subproblem import sparse_matrix
 
 pytest.importorskip("hypothesis")  # declared in the `test` extra
 from hypothesis import assume, given, settings
@@ -84,32 +86,54 @@ def test_transpose_dot_is_scipys_product_with_the_transpose(drawn, canonical):
 
 
 @PROPERTY
-@given(matrices(), st.integers(0, 2), st.booleans())
-def test_product_is_structural_with_scipys_values(drawn, bandwidth, general):
-    # M^ J for a diagonal or banded M^, or any sparse M
+@given(matrices(), st.integers(0, 2), st.booleans(), st.booleans())
+def test_product_is_structural_with_scipys_values(drawn, bandwidth, general, transposed):
+    # M^ J, or its transpose, for a diagonal or banded M^, or any sparse M
     rng, J = drawn
     n = J.shape[0]
     M = (_csr(rng, rng.random((n, n)) < 0.5, rng.random() < 0.5) if general
          else _banded(rng, n, bandwidth))
-    _check_product(M, J)
+    _check_product(M, J, transposed)
 
 
-def _check_product(M: sp.csr_matrix, J: sp.csr_matrix) -> None:
-    """The product map of M and J stores an entry, in sorted columns,
-    wherever a term M_ij J_jk exists; at each entry scipy's `M @ J`
-    stores its value has scipy's bits, and elsewhere it is 0.0."""
-    product = product_map(csr_pattern(M), csr_pattern(J))
-    index_type, indptr, indices = product.pattern
-    P = sp.csr_matrix((product.values(M.data, J.data), np.frombuffer(indices, index_type),
-                       np.frombuffer(indptr, index_type)), shape=(M.shape[0], J.shape[1]))
-    assert P.has_canonical_format
+def _product_matrix(M: sp.csr_matrix, J: sp.csr_matrix, transposed: bool = False):
+    """The `sparse_matrix` of the one product block M J, or its transpose,
+    at the top left of a square matrix."""
+    n = max(M.shape[0], J.shape[1])
+    return sparse_matrix(n, [(0, 0, transposed, (csr_pattern(M), csr_pattern(J)))],
+                         [(M.data, J.data)])
+
+
+def _check_product(M: sp.csr_matrix, J: sp.csr_matrix, transposed: bool = False) -> None:
+    """The matrix of the product block M J stores an entry, in canonical
+    CSC, wherever a term M_ij J_jk exists; at each entry scipy's `M @ J`
+    stores its value has scipy's bits, and elsewhere it is +0.0."""
+    A = _product_matrix(M, J, transposed)
+    assert A.has_canonical_format
+    rows, cols = M.shape[0], J.shape[1]
+    stored, dense = _mask(A.T), A.toarray().T  # the transpose's, as CSR
+    if not transposed:
+        stored, dense = stored.T, dense.T
     structural = _mask(M).astype(int) @ _mask(J).astype(int) > 0
-    assert np.array_equal(_mask(P), structural)
+    assert A.nnz == np.count_nonzero(structural)
+    assert np.array_equal(stored[:rows, :cols], structural)
     want = M @ J
-    dense = P.toarray()
+    dense = dense[:rows, :cols]
     assert _same(dense[_positions(want)], want.data)
     dropped = structural & ~_mask(want)
     assert _same(dense[dropped], np.zeros(np.count_nonzero(dropped)))
+
+
+def test_keys_past_int32_give_scipys_csc():
+    # n^2 overflows int32 from n = 46341: a tridiagonal CSR block, whose
+    # column indices are int32, still sorts into scipy's CSC
+    n = 50000
+    S = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.5)],
+                 [-1, 0, 1], format="csr")
+    assert S.indices.dtype == np.int32
+    A, want = sparse_matrix(n, [(0, 0, False, csr_pattern(S))], [S.data]), S.tocsc()
+    for name in ("data", "indices", "indptr"):
+        assert getattr(A, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 @PROPERTY
@@ -134,7 +158,7 @@ def test_asymmetry_is_the_transposes(drawn, symmetric):
 @given(matrices(square=True), st.integers(0, 2**32 - 1))
 def test_a_changed_pattern_of_one_shape_and_size_gets_its_own_map(drawn, seed):
     # one stored entry moved: the same shape and entry count, another
-    # pattern, which must get maps of its own and their results
+    # pattern, which must get maps and a plan of its own and their results
     rng, J = drawn
     mask = _mask(J)
     assume(mask.any() and not mask.all())
@@ -151,8 +175,7 @@ def test_a_changed_pattern_of_one_shape_and_size_gets_its_own_map(drawn, seed):
         l = rng.standard_normal(A.shape[0])
         assert _same(transpose_dot(A, l), A.T.dot(l))
         assert _same(_sparse_asymmetry(A), _dense_asymmetry(A))
-    assert (product_map(csr_pattern(M), csr_pattern(J))
-            is not product_map(csr_pattern(M), csr_pattern(K)))
+    assert _product_matrix(M, J).plan is not _product_matrix(M, K).plan
 
 
 def _positions(M: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -174,10 +197,10 @@ def _dense_asymmetry(H: sp.csr_matrix) -> np.ndarray:
 
 
 def _map_counts(declared: bool):
-    """(subproblems, cache_info of the Hessian's mirror map, of M^ J's
-    product map and of the sparse plans) over one eigencontrol n = 1000
-    solve with its reference, declared or its undeclared twin."""
-    maps = (model._mirror_map, subproblem.product_map, subproblem._sparse_plan)
+    """(subproblems, cache_info of the Hessian's mirror map and of the
+    sparse plans) over one eigencontrol n = 1000 solve with its
+    reference, declared or its undeclared twin."""
+    maps = (model._mirror_map, subproblem._sparse_plan)
     for memo in maps:
         memo.cache_clear()
     bm = make_eigencontrol(n=1000)
@@ -193,22 +216,20 @@ def _map_counts(declared: bool):
 
 
 def test_eigencontrol_solve_builds_each_map_once():
-    # undeclared: the Hessian's mirror map, the product M^ J and the plans
-    # of the saddle matrix and of the projector's K are each made once;
-    # every later use hits
-    subproblems, mirror, product, plan = _map_counts(declared=False)
-    # one Hessian and one M^ J per subproblem
+    # undeclared: the Hessian's mirror map and the plans of the saddle
+    # matrix, M^ J's terms included, and of the projector's K are each
+    # made once; every later use hits
+    subproblems, mirror, plan = _map_counts(declared=False)
+    # one Hessian per subproblem
     assert (mirror.misses, mirror.hits) == (1, subproblems - 1)
-    assert (product.misses, product.hits) == (1, subproblems - 1)
     # one saddle matrix per subproblem, and K
     assert (plan.misses, plan.hits) == (2, subproblems - 1)
 
 
 def test_declared_eigencontrol_solve_maps_only_its_subproblems():
     # the declared projector needs no K
-    subproblems, mirror, product, plan = _map_counts(declared=True)
+    subproblems, mirror, plan = _map_counts(declared=True)
     assert (mirror.misses, mirror.hits) == (1, subproblems - 1)
-    assert (product.misses, product.hits) == (1, subproblems - 1)
     assert (plan.misses, plan.hits) == (1, subproblems - 1)
 
 

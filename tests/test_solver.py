@@ -390,6 +390,13 @@ BAD_CALLBACKS = {
 }
 
 
+#: the whole message of a wrong shape, in the wording of validate_problem
+SHAPE_MESSAGES = {
+    "jac_G-shape": "callback jac_G returned shape (2, 3), expected (2, 2)",
+    "hess_L-shape": "callback hess_L returned shape (3, 3), expected (2, 2)",
+}
+
+
 @pytest.mark.parametrize("case", list(BAD_CALLBACKS))
 def test_bad_callback_output_is_a_subproblem_failure(degenerate, case):
     name, bad = BAD_CALLBACKS[case]
@@ -399,6 +406,8 @@ def test_bad_callback_output_is_a_subproblem_failure(degenerate, case):
     assert report.status is SolveStatus.SUBPROBLEM_FAILURE
     assert report.failure_index == 1
     assert report.failure_message.startswith(f"callback {name} returned")
+    if case in SHAPE_MESSAGES:
+        assert report.failure_message == SHAPE_MESSAGES[case]
     assert [r.k for r in report.history] in ([0], [0, 1])
     assert all(np.isfinite(r.kkt.total) for r in report.history)
 

@@ -144,7 +144,7 @@ def test_dense_norms_are_numpy_norms():
         A = A + A.T + 2 * n * np.eye(n)
         assert _factor(A)[1] == np.linalg.norm(A, 1)
         S = scipy.sparse.csr_matrix(A)
-        assert _factor(sparse_matrix(n, [(0, 0, False, csr_pattern(S))], S.data))[1] == np.linalg.norm(A, 1)
+        assert _factor(sparse_matrix(n, [(0, 0, False, csr_pattern(S))], [S.data]))[1] == np.linalg.norm(A, 1)
         v = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
         assert euclidean_norm(v) == np.linalg.norm(v)
 
