@@ -12,26 +12,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .model import (
-    ConeSpec,
-    ProblemDef,
-    as_matrix,
-    csr_pattern,
-    issparse,
-    nnls,
-    to_dense,
-    transpose_dot,
-)
+from .csr import CSR, pattern_of
+from .model import ConeSpec, ProblemDef, as_matrix, issparse, nnls, to_dense, transpose_dot
 from .spaces import Functional, InnerProductSpace, PrimalVec, euclidean_norm
 from .subproblem import sparse_matrix, sparse_solver
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -58,8 +47,8 @@ class ReferenceSolution:
     the positive generator pairings must be at most MEMBERSHIP_TOL times
     the size of the terms they sum.  The projector onto the set is
     factored on the first projection and cached here, so the data must
-    not change after construction.  A scipy.sparse `j_star` stays sparse
-    (as CSR), and the projector factors it as sparse saddle matrices are.
+    not change after construction.  A sparse `j_star` stays sparse (as
+    `CSR`), and the projector factors it as sparse saddle matrices are.
 
     A caller that knows the set in closed form may pass
     `multiplier_directions`, Y-coefficient columns (dim Y x d, d >= 0)
@@ -76,7 +65,7 @@ class ReferenceSolution:
     """
 
     z_star: PrimalVec
-    j_star: np.ndarray | sp.csr_matrix
+    j_star: np.ndarray | CSR
     g_star: np.ndarray
     cone: ConeSpec
     lambda_star: Functional
@@ -86,13 +75,12 @@ class ReferenceSolution:
     )
 
     def __post_init__(self) -> None:
-        self.j_star = as_matrix(self.j_star)
+        J = self.j_star = as_matrix(self.j_star)
         self.g_star = np.asarray(self.g_star, dtype=float)
         lam = self.lambda_star.coeffs
-        # j_star^T and |j_star|^T, shared with the directions' certificate
-        JT, sizes = self.j_star.T, np.abs(self.j_star).T
-        residual = np.abs(JT @ lam + self.g_star).max()
-        scale = 1.0 + np.abs(self.g_star).max() + (sizes @ np.abs(lam)).max()
+        sizes = abs(J)  # |j_star|, shared with the directions' certificate
+        residual = np.abs(transpose_dot(J, lam) + self.g_star).max()
+        scale = 1.0 + np.abs(self.g_star).max() + transpose_dot(sizes, np.abs(lam)).max()
         pairing, polar_scale = 0.0, 1.0
         if self.cone.m:
             gens = self.cone.generator_matrix
@@ -106,9 +94,9 @@ class ReferenceSolution:
                 f"residual {residual:.3e}, largest generator pairing {pairing:.3e}"
             )
         if self.multiplier_directions is not None:
-            self._certify_directions(JT, sizes)
+            self._certify_directions(sizes)
 
-    def _certify_directions(self, JT, sizes) -> None:
+    def _certify_directions(self, sizes) -> None:
         N = self.multiplier_directions = np.asarray(self.multiplier_directions,
                                                     dtype=float)
         if N.ndim != 2 or N.shape[0] != self.space_y.dim:
@@ -121,8 +109,8 @@ class ReferenceSolution:
             raise InvalidReference("multiplier_directions are not finite")
         # per column, as lambda*'s residual: a bound entry by entry would
         # fail a direction whose zeros are rounded, such as sin(k pi x)
-        residual = np.abs(JT @ N).max(axis=0, initial=0.0)
-        scale = (sizes @ np.abs(N)).max(axis=0, initial=0.0)
+        residual = np.abs(transpose_dot(self.j_star, N)).max(axis=0, initial=0.0)
+        scale = transpose_dot(sizes, np.abs(N)).max(axis=0, initial=0.0)
         if not (residual <= MEMBERSHIP_TOL * scale).all():
             raise InvalidReference(
                 "a multiplier direction is not in the null space of j_star^T: "
@@ -229,7 +217,7 @@ START_BLOCK = 2
 MAX_SWEEPS = 30
 
 
-def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
+def _sparse_affine_hull(J: CSR, g: np.ndarray, Y: InnerProductSpace,
                         rcond: float) -> tuple[np.ndarray, np.ndarray, float]:
     """(anchor, basis, cond) of B^T w = -g for B = L^T J, iteratively.
 
@@ -256,12 +244,11 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
     s = rcond * np.sqrt(squares.max())
     if s == 0.0:  # J = 0, so the certified g* is 0 and the set is all of Y
         return np.zeros(n), np.eye(n), 1.0
-    J_pattern = csr_pattern(J)
-    diagonal = np.arange(n + m + 1, dtype=np.int32)  # the identity's indptr and indices
-    identity = (diagonal.dtype.str, diagonal.tobytes(), diagonal[:-1].tobytes())
-    solve_K = sparse_solver(sparse_matrix(
-        n + m, [(0, 0, False, identity), (0, n, False, J_pattern),
-                (n, 0, True, J_pattern)],
+    diagonal = np.arange(n + m + 1)  # the identity's indptr and indices
+    identity = pattern_of((n + m, n + m), diagonal, diagonal[:-1])
+    solve_K, _ = sparse_solver(sparse_matrix(
+        n + m, [(0, 0, False, identity), (0, n, False, J.pattern),
+                (n, 0, True, J.pattern)],
         [np.full(n + m, -s), J.data, J.data]))
     JT = J.T  # one transpose for every product below
 
@@ -275,7 +262,7 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
         null, change = np.zeros((n, 0)), np.inf
         for _ in range(MAX_SWEEPS):
             Q = np.linalg.qr(solve(X, np.zeros((m, p))))[0]
-            svals, right = _ritz(JT @ Q)
+            svals, right = _ritz(JT.dot(Q))
             X = Q @ right[::-1].T  # ascending Ritz values: null first
             k = int(np.count_nonzero(svals <= s))
             previous, null = null, X[:, :k]
@@ -285,7 +272,7 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
             if 0.5 * last <= change < np.inf:  # no longer shrinking
                 break
         Q = np.linalg.qr(Y.whiten_dual(X))[0]
-        svals, right = _ritz(JT @ Y.unwhiten_dual(Q))
+        svals, right = _ritz(JT.dot(Y.unwhiten_dual(Q)))
         kept = svals > rcond * top
         if kept.any() or p == n:
             break
@@ -307,11 +294,11 @@ def _sparse_affine_hull(J: sp.csr_matrix, g: np.ndarray, Y: InnerProductSpace,
     return anchor - basis @ (basis.T @ anchor), basis, cond
 
 
-def _column_norms(J: sp.csr_matrix, Y: InnerProductSpace) -> tuple[np.ndarray, np.ndarray]:
+def _column_norms(J: CSR, Y: InnerProductSpace) -> tuple[np.ndarray, np.ndarray]:
     """The column sums of J o (M^ J) and of J o J (o the entrywise
     product, M^ = M_Y / tau): the squared whitened column norms of J over
-    tau, and the squared column norms."""
-    Mh = Y.scaled_mass(sparse=True)
+    tau, and the squared column norms, by scipy.sparse."""
+    J, Mh = J.to_scipy(), Y.scaled_mass(sparse=True).to_scipy()
     return (np.asarray(J.multiply(Mh @ J).sum(axis=0)).ravel(),
             np.asarray(J.multiply(J).sum(axis=0)).ravel())
 
@@ -429,7 +416,7 @@ def degeneracy_report(p: ProblemDef, z: PrimalVec) -> DegeneracyReport:
     that nearly fails, while the projector (`_factor_multiplier_set`)
     cuts at eps max(shape) |L_Y^T J|, for the null space to rounding.
     """
-    C = _whitened_jacobian(p.jac_G(z), p.Z, p.Y)
+    C = _whitened_jacobian(p.jacobian(z), p.Z, p.Y)
     svals = np.linalg.svd(C, compute_uv=False)
     rank_tol = RANK_TOL_FACTOR * (svals[0] if svals.size else 0.0)
     surjective = svals.size >= p.Y.dim and bool(svals[p.Y.dim - 1] > rank_tol)

@@ -14,26 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
+from .csr import CSR, Pattern, as_csr, issparse, pattern_of, transpose_dot
 from .spaces import (
     DimensionMismatch,
     Functional,
     InnerProductSpace,
     PrimalVec,
     euclidean_norm,
-    issparse,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-#: Maps on CSR arrays kept per memo, one per sparsity pattern; the least
-#: recently used goes.
-PLAN_CACHE_SIZE = 8
 
 
 @dataclass
@@ -94,45 +86,9 @@ def empty_cone(space: InnerProductSpace) -> ConeSpec:
     return ConeSpec(space, ())
 
 
-def as_matrix(M) -> np.ndarray | sp.csr_matrix:
-    """A callback's matrix output: scipy.sparse as CSR, else a float array."""
+def as_matrix(M) -> np.ndarray | CSR:
+    """A callback's matrix output: sparse as `CSR`, else a float array."""
     return as_csr(M) if issparse(M) else np.asarray(M, dtype=float)
-
-
-def as_csr(M) -> sp.csr_matrix:
-    """M as a float CSR matrix: M itself when it is one already, which is
-    what the conversion would share its arrays with."""
-    import scipy.sparse as sp
-
-    if type(M) is sp.csr_matrix and M.dtype == np.float64:
-        return M
-    return sp.csr_matrix(M, dtype=float)
-
-
-def csr_pattern(M) -> tuple[str, bytes, bytes]:
-    """The exact sparsity pattern of a CSR matrix, the memo key of the maps
-    on its arrays: index type, `indptr` bytes and `indices` bytes.  A map
-    is made from its key alone, so no other pattern can reuse it."""
-    return M.indices.dtype.str, M.indptr.tobytes(), M.indices.tobytes()
-
-
-def pattern_arrays(pattern: tuple[str, bytes, bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """The `indptr` and `indices` arrays of a `csr_pattern` key."""
-    index_type, indptr, indices = pattern
-    return np.frombuffer(indptr, index_type), np.frombuffer(indices, index_type)
-
-
-def transpose_dot(J, v: np.ndarray) -> np.ndarray:
-    """J^T v for a matrix J, dense or sparse, and a vector or a block v.
-
-    For a CSR J and a vector v each stored entry's product with v is added
-    into its column in storage order by bincount, which is the arithmetic
-    of scipy's product with the CSC matrix J^T, without building J^T.
-    """
-    if isinstance(J, np.ndarray) or v.ndim != 1 or J.format != "csr":
-        return J.T.dot(v)
-    return np.bincount(J.indices, weights=J.data * v.repeat(np.diff(J.indptr)),
-                       minlength=J.shape[1])
 
 
 def hessian_fault(H) -> str | None:
@@ -143,10 +99,11 @@ def hessian_fault(H) -> str | None:
     arrays, without sparse arithmetic (`_sparse_asymmetry`)."""
     sparse = issparse(H)
     if sparse:
-        H = H.tocsr()
+        H = as_csr(H)
         if not H.has_canonical_format:  # sorted, without duplicates
-            H = H.copy()
+            H = H.to_scipy().copy()
             H.sum_duplicates()
+            H = as_csr(H)
     scale = max(_max(np.abs(H.data if sparse else H)), 1.0)
     if not math.isfinite(scale):
         return "not finite"
@@ -158,31 +115,14 @@ def hessian_fault(H) -> str | None:
     return None
 
 
-def _sparse_asymmetry(H: sp.csr_matrix) -> np.ndarray:
-    """|H - H^T| at the stored entries of a canonical CSR matrix H: each
-    entry meets its mirror's value from `_mirror_map`, or zero where H
-    stores no mirror.  The entries of H^T outside H's pattern mirror
+def _sparse_asymmetry(H) -> np.ndarray:
+    """|H - H^T| at the stored entries of a canonical sparse H: each entry
+    meets its mirror's value from its pattern's mirror map, or zero where
+    H stores no mirror.  The entries of H^T outside H's pattern mirror
     those of H outside H^T's, so they add no other value."""
-    mirror, stored = _mirror_map(csr_pattern(H))
+    H = as_csr(H)
+    mirror, stored = H.pattern.mirror
     return np.abs(H.data - np.where(stored, H.data.take(mirror), 0.0))
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _mirror_map(pattern: tuple[str, bytes, bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """(mirror, stored) of a canonical square CSR pattern: for entry (i, j)
-    the position of entry (j, i), found by binary search in row-major
-    order, and whether the pattern stores it (where it does not, mirror
-    is some valid position)."""
-    indptr, indices = pattern_arrays(pattern)
-    n = indptr.size - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    keys, mirror_keys = rows * n + indices, indices.astype(np.intp) * n + rows
-    mirror = np.minimum(np.searchsorted(keys, mirror_keys), max(keys.size - 1, 0))
-    stored = keys.take(mirror) == mirror_keys
-    mirror = mirror.astype(np.min_scalar_type(max(keys.size - 1, 0)))
-    for a in (mirror, stored):
-        a.flags.writeable = False  # every caller shares them
-    return mirror, stored
 
 
 def _max(entries: np.ndarray) -> float:
@@ -202,7 +142,7 @@ class Evaluation:
 
     g: np.ndarray
     Gval: np.ndarray
-    J: np.ndarray | sp.csr_matrix
+    J: np.ndarray | CSR
 
 
 @dataclass
@@ -215,6 +155,13 @@ class ProblemDef:
     matrix; sparse output keeps the subproblem sparse, and its saddle
     system is factored as a band with a dense border.  Callbacks must
     be pure so that distinct solves can share a ProblemDef.
+
+    A problem may instead declare the CSR pattern, (indptr, indices), of
+    either matrix as `jac_pattern` or `hess_pattern`: that callback then
+    returns the data array of its pattern, in storage order, and the
+    iterate does no symbolic work for it.  Each pattern is checked and
+    looked up once, here (`csr.pattern_of`).  Read the matrices through
+    `jacobian` and `hessian`, which take either kind of callback.
     """
 
     Z: InnerProductSpace
@@ -225,11 +172,30 @@ class ProblemDef:
     G: Callable[[PrimalVec], PrimalVec]
     jac_G: Callable[[PrimalVec], np.ndarray]
     hess_L: Callable[[PrimalVec, Functional], np.ndarray]
+    jac_pattern: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
+    hess_pattern: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nz, ny = self.Z.dim, self.Y.dim
+        self._jac = (None if self.jac_pattern is None
+                     else pattern_of((ny, nz), *self.jac_pattern))
+        self._hess = (None if self.hess_pattern is None
+                      else pattern_of((nz, nz), *self.hess_pattern))
+
+    def jacobian(self, z: PrimalVec) -> np.ndarray | CSR:
+        """jac_G(z) as a matrix, checked for its shape (DimensionMismatch
+        names the callback): a float array, or `CSR` if sparse or declared."""
+        return _matrix("jac_G", self.jac_G(z), self._jac, (self.Y.dim, self.Z.dim))
+
+    def hessian(self, z: PrimalVec, lam: Functional) -> np.ndarray | CSR:
+        """hess_L(z, lam) as a matrix, as `jacobian` gives jac_G(z)."""
+        return _matrix("hess_L", self.hess_L(z, lam), self._hess, (self.Z.dim, self.Z.dim))
 
     def evaluate(self, z: PrimalVec) -> Evaluation:
         """grad_f, G and jac_G at z, one call each."""
-        return Evaluation(self.grad_f(z).coeffs, self.G(z).coords,
-                          _shaped("jac_G", self.jac_G(z), (self.Y.dim, self.Z.dim)))
+        return Evaluation(self.grad_f(z).coeffs, self.G(z).coords, self.jacobian(z))
 
     def lagrangian_grad(self, z: PrimalVec, lam: Functional,
                         at: Evaluation | None = None) -> Functional:
@@ -321,7 +287,8 @@ def validate_problem(
 ) -> None:
     """Cross-check the supplied derivatives at sampled points.
 
-    Verifies the shapes of jac_G and hess_L, jac_G against central finite
+    Verifies the shapes of jac_G and hess_L (the data lengths of declared
+    patterns), jac_G against central finite
     differences of G (relative tolerance `fd_tol`), symmetry of hess_L to
     1e-10 and affinity of hess_L in the multiplier to 1e-10.  Raises
     ValueError on the first violation.
@@ -332,7 +299,7 @@ def validate_problem(
             p.Z.vector(scale * rng.standard_normal(p.Z.dim)) for _ in range(n_points)
         ]
     for z in points:
-        J = to_dense(_shaped("jac_G", p.jac_G(z), (p.Y.dim, p.Z.dim)))
+        J = to_dense(p.jacobian(z))
         Jfd = np.empty_like(J)
         for j in range(p.Z.dim):
             step = 1e-6 * (1.0 + abs(z.coords[j]))
@@ -351,7 +318,7 @@ def validate_problem(
         lam1 = p.Y.functional(rng.standard_normal(p.Y.dim))
         lam2 = p.Y.functional(rng.standard_normal(p.Y.dim))
         H0, H1, H2, H12 = (
-            _shaped("hess_L", p.hess_L(z, lam), (p.Z.dim, p.Z.dim))
+            p.hessian(z, lam)
             for lam in (p.Y.zero_functional(), lam1, lam2,
                         p.Y.functional(lam1.coeffs + lam2.coeffs))
         )
@@ -365,10 +332,20 @@ def validate_problem(
             raise ValueError("hess_L is not affine in the multiplier to 1e-10")
 
 
-def _shaped(name: str, M, shape: tuple[int, ...]) -> np.ndarray | sp.csr_matrix:
-    """A callback's output as `as_matrix` gives it, checked for its shape:
-    DimensionMismatch names the callback `name` and both shapes."""
-    M = as_matrix(M)
-    if M.shape != shape:
-        raise DimensionMismatch(f"callback {name} returned shape {M.shape}, expected {shape}")
-    return M
+def _matrix(name: str, M, pattern: Pattern | None,
+            shape: tuple[int, ...]) -> np.ndarray | CSR:
+    """The output M of callback `name` as a matrix of `shape`: the data of
+    the declared `pattern`, or as `as_matrix` gives it.  DimensionMismatch
+    names the callback and what it returned."""
+    if pattern is None:
+        M = as_matrix(M)
+        if M.shape != shape:
+            raise DimensionMismatch(
+                f"callback {name} returned shape {M.shape}, expected {shape}")
+        return M
+    data = np.asarray(M, dtype=float)
+    if data.shape != (pattern.nnz,):
+        raise DimensionMismatch(
+            f"callback {name} returned shape {data.shape}, expected the "
+            f"({pattern.nnz},) data of its declared pattern")
+    return CSR(pattern, data)

@@ -25,34 +25,18 @@ from __future__ import annotations
 
 import ast
 import math
-import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cholesky_banded
 from scipy.linalg.blas import dnrm2, dtbmv, dtbsv, dtrmm, dtrmv, dtrsv
 from scipy.linalg.lapack import dpbtrs, dpotrs, dtbtrs, dtrtrs
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .csr import CSR, issparse, pattern_of
 
 
 class DimensionMismatch(ValueError):
     """Operand does not match the dimension of the space it is used with."""
-
-
-def issparse(M) -> bool:
-    """scipy.sparse.issparse(M), without importing scipy.sparse.
-
-    No matrix is sparse before some code has imported scipy.sparse, so
-    problems with dense callbacks never pay for that import (about 30 ms
-    of every CLI process).
-    """
-    if isinstance(M, np.ndarray):
-        return False
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(M)
 
 
 _FLOAT = np.dtype(float)
@@ -157,10 +141,16 @@ class _DenseMetric:
     def dual_norm(self, a: np.ndarray) -> float:
         return dnrm2(dtrsv(self._lower, a, lower=1))
 
-    def csr(self) -> sp.csr_matrix:
-        import scipy.sparse as sp
+    def csr(self) -> CSR:
+        rows, cols = np.nonzero(self._mass)
+        return _csr(self.dim, rows, cols, self._mass[rows, cols])
 
-        return sp.csr_matrix(self._mass)
+
+def _csr(dim: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> CSR:
+    """The dim x dim `CSR` matrix of entries given row by row, columns
+    ascending in each row."""
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=dim)))
+    return CSR(pattern_of((dim, dim), indptr, cols), data)
 
 
 def _sparse_bands(mass) -> np.ndarray:
@@ -257,14 +247,16 @@ class _BandMetric:
     def dual_norm(self, a: np.ndarray) -> float:
         return dnrm2(dtbsv(self.b, self._factor, a, lower=1))
 
-    def csr(self) -> sp.csr_matrix:
-        import scipy.sparse as sp
-
-        below = [self._ab[i, : self.dim - i] for i in range(self.b, 0, -1)]
-        mass = sp.diags(below + [self._ab[0]] + below[::-1],
-                        list(range(-self.b, self.b + 1)), format="csr")
-        mass.eliminate_zeros()
-        return mass
+    def csr(self) -> CSR:
+        # M[r, r + d] = ab[|d|, min(r, r + d)] for the offsets |d| <= b
+        offsets = np.arange(-self.b, self.b + 1)
+        rows = np.arange(self.dim)[:, None]
+        cols = rows + offsets
+        inside = (cols >= 0) & (cols < self.dim)
+        at = (np.abs(offsets), np.minimum(rows, cols) * inside)
+        band = np.where(inside, self._ab[at], 0.0)
+        rows, k = np.nonzero(band)
+        return _csr(self.dim, rows, rows + offsets[k], band[rows, k])
 
 
 class InnerProductSpace:
@@ -290,7 +282,7 @@ class InnerProductSpace:
         self.dim: int = metric.dim
         #: tau = trace(M) / dim, the mean diagonal entry of the mass matrix
         self.mass_scale: float = float(metric.diagonal().sum()) / self.dim
-        self._scaled_mass: dict[bool, np.ndarray | sp.csr_matrix] = {}
+        self._scaled_mass: dict[bool, np.ndarray | CSR] = {}
         self._inverse_mass: np.ndarray | None = None
 
     @classmethod
@@ -316,8 +308,9 @@ class InnerProductSpace:
         read on banded storage (O(n^2)); only tests read it."""
         return self._metric.dense()
 
-    def scaled_mass(self, sparse: bool = False) -> np.ndarray | sp.csr_matrix:
-        """M / tau, dense or as CSR without its zero entries; cached.
+    def scaled_mass(self, sparse: bool = False) -> np.ndarray | CSR:
+        """M / tau, dense or as `CSR` without its zero entries; cached.
+        The `CSR` one is M (1 / tau), as scipy.sparse divides.
 
         Dividing by tau makes the matrix dimensionless: M = tau I, a
         lumped mass, gives the identity.
@@ -325,7 +318,8 @@ class InnerProductSpace:
         scaled = self._scaled_mass.get(sparse)
         if scaled is None:
             if sparse:
-                scaled = self._metric.csr() / self.mass_scale
+                M = self._metric.csr()
+                scaled = CSR(M.pattern, M.data * (1.0 / self.mass_scale))
             else:
                 scaled = self._metric.dense() / self.mass_scale
                 scaled.flags.writeable = False

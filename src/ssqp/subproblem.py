@@ -21,39 +21,50 @@ For a lumped mass M_Y = tau I this is the classical matrix
 condition number, and RCOND_FLOOR, in the units of that matrix.
 
 Dense blocks are factored by Bunch-Kaufman (LAPACK dsytrf).  When H or J
-is a scipy.sparse matrix the system is assembled in CSC and factored as a
-band with a dense border.  The rows and columns that store far more than
-the median (eigencontrol's control q, a cone's active generators) form the
-border, reverse Cuthill-McKee orders the rest into a narrow band, LAPACK
-dgbtrf factors the band block and dgetrf the border's Schur complement.
-This plan and the CSC layout, the symbolic work, are made once per
-sparsity pattern and memoised (the projector's sparse solves share them).
-splu takes over where the band would be mostly fill or the band block is
-exactly singular.  For K = {0} one solve gives the step.  The cone case
-runs a primal-dual active set iteration over the generator
-complementarities, each trial pattern solved by the same factorization.
+is sparse (a `csr.CSR`, or a scipy.sparse matrix, taken in as one) the
+system is assembled in CSC and factored as a band with a dense border.
+The rows and columns that store far more than the median (eigencontrol's
+control q, a cone's active generators) form the border, reverse
+Cuthill-McKee orders the rest into a narrow band, LAPACK dgbtrf factors
+the band block and dgetrf the border's Schur complement.  One multi-column
+dgbtrs sweep solves the border columns with the factorization's other
+right-hand sides: the step's, and the first and last test vectors of the
+condition estimate.  This plan and the CSC layout, the symbolic work, are
+made once per sparsity pattern and memoised (the projector's sparse
+solves share them).  splu takes over where the band would be mostly fill
+or the band block is exactly singular.  For K = {0} one solve gives the
+step.  The cone case runs a primal-dual active set iteration over the
+generator complementarities, each trial pattern solved by the same
+factorization.
 
-The sparse operations of an iterate run as maps on the CSR arrays, each
-keyed by the exact pattern of its operands (`model.csr_pattern`: index
-type, indptr and indices bytes), made from that key alone and memoised
-(`functools.lru_cache`, the last PLAN_CACHE_SIZE patterns), so that a
-changed pattern can never reuse a stale map.  Each map is structural: it
-depends on the stored patterns only, never on the values, so an entry
-whose value cancels exactly stays stored as 0.0.  Where scipy.sparse
-stores an entry, the map gives it the same bits:
+Every sparse matrix holds its pattern as a `csr.Pattern`, interned by
+`csr.pattern_of`: a memo keyed by the pattern's exact bytes
+(`functools.lru_cache`, the last PLAN_CACHE_SIZE patterns) gives each
+pattern one object.  A problem that declares its patterns looks them up
+there once, when it is built; an undeclared callback's scipy matrix, a
+cone's border and a metric's M^ are looked up when they are taken in,
+per call, per assembly and once per space.  Every map is then found by
+the identity of those objects, never by their bytes, and is made from
+the patterns alone, so that a changed pattern can never reuse a stale
+map.  Each map is structural: it depends on the stored patterns only,
+never on the values, so an entry whose value cancels exactly stays
+stored as 0.0.  Where scipy.sparse stores an entry, the map gives it the
+same bits:
 
-* `_sparse_plan`, the one symbolic object of a sparse matrix: the CSC
-  layout, every term with the entry it adds to (a stored value of a
-  block, or a term M^_ij J_jk of the product M^ J, in the order of
-  scipy's csr_matmat), and the band plan above.  The values are one
-  bincount over the terms, which adds each entry's terms from zero in
-  that order, so every entry scipy's `M^ @ J` stores has scipy's bits.
-  `sparse_solver` gathers a right-hand side into the plan's order once
-  and puts the result back once;
-* `model._mirror_map`: each entry's mirror and whether the pattern
-  stores it, for the Hessian's symmetry test;
-* `model.transpose_dot`, J^T l summed into the columns by bincount in
-  storage order, as scipy's product with the CSC transpose sums it.
+* `_sparse_plan`, the one symbolic object of a sparse matrix, memoised by
+  its blocks' pattern objects: the CSC layout, every term with the entry
+  it adds to (a stored value of a block, or a term M^_ij J_jk of the
+  product M^ J, in the order of scipy's csr_matmat), and the band plan
+  above.  The values are one bincount over the terms, which adds each
+  entry's terms from zero in that order, so every entry scipy's `M^ @ J`
+  stores has scipy's bits.  M^ J's terms are formed once for both of its
+  blocks.  `sparse_solver` gathers a right-hand side into the plan's
+  order once and puts the result back once;
+* the mirror map of the Hessian's pattern (`Pattern.mirror`), each
+  entry's mirror and whether the pattern stores it, for the Hessian's
+  symmetry test, kept on the pattern;
+* the products J^T l, M^ v and A x, which call scipy.sparse's own kernels
+  (`csr_matvec`, `csc_matvec`) on the arrays.
 
 A subproblem of a few unknowns costs microseconds, so each step calls
 its numpy and LAPACK routines directly: `ndarray.dot` makes the BLAS call
@@ -64,27 +75,15 @@ wrappers.  The arithmetic is that of the spelled-out forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .model import (
-    PLAN_CACHE_SIZE,
-    ConeSpec,
-    as_csr,
-    csr_pattern,
-    hessian_fault,
-    issparse,
-    pattern_arrays,
-    transpose_dot,
-)
+from .csr import CSC, CSR, PLAN_CACHE_SIZE, Pattern, as_csr
+from .model import ConeSpec, hessian_fault, issparse, transpose_dot
 from .spaces import Functional, InnerProductSpace, PrimalVec, euclidean_norm
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 #: Factorizations with a reciprocal condition estimate below this are
 #: treated as singular; legitimate stabilized solves stay well above it.
@@ -126,14 +125,14 @@ class SaddleSystem:
     block, massZ only the residual norms); `zk` anchors the step so that
     solutions report z_next = z_k + d.  rho = 0 is accepted to expose the
     unstabilized (classical SQP) system for diagnostics.  H and J may be
-    scipy.sparse matrices; the system is then `sparse`, both are held as
-    CSR and the solve uses the band LU with a dense border.  `scaled_mass`
+    sparse matrices; the system is then `sparse`, both are held as
+    `CSR` and the solve uses the band LU with a dense border.  `scaled_mass`
     and `weight` are derived from spaceY and rho at construction: build a
     new system to change either.
     """
 
-    H: np.ndarray | sp.csr_matrix
-    J: np.ndarray | sp.csr_matrix
+    H: np.ndarray | CSR
+    J: np.ndarray | CSR
     g: np.ndarray
     Gval: np.ndarray
     rho: float
@@ -143,8 +142,7 @@ class SaddleSystem:
     spaceY: InnerProductSpace
     sparse: bool = field(init=False, default=False)
     #: M^ = M_Y / tau, in the storage the blocks use
-    scaled_mass: np.ndarray | sp.csr_matrix = field(init=False, repr=False,
-                                                     compare=False)
+    scaled_mass: np.ndarray | CSR = field(init=False, repr=False, compare=False)
     #: rho / tau, the weight of -M^ in the stabilization block
     weight: float = field(init=False, repr=False, compare=False)
 
@@ -180,13 +178,22 @@ class SubproblemSolution:
     active_set: tuple[int, ...]
     #: saddle systems solved, one per trial pattern, singular ones included
     inner_iterations: int
-    stationarity_residual: float
+    #: the system solved and its step d, for `stationarity_residual`
+    _system: SaddleSystem = field(repr=False, compare=False)
+    _step: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def stationarity_residual(self) -> float:
+        """|g + J^T l + H d|_{Z*}, computed when first read."""
+        sys = self._system
+        return sys.spaceZ.dual_norm_arr(
+            sys.g + transpose_dot(sys.J, self.lam_next.coeffs) + sys.H.dot(self._step))
 
 
 def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
                            cone: ConeSpec | None = None):
     """Inverse-free symmetric saddle matrix, optionally bordered by the
-    active generators: a dense array, or CSC when the system is sparse.
+    active generators: a dense array, or `CSC` when the system is sparse.
 
     The CSC matrix is the `sparse_matrix` of the blocks H, (M^ J)^T, M^ J,
     -(rho/tau) M^ and the border, where M^ J is a product block: its
@@ -197,16 +204,13 @@ def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
     nz = sys.spaceZ.dim
     n = nz + sys.spaceY.dim
     if sys.sparse:
-        MJ, MJ_data = (csr_pattern(Mh), csr_pattern(sys.J)), (Mh.data, sys.J.data)
-        blocks = [(0, 0, False, csr_pattern(sys.H)), (0, nz, True, MJ),
-                  (nz, 0, False, MJ), (nz, nz, False, MJ[0])]
+        MJ, MJ_data = (Mh.pattern, sys.J.pattern), (Mh.data, sys.J.data)
+        blocks = [(0, 0, False, sys.H.pattern), (0, nz, True, MJ),
+                  (nz, 0, False, MJ), (nz, nz, False, Mh.pattern)]
         data = [sys.H.data, MJ_data, MJ_data, -weight * Mh.data]
         if active:
-            import scipy.sparse as sp
-
-            B = sp.csr_matrix(border)
-            B_pattern = csr_pattern(B)
-            blocks += [(nz, n, False, B_pattern), (n, nz, True, B_pattern)]
+            B = as_csr(border)
+            blocks += [(nz, n, False, B.pattern), (n, nz, True, B.pattern)]
             data += [B.data, B.data]
         return sparse_matrix(n + len(active), blocks, data)
     A = np.zeros((n + len(active), n + len(active)))
@@ -221,29 +225,35 @@ def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
     return A
 
 
-def sparse_matrix(n: int, blocks, data) -> sp.csc_matrix:
-    """The n x n CSC matrix of `blocks`, with the values `data`.
+def sparse_matrix(n: int, blocks, data) -> CSC:
+    """The n x n `CSC` matrix of `blocks`, with the values `data`.
 
     A block (row offset, column offset, transposed, pattern) places a CSR
-    matrix, or its transpose, whose `pattern` is its `csr_pattern`, or the
+    matrix, or its transpose, whose `pattern` is its `csr.Pattern`, or the
     product M J of two, given as the pair of their patterns.  `data`
     holds one item per block: its data, or (M.data, J.data) for a
     product.  One bincount sums the terms `_sparse_plan` lists for each
     entry, from zero and in turn, so where scipy's `M @ J` stores an
     entry it has scipy's bits, an entry whose terms cancel exactly stays
-    stored as 0.0, and a stored -0.0 comes out as +0.0.  The plan is
-    memoised by the blocks' patterns, so an iterate only computes its
-    terms; the matrix carries it as `plan`.
+    stored as 0.0, and a stored -0.0 comes out as +0.0.  Blocks of one
+    product pattern given the same data object share its terms, which
+    are formed once.  The plan is memoised by the blocks' patterns, so
+    an iterate only computes its terms; the matrix carries it as `plan`.
     """
-    import scipy.sparse as sp
-
     plan = _sparse_plan(n, tuple(blocks))
-    terms = np.concatenate([
-        block if factors is None else block[0].take(factors[0]) * block[1].take(factors[1])
-        for block, factors in zip(data, plan.factors)
-    ])
-    values = np.bincount(plan.entry, weights=terms, minlength=plan.indices.size)
-    A = sp.csc_matrix((values, plan.indices, plan.indptr), shape=(n, n))
+    formed: dict[tuple[int, int], np.ndarray] = {}
+
+    def terms(block, factors) -> np.ndarray:
+        if factors is None:
+            return block
+        key = (id(block), id(factors))
+        if key not in formed:
+            formed[key] = block[0].take(factors[0]) * block[1].take(factors[1])
+        return formed[key]
+
+    values = np.bincount(plan.entry, minlength=plan.pattern.nnz, weights=np.concatenate(
+        [terms(block, factors) for block, factors in zip(data, plan.factors)]))
+    A = CSC(plan.pattern, values)
     A.plan = plan
     return A
 
@@ -255,21 +265,28 @@ def _saddle_rhs(sys: SaddleSystem, n_active: int = 0) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _factor(A):
-    """Factor the saddle matrix; returns (solve, |A|_1, rcond).
+def _factor(A, rhs: np.ndarray | None = None):
+    """Factor the saddle matrix; returns (solve, |A|_1, rcond, x).
 
     `solve(b)` applies A^{-1} and rcond estimates 1 / (|A|_1 |A^{-1}|_1).
-    A dense A is factored by Bunch-Kaufman, with LAPACK's estimate dsycon;
-    a sparse one by `sparse_solver`, with the same method (Hager's) run
-    through its solve and |A|_1 summed in row order as np.linalg.norm sums.
+    A dense A is factored by Bunch-Kaufman, with LAPACK's estimate dsycon,
+    and x is None.  A sparse one is factored by `sparse_solver`, with the
+    same method (Hager's) run through its solve and |A|_1 summed in row
+    order as np.linalg.norm sums.  The estimate's first and last test
+    vectors and `rhs`, when given, share the factorization's band sweep;
+    x is then A^{-1} rhs, as `solve(rhs)` gives it.
     """
     if issparse(A):  # from sparse_matrix, with its plan
-        anorm = float(np.bincount(A.plan.columns, weights=np.abs(A.data),
-                                  minlength=A.shape[0]).max())
-        solve = sparse_solver(A)
-        inverse_norm = _inverse_norm_estimate(solve, A.plan.alternating)
+        n = A.shape[0]
+        anorm = float(np.bincount(A.plan.pattern.major, weights=np.abs(A.data),
+                                  minlength=n).max())
+        given = () if rhs is None else (rhs,)
+        solve, (first, last, *x) = sparse_solver(
+            A, np.full(n, 1.0 / n), A.plan.alternating, *given)
+        inverse_norm = _inverse_norm_estimate(solve, first, last)
         finite = np.isfinite(inverse_norm) and anorm != 0.0
-        return solve, anorm, 1.0 / (anorm * inverse_norm) if finite else 0.0
+        return (solve, anorm, 1.0 / (anorm * inverse_norm) if finite else 0.0,
+                x[0] if x else None)
     # np.linalg.norm(A, 1), the largest column sum, by its own reductions
     # without its dispatch and their Python wrappers
     anorm = float(np.maximum.reduce(np.add.reduce(np.abs(A), axis=0)))
@@ -283,18 +300,19 @@ def _factor(A):
     def solve(b: np.ndarray) -> np.ndarray:
         return lapack.dsytrs(ldu, ipiv, b, lower=1)[0]
 
-    return solve, anorm, rcond
+    return solve, anorm, rcond, None
 
 
 @dataclass(frozen=True, eq=False)
 class _SparsePlan:
     """The symbolic work for the blocks of one n x n `sparse_matrix`.
 
-    `indptr` and `indices` are the CSC structure, `columns` each entry's
-    column.  The terms come block by block, as `_block_terms` lists them;
-    `entry` is each term's entry and `factors` holds, per block, None, or
-    for a product the positions of each term's factors in M.data and
-    J.data.  `alternating` is dlacn2's last test vector,
+    `pattern` is the CSC structure, read as the CSR pattern of A^T, so
+    that its `major` is each entry's column.  The terms come block by
+    block, as `_block_terms` lists them; `entry` is each term's entry and
+    `factors` holds, per block, None, or for a product the positions of
+    each term's factors in M.data and J.data, one tuple per product
+    pattern.  `alternating` is dlacn2's last test vector,
     (-1)^i (1 + i / (n - 1)).  `order` lists A's rows, also its columns:
     the band in reverse Cuthill-McKee order, then the k border rows;
     `position` is its inverse.  Entry e of A.data goes to slot `slots[e]`
@@ -305,9 +323,7 @@ class _SparsePlan:
     and take use without a conversion.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    columns: np.ndarray
+    pattern: Pattern
     entry: np.ndarray
     factors: tuple
     alternating: np.ndarray
@@ -319,38 +335,39 @@ class _SparsePlan:
     slots: np.ndarray | None = None
 
 
-def _block_terms(pattern: tuple):
+def _block_terms(pattern: Pattern | tuple[Pattern, Pattern]):
     """(rows, columns, factors) of the terms of one block, in intp.
 
-    Those of a `csr_pattern` are its stored entries, in storage order,
-    with factors None.  Those of a product (M, J) are the terms
-    M_ij J_jk in the order of scipy's csr_matmat, M's entries in turn and
-    for each the entries of J's row j, with the positions of their
-    factors in M.data and J.data.
+    Those of a `Pattern` are its stored entries, in storage order, with
+    factors None.  Those of a product (M, J) are the terms M_ij J_jk in
+    the order of scipy's csr_matmat, M's entries in turn and for each the
+    entries of J's row j, with the positions of their factors in M.data
+    and J.data.
     """
-    if len(pattern) == 3:  # one csr_pattern
-        indptr, indices = pattern_arrays(pattern)
-        return np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), indices.astype(np.intp), None
-    (l_indptr, l_indices), (r_indptr, r_indices) = map(pattern_arrays, pattern)
-    counts = np.diff(r_indptr).astype(np.intp)[l_indices]
-    left = np.repeat(np.arange(l_indices.size), counts)
-    right = (np.repeat(r_indptr[l_indices] - (np.cumsum(counts) - counts), counts)
+    if isinstance(pattern, Pattern):
+        return pattern.major, pattern.indices.astype(np.intp, copy=False), None
+    M, J = pattern
+    counts = np.diff(J.indptr)[M.indices]
+    left = np.repeat(np.arange(M.nnz), counts)
+    right = (np.repeat(J.indptr[M.indices] - (np.cumsum(counts) - counts), counts)
              + np.arange(left.size))
-    l_rows = np.repeat(np.arange(l_indptr.size - 1), np.diff(l_indptr))
-    return l_rows[left], r_indices[right].astype(np.intp), (left, right)
+    return M.major[left], J.indices[right].astype(np.intp, copy=False), (left, right)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _sparse_plan(n: int, blocks: tuple) -> _SparsePlan:
     """The plan of `sparse_matrix`'s blocks, keyed by their offsets and
-    exact patterns and made from that key alone, so no other pattern can
-    reuse it."""
+    patterns and made from that key alone.  Patterns are compared by
+    identity, and `csr.pattern_of` gives each exact pattern one object,
+    so no other pattern can reuse a plan."""
     import scipy.sparse as sp
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    rows, cols, factors = [], [], []
+    rows, cols, factors, made = [], [], [], {}
     for r0, c0, transposed, pattern in blocks:
-        major, minor, factor = _block_terms(pattern)
+        if pattern not in made:
+            made[pattern] = _block_terms(pattern)
+        major, minor, factor = made[pattern]
         rows.append((minor if transposed else major) + r0)
         cols.append((major if transposed else minor) + c0)
         factors.append(factor)
@@ -364,7 +381,7 @@ def _sparse_plan(n: int, blocks: tuple) -> _SparsePlan:
     alternating = (1.0 + i / max(n - 1, 1)) * np.where(i % 2, -1.0, 1.0)
     for shared in (A.indptr, A.indices, alternating):  # every matrix shares them
         shared.flags.writeable = False
-    layout = (A.indptr, A.indices, columns, entry, tuple(factors), alternating)
+    layout = (Pattern((n, n), A.indptr, A.indices), entry, tuple(factors), alternating)
     degree = np.bincount(columns, minlength=n) + np.bincount(rows, minlength=n)
     dense = degree > BORDER_DEGREE_RATIO * np.median(degree)
     inner, border = np.flatnonzero(~dense), np.flatnonzero(dense)
@@ -393,16 +410,24 @@ def _sparse_plan(n: int, blocks: tuple) -> _SparsePlan:
     return _SparsePlan(*layout, order, position, k, kl, ku, slots)
 
 
-def sparse_solver(A: sp.csc_matrix):
-    """A^{-1} for a matrix from `sparse_matrix`, applied to a vector or to
-    the columns of a block: the plan's band LU and the border's Schur
-    complement S = A_KK - A_KB B^{-1} A_BK, or splu when the plan found
-    the band too wide or the band block B is exactly singular."""
-    order, k, kl, ku = A.plan.order, A.plan.k, A.plan.kl, A.plan.ku
+def sparse_solver(A: CSC, *rhs: np.ndarray):
+    """A^{-1} for a matrix from `sparse_matrix`: (solve, [A^{-1} b for b in
+    rhs]), where `solve` applies A^{-1} to a vector or to the columns of a
+    block.
+
+    It uses the plan's band LU and the border's Schur complement
+    S = A_KK - A_KB B^{-1} A_BK, or splu when the plan found the band too
+    wide or the band block B is exactly singular.  One multi-column
+    dgbtrs sweep solves the border columns B^{-1} A_BK together with the
+    band rows of the vectors `rhs`; dgbtrs solves column by column, so
+    each solution has the bits `solve` gives it.
+    """
+    plan = A.plan
+    order, k, kl, ku = plan.order, plan.k, plan.kl, plan.ku
     if order is not None:
         nb = order.size - k
         ldab = 2 * kl + ku + 1
-        work = np.bincount(A.plan.slots, weights=A.data, minlength=ldab * nb + (2 * nb + k) * k)
+        work = np.bincount(plan.slots, weights=A.data, minlength=ldab * nb + (2 * nb + k) * k)
         lu, piv, info = lapack.dgbtrf(work[: ldab * nb].reshape((ldab, nb), order="F"),
                                       kl, ku, overwrite_ab=1)
     if order is None or info > 0:
@@ -411,26 +436,32 @@ def sparse_solver(A: sp.csc_matrix):
         from scipy.sparse.linalg import splu
 
         try:
-            return splu(A).solve
+            solve = splu(A.to_scipy()).solve
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise _exactly_singular(str(exc)) from None
+        return solve, [solve(b) for b in rhs]
     if info < 0:
         raise RuntimeError(f"dgbtrf: illegal argument {-info}")
-    position = A.plan.position
+    position = plan.position
+    # each right-hand side in the plan's order, gathered once and put back once
+    gathered = [b.take(order) for b in rhs]
+    cut = ldab * nb
+    swept = np.empty((nb, k + len(rhs)), order="F")
+    swept[:, :k] = work[cut : cut + nb * k].reshape((nb, k), order="F")
+    for i, w in enumerate(gathered, k):
+        swept[:, i] = w[:nb]
+    swept = lapack.dgbtrs(lu, kl, ku, swept, piv, overwrite_b=1)[0]
     if k:
-        cut = ldab * nb
-        border_cols = work[cut : cut + nb * k].reshape((nb, k), order="F")
-        B_inv_cols = lapack.dgbtrs(lu, kl, ku, border_cols, piv, overwrite_b=1)[0]
+        B_inv_cols = swept[:, :k]
         border_rows = work[cut + nb * k : cut + 2 * nb * k].reshape((k, nb))
         schur = work[cut + 2 * nb * k :].reshape((k, k)) - border_rows.dot(B_inv_cols)
         lu_s, piv_s, info = lapack.dgetrf(schur, overwrite_a=1)
         if info > 0:
             raise _exactly_singular(f"zero pivot at {nb + info}")
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        # in the plan's order, gathered once and put back once
-        w = b.take(order, axis=0)
-        y = lapack.dgbtrs(lu, kl, ku, w[:nb], piv, overwrite_b=1)[0]
+    def finish(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """A^{-1} b for b gathered into w, whose band rows the band sweep
+        has solved into y."""
         if k:
             z = lapack.dgetrs(lu_s, piv_s, w[nb:] - border_rows.dot(y))[0]
             y -= B_inv_cols.dot(z)
@@ -438,17 +469,26 @@ def sparse_solver(A: sp.csc_matrix):
         w[:nb] = y  # a block of columns is solved in a copy
         return w.take(position, axis=0)
 
-    return solve
+    def solve(b: np.ndarray) -> np.ndarray:
+        w = b.take(order, axis=0)
+        return finish(w, lapack.dgbtrs(lu, kl, ku, w[:nb], piv, overwrite_b=1)[0])
+
+    solved = []
+    for i, w in enumerate(gathered, k):
+        w[:nb] = swept[:, i]  # where `solve`'s in-place sweep leaves it
+        solved.append(finish(w, w[:nb]))
+    return solve, solved
 
 
-def _inverse_norm_estimate(solve, alternating: np.ndarray) -> float:
-    """Hager's estimate of |A^{-1}|_1 (Higham 1988, Algorithm 4.1, with
-    `alternating`, the last test vector of LAPACK's dlacn2), a lower bound
-    reached in a few solves.  The saddle matrix is symmetric, so the
-    solves with A^T that the method asks for are solves with A, as in
-    dsycon."""
-    n = alternating.size
-    x = solve(np.full(n, 1.0 / n))
+def _inverse_norm_estimate(solve, first: np.ndarray, last: np.ndarray) -> float:
+    """Hager's estimate of |A^{-1}|_1 (Higham 1988, Algorithm 4.1, with the
+    last test vector of LAPACK's dlacn2), a lower bound reached in a few
+    solves.  `first` and `last` are A^{-1} applied to the first and last
+    test vectors, e/n and (-1)^i (1 + i / (n - 1)), solved ahead with the
+    factorization.  The saddle matrix is symmetric, so the solves with A^T
+    that the method asks for are solves with A, as in dsycon."""
+    n = first.size
+    x = first
     est = float(np.abs(x).sum())
     if n == 1 or not np.isfinite(est):
         return est
@@ -466,10 +506,10 @@ def _inverse_norm_estimate(solve, alternating: np.ndarray) -> float:
             break
         sign = new_sign
         z = np.abs(solve(sign))
-        last, j = j, int(z.argmax())
-        if z[last] == z[j]:
+        last_j, j = j, int(z.argmax())
+        if z[last_j] == z[j]:
             break
-    return max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3.0 * n))
+    return max(est, 2.0 * float(np.abs(last).sum()) / (3.0 * n))
 
 
 def _exactly_singular(detail: str) -> SingularSubproblem:
@@ -478,7 +518,7 @@ def _exactly_singular(detail: str) -> SingularSubproblem:
 
 def _factor_solve(A, rhs: np.ndarray) -> np.ndarray:
     """Factored solve with a condition check and iterative refinement."""
-    solve, anorm, rcond = _factor(A)
+    solve, anorm, rcond, x = _factor(A, rhs)
     if rcond < RCOND_FLOOR:
         est = np.inf if rcond == 0.0 else 1.0 / rcond
         raise SingularSubproblem(
@@ -486,7 +526,8 @@ def _factor_solve(A, rhs: np.ndarray) -> np.ndarray:
             f"(condition estimate {est:.2e})",
             condition_estimate=est,
         )
-    x = solve(rhs)
+    if x is None:
+        x = solve(rhs)
     # Two refinement sweeps recover accuracy lost to scale disparities.
     for _ in range(2):
         r = rhs - A.dot(x)
@@ -498,13 +539,13 @@ def _factor_solve(A, rhs: np.ndarray) -> np.ndarray:
 
 def _solution_from(sys: SaddleSystem, d: np.ndarray, l: np.ndarray,
                    active: tuple[int, ...], iterations: int) -> SubproblemSolution:
-    stat = sys.spaceZ.dual_norm_arr(sys.g + transpose_dot(sys.J, l) + sys.H.dot(d))
     return SubproblemSolution(
         z_next=PrimalVec(sys.spaceZ, sys.zk.coords + d),
         lam_next=Functional(sys.spaceY, l),
         active_set=active,
         inner_iterations=iterations,
-        stationarity_residual=stat,
+        _system=sys,
+        _step=d,
     )
 
 
@@ -517,7 +558,7 @@ def solve_equality(sys: SaddleSystem) -> SubproblemSolution:
 def saddle_condition_estimate(sys: SaddleSystem) -> float:
     """1-norm condition estimate of the assembled saddle matrix."""
     try:
-        *_, rcond = _factor(assemble_saddle_matrix(sys))
+        rcond = _factor(assemble_saddle_matrix(sys))[2]
     except SingularSubproblem:
         return np.inf
     return np.inf if rcond == 0.0 else 1.0 / rcond

@@ -7,8 +7,9 @@ and np.linalg.solve, for one activity pattern A
      [0,  -Y_A^T,         0   ]] [c_A]   [0                       ]
 
 (c_i = 0 off A), and for a cone over all 2^m patterns.  It reads only the
-blocks of a dense SaddleSystem.  Also here: the invariants of every
-subproblem solution, and the seeded matrices the tests draw.
+blocks of a dense SaddleSystem.  Also here: Hager's estimate of the
+condition of a sparse saddle matrix, one solve at a time, the invariants
+of every subproblem solution, and the seeded matrices the tests draw.
 """
 
 from itertools import combinations
@@ -72,6 +73,37 @@ def enumerate_patterns(sys, gens: np.ndarray):
             if (c >= -SIGN_TOL).all() and (gens.T @ l <= SIGN_TOL).all():
                 return d, l, c
     raise AssertionError("no sign-feasible pattern")
+
+
+def hager_rcond(A, solve) -> float:
+    """1 / (|A|_1 est) for Hager's estimate est of |A^{-1}|_1 (Higham
+    1988, Algorithm 4.1, with the last test vector of LAPACK's dlacn2),
+    each of its vectors solved on its own by `solve`, in the method's
+    order; A is symmetric, so solves with A^T are solves with A."""
+    n = A.shape[0]
+    anorm = np.linalg.norm(A.toarray(), 1)
+    x = solve(np.full(n, 1.0 / n))
+    est = float(np.abs(x).sum())
+    if n > 1 and np.isfinite(est):
+        sign = np.where(x >= 0.0, 1.0, -1.0)
+        z = np.abs(solve(sign))
+        j = int(z.argmax())
+        for _ in range(4):
+            x = solve(np.eye(n)[j])
+            previous, est = est, float(np.abs(x).sum())
+            new_sign = np.where(x >= 0.0, 1.0, -1.0)
+            if est <= previous or (new_sign == sign).all():
+                est = max(est, previous)
+                break
+            sign = new_sign
+            z = np.abs(solve(sign))
+            last, j = j, int(z.argmax())
+            if z[last] == z[j]:
+                break
+        i = np.arange(n)
+        alternating = (1.0 + i / (n - 1)) * np.where(i % 2, -1.0, 1.0)
+        est = max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3.0 * n))
+    return 1.0 / (anorm * est) if np.isfinite(est) and anorm != 0.0 else 0.0
 
 
 def check_solution_invariants(sys, cone, sol):

@@ -1,9 +1,10 @@
 """The maps on CSR arrays are structural and keep scipy.sparse's bits.
 
 Each per-iterate sparse operation on a fixed pattern runs through a map
-on the CSR arrays: J^T l, the Hessian's asymmetry, memoised by the exact
-pattern, and `sparse_matrix`, whose plan, memoised by its blocks'
-patterns, sums the product M^ J's terms straight into the CSC values.
+on the CSR arrays: J^T l, the Hessian's asymmetry through the mirror map
+its interned pattern keeps, and `sparse_matrix`, whose plan, memoised by
+its blocks' patterns, sums the product M^ J's terms straight into the
+CSC values.
 Each map depends on the stored patterns only, so a product block stores
 an entry wherever a term exists, 0.0 where its terms cancel.  Over
 generated canonical CSR matrices, with empty rows and columns and
@@ -18,9 +19,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ssqp import model, subproblem
+from ssqp import csr, subproblem
 from ssqp.bench import fd_eigenvalue, make_eigencontrol
-from ssqp.model import _mirror_map, _sparse_asymmetry, csr_pattern, transpose_dot
+from ssqp.csr import _mirror_map, as_csr, transpose_dot
+from ssqp.model import _sparse_asymmetry
 from ssqp.solver import SolverOptions, run
 from ssqp.subproblem import sparse_matrix
 
@@ -100,7 +102,7 @@ def _product_matrix(M: sp.csr_matrix, J: sp.csr_matrix, transposed: bool = False
     """The `sparse_matrix` of the one product block M J, or its transpose,
     at the top left of a square matrix."""
     n = max(M.shape[0], J.shape[1])
-    return sparse_matrix(n, [(0, 0, transposed, (csr_pattern(M), csr_pattern(J)))],
+    return sparse_matrix(n, [(0, 0, transposed, (as_csr(M).pattern, as_csr(J).pattern))],
                          [(M.data, J.data)])
 
 
@@ -131,7 +133,7 @@ def test_keys_past_int32_give_scipys_csc():
     S = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.5)],
                  [-1, 0, 1], format="csr")
     assert S.indices.dtype == np.int32
-    A, want = sparse_matrix(n, [(0, 0, False, csr_pattern(S))], [S.data]), S.tocsc()
+    A, want = sparse_matrix(n, [(0, 0, False, as_csr(S).pattern)], [S.data]), S.tocsc()
     for name in ("data", "indices", "indptr"):
         assert getattr(A, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -149,7 +151,7 @@ def test_asymmetry_is_the_transposes(drawn, symmetric):
     elif n > 1:  # (0, n - 1) stored without its mirror
         mask[0, n - 1], mask[n - 1, 0] = True, False
     H = _csr(rng, mask, rng.random() < 0.5)
-    _, stored = _mirror_map(csr_pattern(H))
+    _, stored = _mirror_map(as_csr(H).pattern)
     assert stored.all() == np.array_equal(mask, mask.T)
     assert _same(_sparse_asymmetry(H), _dense_asymmetry(H))
 
@@ -196,41 +198,55 @@ def _dense_asymmetry(H: sp.csr_matrix) -> np.ndarray:
     return np.abs(D - D.T)[_positions(H)]
 
 
-def _map_counts(declared: bool):
-    """(subproblems, cache_info of the Hessian's mirror map and of the
-    sparse plans) over one eigencontrol n = 1000 solve with its
-    reference, declared or its undeclared twin."""
-    maps = (model._mirror_map, subproblem._sparse_plan)
-    for memo in maps:
-        memo.cache_clear()
+def _map_counts(monkeypatch, declared: bool):
+    """(subproblems, mirror maps made, cache_info of the sparse plans,
+    patterns looked up by their bytes) over one eigencontrol n = 1000
+    solve with its reference, whose multiplier directions are declared or
+    not.  The pattern and plan memos start empty, so every map is made
+    anew."""
+    mirrors, mirror_map = [], csr._mirror_map
+
+    def counted(pattern):
+        mirrors.append(pattern)
+        return mirror_map(pattern)
+
+    monkeypatch.setattr(csr, "_mirror_map", counted)
+    csr._interned.cache_clear()
+    subproblem._sparse_plan.cache_clear()
     bm = make_eigencontrol(n=1000)
     ref = bm.reference
     if not declared:
         ref = dataclasses.replace(ref, multiplier_directions=None)
     z, lam = bm.default_start()
+    bm.problem.Y.scaled_mass(sparse=True)  # made once per space, on first use
+    looked_up = sum(csr._interned.cache_info()[:2])
     report = run(bm.problem, z, lam, SolverOptions(), reference=ref)
     assert report.status.value == "Converged"
     subproblems = len(report.history) - 1
     assert subproblems >= 2
-    return subproblems, *(memo.cache_info() for memo in maps)
+    looked_up = sum(csr._interned.cache_info()[:2]) - looked_up
+    return subproblems, len(mirrors), subproblem._sparse_plan.cache_info(), looked_up
 
 
-def test_eigencontrol_solve_builds_each_map_once():
-    # undeclared: the Hessian's mirror map and the plans of the saddle
-    # matrix, M^ J's terms included, and of the projector's K are each
-    # made once; every later use hits
-    subproblems, mirror, plan = _map_counts(declared=False)
-    # one Hessian per subproblem
-    assert (mirror.misses, mirror.hits) == (1, subproblems - 1)
+def test_eigencontrol_solve_builds_each_map_once(monkeypatch):
+    # undeclared directions: the Hessian's mirror map, kept on its
+    # pattern, and the plans of the saddle matrix, M^ J's terms included,
+    # and of the projector's K are each made once; the later saddle
+    # matrices find their plan by the patterns' identity; only K's
+    # identity pattern is looked up by its bytes
+    subproblems, mirrors, plan, looked_up = _map_counts(monkeypatch, declared=False)
+    assert mirrors == 1
     # one saddle matrix per subproblem, and K
     assert (plan.misses, plan.hits) == (2, subproblems - 1)
+    assert looked_up == 1
 
 
-def test_declared_eigencontrol_solve_maps_only_its_subproblems():
-    # the declared projector needs no K
-    subproblems, mirror, plan = _map_counts(declared=True)
-    assert (mirror.misses, mirror.hits) == (1, subproblems - 1)
+def test_declared_eigencontrol_solve_maps_only_its_subproblems(monkeypatch):
+    # the declared projector needs no K, and the solve looks no pattern up
+    subproblems, mirrors, plan, looked_up = _map_counts(monkeypatch, declared=True)
+    assert mirrors == 1
     assert (plan.misses, plan.hits) == (1, subproblems - 1)
+    assert looked_up == 0
 
 
 def test_a_cancelled_product_entry_keeps_the_saddle_plan():

@@ -174,8 +174,8 @@ def _scipy_csc(sys, cone, active):
     """The saddle matrix as scipy's COO to CSC conversion makes it from
     the blocks' triplets: H, (M^ J)^T, M^ J, -weight M^ and the border."""
     nz, ny = sys.spaceZ.dim, sys.spaceY.dim
-    Mh = sys.scaled_mass
-    H, MJ, M = sys.H.tocoo(), (Mh @ sys.J).tocoo(), Mh.tocoo()
+    Mh, H, J = (M.to_scipy() for M in (sys.scaled_mass, sys.H, sys.J))
+    H, MJ, M = H.tocoo(), (Mh @ J).tocoo(), Mh.tocoo()
     border = -Mh.dot(cone.generator_matrix[:, list(active)])
     br, bc = np.nonzero(border)
     bd = border[br, bc]
@@ -208,7 +208,7 @@ def test_assembled_matrix_is_scipys_csc_bit_for_bit(case, seed):
     blocks, My, gens = case
     rng = np.random.default_rng(seed)
     sys = _system(blocks, My, ("H", "J"))
-    twin = _system(dict(blocks, H=_with_duplicates(sys.H, rng)), My, ("J",))
+    twin = _system(dict(blocks, H=_with_duplicates(sys.H.to_scipy(), rng)), My, ("J",))
     assert twin.H.nnz == 2 * sys.H.nnz and not twin.H.has_canonical_format
     sparse_gens = gens.copy()
     sparse_gens[:, 0] = np.eye(len(gens))[0]

@@ -135,7 +135,7 @@ def test_dense_norms_are_numpy_norms():
     # _factor's |A|_1, of dense and of CSC storage, and euclidean_norm are
     # np.linalg.norm's own arithmetic, bit for bit
     from ssqp.spaces import euclidean_norm
-    from ssqp.model import csr_pattern
+    from ssqp.csr import as_csr
     from ssqp.subproblem import _factor, sparse_matrix
 
     rng = np.random.default_rng(3)
@@ -144,7 +144,7 @@ def test_dense_norms_are_numpy_norms():
         A = A + A.T + 2 * n * np.eye(n)
         assert _factor(A)[1] == np.linalg.norm(A, 1)
         S = scipy.sparse.csr_matrix(A)
-        assert _factor(sparse_matrix(n, [(0, 0, False, csr_pattern(S))], [S.data]))[1] == np.linalg.norm(A, 1)
+        assert _factor(sparse_matrix(n, [(0, 0, False, as_csr(S).pattern)], [S.data]))[1] == np.linalg.norm(A, 1)
         v = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
         assert euclidean_norm(v) == np.linalg.norm(v)
 
@@ -205,7 +205,7 @@ class TestBandPlan:
         p = bm.problem
         z, lam = bm.default_start()
         sys = SaddleSystem(
-            H=p.hess_L(z, lam), J=p.jac_G(z), g=p.grad_f(z).coeffs,
+            H=p.hessian(z, lam), J=p.jacobian(z), g=p.grad_f(z).coeffs,
             Gval=p.G(z).coords, rho=1e-3, lamk=lam, zk=z, spaceZ=p.Z, spaceY=p.Y,
         )
         plan = assemble_saddle_matrix(sys).plan
@@ -222,9 +222,9 @@ class TestBandPlan:
 
         plans, solver = [], subproblem.sparse_solver
 
-        def recorded(A):
+        def recorded(A, *rhs):
             plans.append(A.plan)
-            return solver(A)
+            return solver(A, *rhs)
 
         for owner in (subproblem, diagnostics):
             monkeypatch.setattr(owner, "sparse_solver", recorded)
@@ -322,7 +322,7 @@ class TestConditionEstimate:
         p, ref = bm.problem, bm.reference
         z, lam, rho = ref.z_star, ref.lambda_star, 1e-8
         sys = SaddleSystem(
-            H=p.hess_L(z, lam), J=p.jac_G(z), g=p.grad_f(z).coeffs,
+            H=p.hessian(z, lam), J=p.jacobian(z), g=p.grad_f(z).coeffs,
             Gval=p.G(z).coords, rho=rho, lamk=lam, zk=z,
             spaceZ=p.Z, spaceY=p.Y,
         )

@@ -1,12 +1,14 @@
 """Print a digest of the CLI's output on a fixed list of command lines.
 
 Each command line runs as its own `python -m ssqp` process against the
-`src/` of the checkout this script sits in.  One line is printed per
-process: the SHA-256 of its stdout followed by its stderr, its exit code
-and its arguments.  A refactor that keeps the CLI's output byte for byte
-prints the same lines before and after:
+`src/` of a checkout: the one given, or else the one this script sits in.
+One line is printed per process: the SHA-256 of its stdout followed by
+its stderr, its exit code and its arguments.  A refactor that keeps the
+CLI's output byte for byte prints the same lines for both checkouts:
 
-    python tools/cli_digest.py
+    python tools/cli_digest.py > after.txt
+    python tools/cli_digest.py path/to/parent-checkout > before.txt
+    diff before.txt after.txt
 
 The list covers every solve path: eigencontrol with its declared
 projector at n = 49 and 1000, the computed sparse projector, the trivial
@@ -40,16 +42,21 @@ COMMANDS = [
 ]
 
 
-def main() -> int:
-    src = Path(__file__).resolve().parents[1] / "src"
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) > 1:
+        print("usage: cli_digest.py [CHECKOUT]", file=sys.stderr)
+        return 2
+    root = Path(args[0]) if args else Path(__file__).resolve().parents[1]
+    src = root.resolve() / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
-    for args in COMMANDS:
-        done = subprocess.run([sys.executable, "-m", "ssqp", *args], env=env,
+    for command in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "ssqp", *command], env=env,
                               capture_output=True)
         digest = hashlib.sha256(done.stdout + done.stderr).hexdigest()
-        print(f"{digest}  {done.returncode}  {' '.join(args)}")
+        print(f"{digest}  {done.returncode}  {' '.join(command)}")
     return 0
 
 
