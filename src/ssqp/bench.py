@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from .csr import CSR, pattern_of
 from .diagnostics import ReferenceSolution, degeneracy_report
 from .model import ConeSpec, ProblemDef, empty_cone
 from .spaces import Functional, InnerProductSpace, PrimalVec, ProductSpace
@@ -337,16 +338,17 @@ def make_eigencontrol(
         return PrimalVec(Y, A @ u + q * u)
 
     # The Jacobian [A + q I | u] and the arrow Hessian
-    # [[h I, lam], [lam^T, alpha]] keep their sparsity patterns, declared
-    # here once, so each call only fills the data array of its pattern
-    # through slots fixed here.  Row i of the Jacobian stores A's row i and
-    # then u_i, so A's entries move on by their row.  The index arrays are
-    # intp, the one index type of `csr.pattern_of`.
+    # [[h I, lam], [lam^T, alpha]] keep their sparsity patterns, interned
+    # here once by `csr.pattern_of` (read-only, so a caller cannot edit
+    # them), so each call only fills the data array of its pattern through
+    # slots fixed here and returns it as a `csr.CSR`.  Row i of the
+    # Jacobian stores A's row i and then u_i, so A's entries move on by
+    # their row.
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     jac_indptr = A.indptr + np.arange(n + 1)
     u_slots = jac_indptr[1:] - 1
     a_slots = np.arange(A.nnz) + rows
-    jac_indices = np.empty(A.nnz + n, dtype=np.intp)
+    jac_indices = np.empty(A.nnz + n, dtype=A.indices.dtype)
     jac_indices[a_slots] = A.indices
     jac_indices[u_slots] = n
     on_diagonal = A.indices == rows
@@ -355,24 +357,24 @@ def make_eigencontrol(
     arrow_indices = np.concatenate([
         np.column_stack([np.arange(n), np.full(n, n)]).ravel(), np.arange(n + 1),
     ])
+    jac_pattern = pattern_of((n, n + 1), jac_indptr, jac_indices)
+    arrow_pattern = pattern_of((n + 1, n + 1), arrow_indptr, arrow_indices)
 
-    def jac_G(z: PrimalVec) -> np.ndarray:
+    def jac_G(z: PrimalVec) -> CSR:
         u, q = split(z)
         data = np.empty(A.nnz + n)
         data[a_slots] = A.data + q * on_diagonal
         data[u_slots] = u
-        return data
+        return CSR(jac_pattern, data)
 
-    def hess_L(z: PrimalVec, lam: Functional) -> np.ndarray:
+    def hess_L(z: PrimalVec, lam: Functional) -> CSR:
         data = np.empty(3 * n + 1)
         data[: 2 * n : 2] = h
         data[1 : 2 * n : 2] = data[2 * n : 3 * n] = lam.coeffs
         data[3 * n] = alpha
-        return data
+        return CSR(arrow_pattern, data)
 
-    problem = ProblemDef(Z, Y, empty_cone(Y), f, grad_f, G, jac_G, hess_L,
-                         jac_pattern=(jac_indptr, jac_indices),
-                         hess_pattern=(arrow_indptr, arrow_indices))
+    problem = ProblemDef(Z, Y, empty_cone(Y), f, grad_f, G, jac_G, hess_L)
 
     # Both branches in closed form.  On the eigen branch (c phi, q_h) the
     # objective is h |phi|^2 (c - u_d_amp)^2 / 2 plus a constant, so
@@ -405,7 +407,7 @@ def make_eigencontrol(
     at_eigenvalue = not z_star.coords[:n].any() and z_star.coords[n] == q_h
     reference = ReferenceSolution(
         z_star=z_star,
-        j_star=problem.jacobian(z_star),
+        j_star=jac_G(z_star),
         g_star=grad_f(z_star).coeffs,
         cone=problem.cone,
         lambda_star=Y.functional(t_star * phi),

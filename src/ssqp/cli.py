@@ -343,8 +343,8 @@ def cmd_diagnose(cfg: RunConfig, rho_grid: list[float] | None = None) -> int:
     rep = diagnostics.degeneracy_report(problem, point)
     lam = (bm.reference.lambda_star if bm.reference is not None
            else problem.Y.zero_functional())
-    H = problem.hessian(point, lam)
-    J = problem.jacobian(point)
+    H = problem.hess_L(point, lam)
+    J = problem.jac_G(point)
     grid = rho_grid if rho_grid else _DIAGNOSE_RHO_GRID
     margins = diagnostics.coercivity_margin(H, J, problem.Z, problem.Y, grid)
     if bm.reference is not None:

@@ -11,14 +11,16 @@ entry's row, the mirror map of a square pattern) are attributes of the
 object, and `subproblem`'s saddle plans are memoised by the patterns of
 their blocks.
 
-A problem that declares the patterns of its callbacks (`ProblemDef`'s
-`jac_pattern` and `hess_pattern`) looks them up once, when it is built,
-and each iterate wraps the returned data on the held pattern.  A
-scipy.sparse matrix, such as an undeclared callback's output, is taken in
-by `as_csr`, which looks its pattern up on every call.
+A callback may return a `CSR` itself, its data on a pattern the problem
+interned once, when it was built; it is taken in as it is.  A
+scipy.sparse matrix, such as other callbacks' output, is taken in by
+`as_csr`, which looks its pattern up on every call.
 
-The products run scipy.sparse's own kernels on the arrays, so every value
-has scipy's bits.
+The products call scipy.sparse's matvec kernels on the arrays, the
+functions scipy's own product calls, so every value has scipy's bits.
+Those kernels are private to scipy: `_kernels` checks them once against
+scipy's public product, and where they are gone or disagree the products
+take the public route, a scipy matrix on the same arrays.
 """
 
 from __future__ import annotations
@@ -121,22 +123,42 @@ def _mirror_map(pattern: Pattern) -> tuple[np.ndarray, np.ndarray]:
     return mirror, stored
 
 
-def _product(kind: str, shape: tuple[int, int], pattern: Pattern, data: np.ndarray,
-             x: np.ndarray) -> np.ndarray:
-    """A x for the `kind` ("csr" or "csc") of matrix of `shape` stored in
-    `pattern` and `data`, and a vector or a block of columns x: scipy's
-    own kernel, csr_matvec(s) or csc_matvec(s), called as scipy's product
-    calls it, without its dispatch."""
-    from scipy.sparse import _sparsetools
+@lru_cache(maxsize=None)
+def _kernels():
+    """scipy.sparse's csr_matvec(s) and csc_matvec(s), by kind ("csr",
+    "csc") and for a vector (False) or a block (True), or None when this
+    scipy has no such kernels or they miss, on one small matrix, the
+    exact product (its entries are small dyadic numbers)."""
+    try:
+        from scipy.sparse import _sparsetools
 
+        kernels = {(kind, block): getattr(_sparsetools, f"{kind}_matvec{'s' * block}")
+                   for kind in ("csr", "csc") for block in (False, True)}
+        pattern = Pattern((2, 3), np.array([0, 2, 3]), np.array([0, 2, 1]))
+        data = np.array([1.5, -2.0, 3.0])
+        dense = np.array([[1.5, 0.0, -2.0], [0.0, 3.0, 0.0]])
+        x = np.array([[0.25, 1.0], [4.0, -1.0], [0.5, 2.0]])
+        for kind, A in (("csr", dense), ("csc", dense.T)):
+            for b in (x[: A.shape[1], 0], x[: A.shape[1]]):
+                if not np.array_equal(
+                        _kernel_product(kernels, kind, A.shape, pattern, data, b), A @ b):
+                    return None
+    except Exception:  # any change of the private module
+        return None
+    return kernels
+
+
+def _kernel_product(kernels, kind: str, shape: tuple[int, int], pattern: Pattern,
+                    data: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x by the `kernels` of `_kernels`, called as scipy's product calls
+    them, without its dispatch."""
     if x.ndim == 1:
         y = np.zeros(shape[0])
-        getattr(_sparsetools, kind + "_matvec")(
-            *shape, pattern.indptr, pattern.indices, data, x, y)
+        kernels[kind, False](*shape, pattern.indptr, pattern.indices, data, x, y)
         return y
     y = np.zeros((shape[0], x.shape[1]))
-    getattr(_sparsetools, kind + "_matvecs")(
-        *shape, x.shape[1], pattern.indptr, pattern.indices, data, x.ravel(), y.ravel())
+    kernels[kind, True](*shape, x.shape[1], pattern.indptr, pattern.indices, data,
+                        x.ravel(), y.ravel())
     return y
 
 
@@ -169,7 +191,10 @@ class CSR:
         return CSC(self.pattern, self.data)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        return _product(self.format, self.shape, self.pattern, self.data, x)
+        kernels = _kernels()
+        if kernels is None:
+            return self.to_scipy() @ x
+        return _kernel_product(kernels, self.format, self.shape, self.pattern, self.data, x)
 
     __matmul__ = dot
 

@@ -416,7 +416,7 @@ def degeneracy_report(p: ProblemDef, z: PrimalVec) -> DegeneracyReport:
     that nearly fails, while the projector (`_factor_multiplier_set`)
     cuts at eps max(shape) |L_Y^T J|, for the null space to rounding.
     """
-    C = _whitened_jacobian(p.jacobian(z), p.Z, p.Y)
+    C = _whitened_jacobian(p.jac_G(z), p.Z, p.Y)
     svals = np.linalg.svd(C, compute_uv=False)
     rank_tol = RANK_TOL_FACTOR * (svals[0] if svals.size else 0.0)
     surjective = svals.size >= p.Y.dim and bool(svals[p.Y.dim - 1] > rank_tol)

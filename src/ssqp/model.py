@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .csr import CSR, Pattern, as_csr, issparse, pattern_of, transpose_dot
+from .csr import CSR, as_csr, issparse, transpose_dot
 from .spaces import (
     DimensionMismatch,
     Functional,
@@ -156,12 +156,10 @@ class ProblemDef:
     system is factored as a band with a dense border.  Callbacks must
     be pure so that distinct solves can share a ProblemDef.
 
-    A problem may instead declare the CSR pattern, (indptr, indices), of
-    either matrix as `jac_pattern` or `hess_pattern`: that callback then
-    returns the data array of its pattern, in storage order, and the
-    iterate does no symbolic work for it.  Each pattern is checked and
-    looked up once, here (`csr.pattern_of`).  Read the matrices through
-    `jacobian` and `hessian`, which take either kind of callback.
+    A sparse callback may build its output as a `csr.CSR`: the data
+    array of the iterate on a `csr.Pattern` that the problem got once from
+    `csr.pattern_of` when it was built.  Such output is taken in as it is,
+    so the iterate builds no scipy.sparse matrix and looks no pattern up.
     """
 
     Z: InnerProductSpace
@@ -172,30 +170,11 @@ class ProblemDef:
     G: Callable[[PrimalVec], PrimalVec]
     jac_G: Callable[[PrimalVec], np.ndarray]
     hess_L: Callable[[PrimalVec, Functional], np.ndarray]
-    jac_pattern: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
-    hess_pattern: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        nz, ny = self.Z.dim, self.Y.dim
-        self._jac = (None if self.jac_pattern is None
-                     else pattern_of((ny, nz), *self.jac_pattern))
-        self._hess = (None if self.hess_pattern is None
-                      else pattern_of((nz, nz), *self.hess_pattern))
-
-    def jacobian(self, z: PrimalVec) -> np.ndarray | CSR:
-        """jac_G(z) as a matrix, checked for its shape (DimensionMismatch
-        names the callback): a float array, or `CSR` if sparse or declared."""
-        return _matrix("jac_G", self.jac_G(z), self._jac, (self.Y.dim, self.Z.dim))
-
-    def hessian(self, z: PrimalVec, lam: Functional) -> np.ndarray | CSR:
-        """hess_L(z, lam) as a matrix, as `jacobian` gives jac_G(z)."""
-        return _matrix("hess_L", self.hess_L(z, lam), self._hess, (self.Z.dim, self.Z.dim))
 
     def evaluate(self, z: PrimalVec) -> Evaluation:
         """grad_f, G and jac_G at z, one call each."""
-        return Evaluation(self.grad_f(z).coeffs, self.G(z).coords, self.jacobian(z))
+        return Evaluation(self.grad_f(z).coeffs, self.G(z).coords,
+                          _shaped("jac_G", self.jac_G(z), (self.Y.dim, self.Z.dim)))
 
     def lagrangian_grad(self, z: PrimalVec, lam: Functional,
                         at: Evaluation | None = None) -> Functional:
@@ -287,8 +266,7 @@ def validate_problem(
 ) -> None:
     """Cross-check the supplied derivatives at sampled points.
 
-    Verifies the shapes of jac_G and hess_L (the data lengths of declared
-    patterns), jac_G against central finite
+    Verifies the shapes of jac_G and hess_L, jac_G against central finite
     differences of G (relative tolerance `fd_tol`), symmetry of hess_L to
     1e-10 and affinity of hess_L in the multiplier to 1e-10.  Raises
     ValueError on the first violation.
@@ -299,7 +277,7 @@ def validate_problem(
             p.Z.vector(scale * rng.standard_normal(p.Z.dim)) for _ in range(n_points)
         ]
     for z in points:
-        J = to_dense(p.jacobian(z))
+        J = to_dense(_shaped("jac_G", p.jac_G(z), (p.Y.dim, p.Z.dim)))
         Jfd = np.empty_like(J)
         for j in range(p.Z.dim):
             step = 1e-6 * (1.0 + abs(z.coords[j]))
@@ -318,7 +296,7 @@ def validate_problem(
         lam1 = p.Y.functional(rng.standard_normal(p.Y.dim))
         lam2 = p.Y.functional(rng.standard_normal(p.Y.dim))
         H0, H1, H2, H12 = (
-            p.hessian(z, lam)
+            _shaped("hess_L", p.hess_L(z, lam), (p.Z.dim, p.Z.dim))
             for lam in (p.Y.zero_functional(), lam1, lam2,
                         p.Y.functional(lam1.coeffs + lam2.coeffs))
         )
@@ -332,20 +310,15 @@ def validate_problem(
             raise ValueError("hess_L is not affine in the multiplier to 1e-10")
 
 
-def _matrix(name: str, M, pattern: Pattern | None,
-            shape: tuple[int, ...]) -> np.ndarray | CSR:
-    """The output M of callback `name` as a matrix of `shape`: the data of
-    the declared `pattern`, or as `as_matrix` gives it.  DimensionMismatch
-    names the callback and what it returned."""
-    if pattern is None:
-        M = as_matrix(M)
-        if M.shape != shape:
-            raise DimensionMismatch(
-                f"callback {name} returned shape {M.shape}, expected {shape}")
-        return M
-    data = np.asarray(M, dtype=float)
-    if data.shape != (pattern.nnz,):
+def _shaped(name: str, M, shape: tuple[int, ...]) -> np.ndarray | CSR:
+    """A callback's output as `as_matrix` gives it, checked for its shape
+    and, for a `CSR`, for the length of its data: DimensionMismatch names
+    the callback `name` and what it returned."""
+    M = as_matrix(M)
+    if M.shape != shape:
+        raise DimensionMismatch(f"callback {name} returned shape {M.shape}, expected {shape}")
+    if isinstance(M, CSR) and M.data.shape != (M.nnz,):
         raise DimensionMismatch(
-            f"callback {name} returned shape {data.shape}, expected the "
-            f"({pattern.nnz},) data of its declared pattern")
-    return CSR(pattern, data)
+            f"callback {name} returned data of shape {M.data.shape} on a pattern "
+            f"of {M.nnz} entries")
+    return M

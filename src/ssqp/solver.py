@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import ReferenceSolution, multiplier_distance
-from .model import KKTResidual, ProblemDef, _matrix, hessian_fault, issparse
+from .model import KKTResidual, ProblemDef, _shaped, hessian_fault, issparse
 from .spaces import DimensionMismatch, Functional, PrimalVec
 from .subproblem import (
     NoConvergence,
@@ -206,18 +206,18 @@ def _callback_fault(p: ProblemDef, z: PrimalVec, lam: Functional,
     output is sound.
     """
     outputs = (
-        ("grad_f", lambda: p.grad_f(z).coeffs, None, (p.Z.dim,)),
-        ("G", lambda: p.G(z).coords, None, (p.Y.dim,)),
-        ("jac_G", lambda: p.jac_G(z), p._jac, (p.Y.dim, p.Z.dim)),
-        ("hess_L", lambda: p.hess_L(z, lam), p._hess, (p.Z.dim, p.Z.dim)),
+        ("grad_f", lambda: p.grad_f(z).coeffs, (p.Z.dim,)),
+        ("G", lambda: p.G(z).coords, (p.Y.dim,)),
+        ("jac_G", lambda: p.jac_G(z), (p.Y.dim, p.Z.dim)),
+        ("hess_L", lambda: p.hess_L(z, lam), (p.Z.dim, p.Z.dim)),
     )
-    for name, evaluate, pattern, shape in outputs:
+    for name, evaluate, shape in outputs:
         try:
             value = evaluate()
         except DimensionMismatch as raised:  # it built an element of the wrong shape
             return f"callback {name} raised DimensionMismatch: {raised}"
         try:
-            value = _matrix(name, value, pattern, shape)
+            value = _shaped(name, value, shape)
         except DimensionMismatch as wrong:
             return str(wrong)
         if not np.isfinite(value.data if issparse(value) else value).all():
@@ -284,7 +284,7 @@ def run(
             break
         try:
             sys = SaddleSystem(
-                H=p.hessian(z, lam),
+                H=p.hess_L(z, lam),
                 J=at.J,
                 g=at.g,
                 Gval=at.Gval,

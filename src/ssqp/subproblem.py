@@ -40,10 +40,10 @@ factorization.
 Every sparse matrix holds its pattern as a `csr.Pattern`, interned by
 `csr.pattern_of`: a memo keyed by the pattern's exact bytes
 (`functools.lru_cache`, the last PLAN_CACHE_SIZE patterns) gives each
-pattern one object.  A problem that declares its patterns looks them up
-there once, when it is built; an undeclared callback's scipy matrix, a
-cone's border and a metric's M^ are looked up when they are taken in,
-per call, per assembly and once per space.  Every map is then found by
+pattern one object.  A callback that returns a `csr.CSR` looked its
+pattern up there once, when its problem was built; a callback's scipy
+matrix, a cone's border and a metric's M^ are looked up when they are
+taken in, per call, per assembly and once per space.  Every map is then found by
 the identity of those objects, never by their bytes, and is made from
 the patterns alone, so that a changed pattern can never reuse a stale
 map.  Each map is structural: it depends on the stored patterns only,
@@ -64,7 +64,8 @@ same bits:
   entry's mirror and whether the pattern stores it, for the Hessian's
   symmetry test, kept on the pattern;
 * the products J^T l, M^ v and A x, which call scipy.sparse's own kernels
-  (`csr_matvec`, `csc_matvec`) on the arrays.
+  (`csr_matvec`, `csc_matvec`) on the arrays, or its public product
+  where `csr._kernels` finds those private kernels gone or changed.
 
 A subproblem of a few unknowns costs microseconds, so each step calls
 its numpy and LAPACK routines directly: `ndarray.dot` makes the BLAS call
@@ -75,14 +76,14 @@ wrappers.  The arithmetic is that of the spelled-out forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .csr import CSC, CSR, PLAN_CACHE_SIZE, Pattern, as_csr
-from .model import ConeSpec, hessian_fault, issparse, transpose_dot
+from .model import ConeSpec, hessian_fault, issparse
 from .spaces import Functional, InnerProductSpace, PrimalVec, euclidean_norm
 
 #: Factorizations with a reciprocal condition estimate below this are
@@ -158,7 +159,8 @@ class SaddleSystem:
         self.g = np.asarray(self.g, dtype=float)
         self.Gval = np.asarray(self.Gval, dtype=float)
         nz, Y = self.spaceZ.dim, self.spaceY
-        if H.shape != (nz, nz) or J.shape != (Y.dim, nz):
+        if (H.shape != (nz, nz) or J.shape != (Y.dim, nz)
+                or sparse and (H.data.shape != (H.nnz,) or J.data.shape != (J.nnz,))):
             raise ValueError("saddle system blocks have inconsistent shapes")
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
@@ -178,16 +180,6 @@ class SubproblemSolution:
     active_set: tuple[int, ...]
     #: saddle systems solved, one per trial pattern, singular ones included
     inner_iterations: int
-    #: the system solved and its step d, for `stationarity_residual`
-    _system: SaddleSystem = field(repr=False, compare=False)
-    _step: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def stationarity_residual(self) -> float:
-        """|g + J^T l + H d|_{Z*}, computed when first read."""
-        sys = self._system
-        return sys.spaceZ.dual_norm_arr(
-            sys.g + transpose_dot(sys.J, self.lam_next.coeffs) + sys.H.dot(self._step))
 
 
 def assemble_saddle_matrix(sys: SaddleSystem, active: tuple[int, ...] = (),
@@ -544,8 +536,6 @@ def _solution_from(sys: SaddleSystem, d: np.ndarray, l: np.ndarray,
         lam_next=Functional(sys.spaceY, l),
         active_set=active,
         inner_iterations=iterations,
-        _system=sys,
-        _step=d,
     )
 
 

@@ -128,7 +128,7 @@ class TestEigencontrol:
         # eigenfunction direction plus the control direction, nothing else
         bm = get_benchmark("eigencontrol-n49")
         p = bm.problem
-        J = p.jacobian(bm.reference.z_star).toarray()
+        J = p.jac_G(bm.reference.z_star).toarray()
         Lz = scipy.linalg.cholesky(p.Z.mass, lower=True)
         Ly = scipy.linalg.cholesky(p.Y.mass, lower=True)
         Jt = scipy.linalg.solve_triangular(Lz, (Ly.T @ J).T, lower=True).T
@@ -139,17 +139,17 @@ class TestEigencontrol:
         # at z = 0, lam = 0 the Jacobian's control column and the Hessian's
         # arrow hold explicit zeros; editing a returned matrix in place must
         # not change the next call's matrix: its data is its own, and the
-        # declared pattern it shares is read-only
+        # interned pattern it shares is read-only
         p = make_eigencontrol(n=7).problem
         z, lam = p.Z.zero_vector(), p.Y.zero_functional()
-        J0, H0 = p.jacobian(z).toarray(), p.hessian(z, lam).toarray()
-        for M in (p.jacobian(z), p.hessian(z, lam)):
+        J0, H0 = p.jac_G(z).toarray(), p.hess_L(z, lam).toarray()
+        for M in (p.jac_G(z), p.hess_L(z, lam)):
             M.data[:] = 1.0
             for index in (M.indptr, M.indices):
                 with pytest.raises(ValueError, match="read-only"):
                     index[:] = 0
-        np.testing.assert_array_equal(p.jacobian(z).toarray(), J0)
-        np.testing.assert_array_equal(p.hessian(z, lam).toarray(), H0)
+        np.testing.assert_array_equal(p.jac_G(z).toarray(), J0)
+        np.testing.assert_array_equal(p.hess_L(z, lam).toarray(), H0)
 
     def test_hessian_positive_on_numerical_null_space(self):
         # alpha exceeds the threshold proxy 2 |lam*|^2 + |u*|^2, so the
@@ -161,13 +161,13 @@ class TestEigencontrol:
         lam_norm = p.Y.dual_norm(ref.lambda_star)
         alpha = 1.0
         assert alpha > 2.0 * lam_norm**2 + u_norm**2
-        J = p.jacobian(ref.z_star).toarray()
+        J = p.jac_G(ref.z_star).toarray()
         Lz = scipy.linalg.cholesky(p.Z.mass, lower=True)
         Ly = scipy.linalg.cholesky(p.Y.mass, lower=True)
         Jt = scipy.linalg.solve_triangular(Lz, (Ly.T @ J).T, lower=True).T
         white_basis = scipy.linalg.null_space(Jt, rcond=1e-8)
         basis = scipy.linalg.solve_triangular(Lz.T, white_basis, lower=False)
-        H = p.hessian(ref.z_star, ref.lambda_star).toarray()
+        H = p.hess_L(ref.z_star, ref.lambda_star).toarray()
         projected = basis.T @ H @ basis
         metric = basis.T @ p.Z.mass @ basis
         assert scipy.linalg.eigh(projected, metric, eigvals_only=True)[0] > 0

@@ -1,12 +1,12 @@
-"""Declared sparsity patterns: callbacks that return data arrays only.
+"""Callbacks that return `csr.CSR`: data on a pattern interned once.
 
-eigencontrol declares the CSR patterns of jac_G and hess_L, so its
-callbacks return the data of those patterns.  Its undeclared twin returns
-the same matrices as scipy CSR, as eigencontrol did before; both must give
-the same history in every bit.  Declared data of the wrong length, data
-that is not finite and an asymmetric Hessian each end the solve
+eigencontrol interns the CSR patterns of jac_G and hess_L when it is
+built, and its callbacks return their data on them as `csr.CSR`.  Its
+twin returns the same matrices as scipy CSR, as eigencontrol did before;
+both must give the same history in every bit.  Data of the wrong length,
+data that is not finite and an asymmetric Hessian each end the solve
 SubproblemFailure at that iterate, with a message naming the callback,
-and none of them makes a new plan.  A declared solve builds no
+and none of them makes a new plan.  A solve on CSR callbacks builds no
 scipy.sparse matrix and looks no pattern up by its bytes.
 """
 
@@ -22,13 +22,12 @@ from ssqp.model import validate_problem
 from ssqp.solver import SolverOptions, SolveStatus, run
 
 
-def undeclared(problem):
-    """The twin of a declared problem whose callbacks return scipy CSR
-    matrices."""
+def as_scipy(problem):
+    """The twin of a problem with `CSR` callbacks whose callbacks return
+    scipy CSR matrices."""
     return dataclasses.replace(
-        problem, jac_pattern=None, hess_pattern=None,
-        jac_G=lambda z: problem.jacobian(z).to_scipy(),
-        hess_L=lambda z, lam: problem.hessian(z, lam).to_scipy())
+        problem, jac_G=lambda z: problem.jac_G(z).to_scipy(),
+        hess_L=lambda z, lam: problem.hess_L(z, lam).to_scipy())
 
 
 def _same_history(a, b) -> None:
@@ -42,24 +41,27 @@ def _same_history(a, b) -> None:
 
 
 @pytest.mark.parametrize("n", [49, 200, 1000])
-def test_declared_and_undeclared_twins_agree_bit_for_bit(n):
+def test_csr_and_scipy_twins_agree_bit_for_bit(n):
     bm = make_eigencontrol(n=n)
-    assert bm.problem.jac_pattern is not None and bm.problem.hess_pattern is not None
     z, lam = bm.default_start()
-    declared = run(bm.problem, z, lam, SolverOptions(), reference=bm.reference)
-    twin = run(undeclared(bm.problem), z, lam, SolverOptions(), reference=bm.reference)
-    assert declared.status is SolveStatus.CONVERGED and len(declared.history) >= 3
-    _same_history(declared, twin)
+    assert type(bm.problem.jac_G(z)) is csr.CSR and type(bm.problem.hess_L(z, lam)) is csr.CSR
+    own = run(bm.problem, z, lam, SolverOptions(), reference=bm.reference)
+    twin = run(as_scipy(bm.problem), z, lam, SolverOptions(), reference=bm.reference)
+    assert own.status is SolveStatus.CONVERGED and len(own.history) >= 3
+    _same_history(own, twin)
 
 
 def _spoiled(problem, name: str, spoil, start):
-    """problem whose declared callback `name` returns spoil(data) at every
-    point but `start`, so that from there the fault shows at iterate 1."""
+    """problem whose callback `name` returns its pattern with spoil(data)
+    at every point but `start`, so that from there the fault shows at
+    iterate 1."""
     callback = getattr(problem, name)
 
     def spoiled(z, *lam):
-        data = callback(z, *lam)
-        return data if np.array_equal(z.coords, start.coords) else spoil(data.copy())
+        M = callback(z, *lam)
+        if np.array_equal(z.coords, start.coords):
+            return M
+        return csr.CSR(M.pattern, spoil(M.data.copy()))
 
     return dataclasses.replace(problem, **{name: spoiled})
 
@@ -70,10 +72,11 @@ def _entry(data: np.ndarray, value: float, at: int = 1) -> np.ndarray:
 
 
 NOT_FINITE = "returned a value that is not finite"
+WRONG_LENGTH = "returned data of shape"
 FAULTS = {
-    "jac_G-short": ("jac_G", lambda d: d[:-1], "returned shape"),
+    "jac_G-short": ("jac_G", lambda d: d[:-1], WRONG_LENGTH),
     "jac_G-nan": ("jac_G", lambda d: _entry(d, np.nan), NOT_FINITE),
-    "hess_L-long": ("hess_L", lambda d: np.append(d, 0.0), "returned shape"),
+    "hess_L-long": ("hess_L", lambda d: np.append(d, 0.0), WRONG_LENGTH),
     "hess_L-inf": ("hess_L", lambda d: _entry(d, np.inf), NOT_FINITE),
     # entry 1 is (0, n) of the arrow; its mirror (n, 0) keeps its value
     "hess_L-asymmetric": ("hess_L", lambda d: _entry(d, d[1] + 1e-3),
@@ -82,7 +85,7 @@ FAULTS = {
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_a_faulty_declared_callback_fails_at_its_iterate_without_a_plan(fault):
+def test_a_faulty_csr_callback_fails_at_its_iterate_without_a_plan(fault):
     name, spoil, message = FAULTS[fault]
     bm = make_eigencontrol(n=49)
     z, lam = bm.default_start()
@@ -100,33 +103,33 @@ def test_a_faulty_declared_callback_fails_at_its_iterate_without_a_plan(fault):
     assert csr._interned.cache_info()[:2] == looked_up[:2]
 
 
-@pytest.mark.parametrize("which, pattern", [
-    ("jac_pattern", ([0, 1, 2], [0, 1])),  # indptr one row short
-    ("jac_pattern", (np.arange(21), np.full(20, 21))),  # a column out of range
-    ("hess_pattern", (np.arange(22)[::-1], np.arange(21))),  # indptr decreasing
+@pytest.mark.parametrize("shape, indptr, indices", [
+    ((20, 21), [0, 1, 2], [0, 1]),  # indptr one row short
+    ((20, 21), np.arange(21), np.full(20, 21)),  # a column out of range
+    ((21, 21), np.arange(22)[::-1], np.arange(21)),  # indptr decreasing
 ])
-def test_a_malformed_declared_pattern_is_rejected_when_the_problem_is_built(which, pattern):
-    problem = make_eigencontrol(n=20).problem
+def test_a_malformed_pattern_is_rejected_when_it_is_interned(shape, indptr, indices):
     with pytest.raises(ValueError, match="no CSR pattern of shape"):
-        dataclasses.replace(problem, **{which: pattern})
+        csr.pattern_of(shape, indptr, indices)
 
 
-def test_validate_problem_checks_declared_callbacks():
+def test_validate_problem_checks_csr_callbacks():
     problem = make_eigencontrol(n=20).problem
     validate_problem(problem, n_points=2)
     for name, spoil, message in [
-        ("jac_G", lambda d: d[:-1], "callback jac_G returned shape"),
+        ("jac_G", lambda d: d[:-1], "callback jac_G returned data of shape"),
         ("jac_G", lambda d: 2.0 * d, "jac_G disagrees with finite differences"),
         ("hess_L", lambda d: _entry(d, d[1] + 1e-3), "hess_L is not symmetric"),
     ]:
         def spoiled(*args, callback=getattr(problem, name), spoil=spoil):
-            return spoil(callback(*args))
+            M = callback(*args)
+            return csr.CSR(M.pattern, spoil(M.data.copy()))
 
         with pytest.raises(ValueError, match=message):
             validate_problem(dataclasses.replace(problem, **{name: spoiled}), n_points=2)
 
 
-def test_a_declared_solve_builds_no_scipy_matrix_and_hashes_no_pattern(monkeypatch):
+def test_a_csr_solve_builds_no_scipy_matrix_and_hashes_no_pattern(monkeypatch):
     bm = make_eigencontrol(n=200)
     z, lam = bm.default_start()
     opts = SolverOptions()
@@ -143,8 +146,8 @@ def test_a_declared_solve_builds_no_scipy_matrix_and_hashes_no_pattern(monkeypat
     assert report.status is SolveStatus.CONVERGED and len(report.history) >= 3
     assert built == []
     assert csr._interned.cache_info()[:2] == looked_up[:2]
-    # the undeclared twin builds and looks up both matrices at every iterate
-    run(undeclared(bm.problem), z, lam, opts, reference=bm.reference)
+    # the scipy twin builds and looks up both matrices at every iterate
+    run(as_scipy(bm.problem), z, lam, opts, reference=bm.reference)
     subproblems = len(report.history) - 1
     assert len(built) >= 2 * subproblems
     assert sum(csr._interned.cache_info()[:2]) - sum(looked_up[:2]) >= 2 * subproblems

@@ -380,8 +380,8 @@ class TestCoercivityMargin:
     def test_eigencontrol_closed_form(self, n, rhos, rel):
         bm = make_eigencontrol(n=n)
         p, z = bm.problem, bm.reference.z_star
-        H = p.hessian(z, p.Y.zero_functional())
-        J = p.jacobian(z)
+        H = p.hess_L(z, p.Y.zero_functional())
+        J = p.jac_G(z)
         for rho in rhos:
             assert coercivity_margin(H, J, p.Z, p.Y, rho) == pytest.approx(
                 self.eigencontrol_closed_form(n, rho), rel=rel)

@@ -14,6 +14,7 @@ get its own map.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -85,6 +86,39 @@ def test_transpose_dot_is_scipys_product_with_the_transpose(drawn, canonical):
     assert _same(transpose_dot(J, l), J.T.dot(l))
     dense = J.toarray()
     assert _same(transpose_dot(dense, l), dense.T.dot(l))
+
+
+@PROPERTY
+@given(matrices(), st.integers(0, 3), st.booleans())
+def test_csr_products_are_scipys_with_or_without_its_kernels(drawn, columns, kernels):
+    # A x and A^T x by scipy's private matvec kernels, or by the public
+    # product that replaces them where a scipy lacks them
+    rng, J = drawn
+    A = as_csr(J)
+    with mock.patch.object(csr, "_kernels", csr._kernels if kernels else lambda: None):
+        for M, S in ((A, J), (A.T, J.T)):
+            shape = (M.shape[1], columns) if columns else (M.shape[1],)
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+            assert _same(M.dot(x), S @ x)
+
+
+@pytest.mark.parametrize("kernel", ["csr_matvec", "csc_matvecs"])
+def test_kernels_that_are_gone_or_wrong_are_not_used(monkeypatch, kernel):
+    from scipy.sparse import _sparsetools
+
+    assert csr._kernels() is not None  # this scipy's kernels pass the check
+    for replacement in (None, lambda *args: None):  # gone, or computing nothing
+        if replacement is None:
+            monkeypatch.delattr(_sparsetools, kernel)
+        else:
+            monkeypatch.setattr(_sparsetools, kernel, replacement, raising=False)
+        csr._kernels.cache_clear()
+        try:
+            assert csr._kernels() is None
+        finally:
+            monkeypatch.undo()
+            csr._kernels.cache_clear()
+    assert csr._kernels() is not None
 
 
 @PROPERTY

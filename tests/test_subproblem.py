@@ -205,7 +205,7 @@ class TestBandPlan:
         p = bm.problem
         z, lam = bm.default_start()
         sys = SaddleSystem(
-            H=p.hessian(z, lam), J=p.jacobian(z), g=p.grad_f(z).coeffs,
+            H=p.hess_L(z, lam), J=p.jac_G(z), g=p.grad_f(z).coeffs,
             Gval=p.G(z).coords, rho=1e-3, lamk=lam, zk=z, spaceZ=p.Z, spaceY=p.Y,
         )
         plan = assemble_saddle_matrix(sys).plan
@@ -322,7 +322,7 @@ class TestConditionEstimate:
         p, ref = bm.problem, bm.reference
         z, lam, rho = ref.z_star, ref.lambda_star, 1e-8
         sys = SaddleSystem(
-            H=p.hessian(z, lam), J=p.jacobian(z), g=p.grad_f(z).coeffs,
+            H=p.hess_L(z, lam), J=p.jac_G(z), g=p.grad_f(z).coeffs,
             Gval=p.G(z).coords, rho=rho, lamk=lam, zk=z,
             spaceZ=p.Z, spaceY=p.Y,
         )
