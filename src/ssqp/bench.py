@@ -25,17 +25,14 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-from .csr import CSR, pattern_of
+from .csr import CSR, Pattern, pattern_of
 from .diagnostics import ReferenceSolution, degeneracy_report
 from .model import ConeSpec, ProblemDef, empty_cone
 from .spaces import Functional, InnerProductSpace, PrimalVec, ProductSpace
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 #: eigencontrol's build and solve are O(n): sparse callbacks, banded
 #: metrics and a closed-form reference.  The cap stays for what reads the
@@ -252,13 +249,32 @@ def make_cone_instance() -> BenchmarkProblem:
     )
 
 
-def fd_laplacian(n: int) -> sp.csr_matrix:
-    """Central-difference Laplacian on n interior points of (0, 1), as CSR."""
-    import scipy.sparse as sp
-
+def _fd_stencil(n: int) -> tuple[float, float]:
+    """(a, d) = (-1/h^2, 2/h^2), the off-diagonal and diagonal entries of
+    the n-point difference Laplacian."""
     h = 1.0 / (n + 1)
-    off = -np.ones(n - 1)
-    return sp.diags([off, 2.0 * np.ones(n), off], [-1, 0, 1], format="csr") / h**2
+    return -1.0 / h**2, 2.0 / h**2
+
+
+def fd_laplacian(n: int) -> CSR:
+    """Central-difference Laplacian on n interior points of (0, 1), as a
+    `CSR` matrix: row i holds a, d, a at columns i - 1, i, i + 1 (see
+    `_fd_stencil`), the first and last rows without the column outside.
+
+    Its pattern is made directly, not interned by `csr.pattern_of`, so it
+    takes no place in that memo; the pattern is this matrix's alone.
+    """
+    a, d = _fd_stencil(n)
+    # the 3 n entries k of the stencil rows, (k // 3, k // 3 + k % 3 - 1),
+    # less the first and the last, whose columns lie outside
+    k = np.arange(1, 3 * n - 1)
+    indices = k // 3 + k % 3 - 1
+    indptr = np.clip(3 * np.arange(n + 1) - 1, 0, 3 * n - 2)
+    data = np.full(3 * n - 2, a)
+    data[::3] = d
+    for arr in (indptr, indices):
+        arr.flags.writeable = False
+    return CSR(Pattern((n, n), indptr, indices), data)
 
 
 def fd_eigenvalue(n: int, mode: int) -> float:
@@ -299,9 +315,6 @@ def make_eigencontrol(
         raise ValueError("alpha must be positive")
     if not 1 <= u_d_mode <= n:
         raise ValueError(f"u_d_mode must lie in 1..{n}")
-    # scipy.sparse adds about 30 ms to every import of ssqp; only this
-    # benchmark's callbacks need it
-    import scipy.sparse as sp
 
     h = 1.0 / (n + 1)
     x_grid = h * np.arange(1, n + 1)
@@ -313,12 +326,21 @@ def make_eigencontrol(
     phi = np.sin(u_d_mode * np.pi * x_grid)
     u_d = u_d_amp * phi
 
-    # sparse masses get banded storage: pentadiagonal and diagonal
-    identity = sp.identity(n, format="csr")
-    state_space = InnerProductSpace(h * (identity + A.T @ A))
+    # Both metrics are written in band storage.  h (I + A^T A) is
+    # pentadiagonal: with A's stencil a, d, row i of A^T A sums
+    # a a + d d + a a on the diagonal (the first and last rows miss one
+    # a a), d a + a d next to it and a a two off; so summed, the bands
+    # have the bits of scipy.sparse's h * (I + A.T @ A).
+    a, d = _fd_stencil(n)
+    state_bands = np.zeros((3, n))
+    state_bands[0] = 1.0 + (d * d + a * a + a * a)
+    state_bands[0, [0, -1]] = 1.0 + (d * d + a * a)
+    state_bands[1, :-1] = d * a + a * d
+    state_bands[2, :-2] = a * a
+    state_space = InnerProductSpace._banded(h * state_bands)
     control_space = InnerProductSpace.identity(1)
     Z = ProductSpace([state_space, control_space])
-    Y = InnerProductSpace(h * identity)
+    Y = InnerProductSpace.diagonal(np.full(n, h))
 
     def split(z: PrimalVec) -> tuple[np.ndarray, float]:
         u = z.coords[:n]
@@ -335,7 +357,7 @@ def make_eigencontrol(
 
     def G(z: PrimalVec) -> PrimalVec:
         u, q = split(z)
-        return PrimalVec(Y, A @ u + q * u)
+        return PrimalVec(Y, A.dot(u) + q * u)
 
     # The Jacobian [A + q I | u] and the arrow Hessian
     # [[h I, lam], [lam^T, alpha]] keep their sparsity patterns, interned

@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cholesky_banded
+from scipy.linalg import block_diag, cho_factor
 from scipy.linalg.blas import dnrm2, dtbmv, dtbsv, dtrmm, dtrmv, dtrsv
-from scipy.linalg.lapack import dpbtrs, dpotrs, dtbtrs, dtrtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs, dtbtrs, dtrtrs
 
 from .csr import CSR, issparse, pattern_of
 
@@ -185,20 +185,29 @@ def _along(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return v if x.ndim == 1 else v[:, None]
 
 
+def _band_cholesky(ab: np.ndarray) -> np.ndarray:
+    """The lower banded Cholesky factor of the lower band storage ab, by
+    the LAPACK call scipy's cholesky_banded makes, without its wrapper."""
+    factor, info = dpbtrf(_finite(ab), lower=1)
+    if info != 0:
+        raise ValueError("mass matrix is not positive definite")
+    return factor
+
+
 class _BandMetric:
     """M in symmetric lower band storage ab[i, j] = M[j + i, j], i <= b,
-    with its banded Cholesky factor M = L L^T in the same layout."""
+    with its banded Cholesky factor M = L L^T in the same layout: the
+    `factor` given, or else computed from ab."""
 
-    def __init__(self, ab: np.ndarray) -> None:
+    def __init__(self, ab: np.ndarray, factor: np.ndarray | None = None) -> None:
         ab = np.array(ab, dtype=float, order="F")  # a copy the caller cannot edit
         self.dim = ab.shape[1]
         if self.dim == 0:
             raise ValueError("mass matrix must have positive dimension")
         self.b = ab.shape[0] - 1
-        try:
-            self._factor = cholesky_banded(ab, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("mass matrix is not positive definite") from exc
+        # Fortran order, which LAPACK and BLAS take without a copy
+        self._factor = (_band_cholesky(ab) if factor is None
+                        else np.asfortranarray(factor))
         self._ab = ab
 
     def dense(self) -> np.ndarray:
@@ -468,7 +477,8 @@ class ProductSpace(InnerProductSpace):
 
     The product of dense parts is dense.  A product with a banded part is
     banded, with the largest bandwidth of its parts (a dense part counts
-    to its last nonzero subdiagonal).  Provides `split`/`join` between the
+    to its last nonzero subdiagonal), and its banded Cholesky factor is
+    its parts' ones stacked.  Provides `split`/`join` between the
     stacked coordinate vector and the per-part coordinate vectors.
     """
 
@@ -477,17 +487,23 @@ class ProductSpace(InnerProductSpace):
         if not parts:
             raise ValueError("product of an empty list of spaces")
         metrics = [p._metric for p in parts]
+        bounds = np.cumsum([0] + [p.dim for p in parts])
+        self._bounds = tuple(int(b) for b in bounds)
         if all(isinstance(m, _DenseMetric) for m in metrics):
             self._set_metric(_DenseMetric(block_diag(*(m.dense() for m in metrics))))
         else:
+            # the Cholesky factor of a block-diagonal matrix stacks its
+            # blocks' factors: a banded part's is at hand, a dense part's
+            # is factored from its bands
             bands = [m.bands() for m in metrics]
-            rows = max(ab.shape[0] for ab in bands)
-            self._set_metric(_BandMetric(np.hstack([
-                np.pad(ab, ((0, rows - ab.shape[0]), (0, 0))) for ab in bands
-            ])))
+            shape = (max(ab.shape[0] for ab in bands), self._bounds[-1])
+            ab, factor = np.zeros(shape, order="F"), np.zeros(shape, order="F")
+            for m, part, lo, hi in zip(metrics, bands, self._bounds, self._bounds[1:]):
+                ab[: part.shape[0], lo:hi] = part
+                factor[: part.shape[0], lo:hi] = (
+                    m._factor if isinstance(m, _BandMetric) else _band_cholesky(part))
+            self._set_metric(_BandMetric(ab, factor))
         self.parts = parts
-        bounds = np.cumsum([0] + [p.dim for p in parts])
-        self._bounds = tuple(int(b) for b in bounds)
 
     def join(self, part_coords) -> np.ndarray:
         arrs = [

@@ -272,7 +272,7 @@ def test_criterion_8_metric_correctness():
     rng = np.random.default_rng(8)
     n_fd = 19
     h = 1.0 / (n_fd + 1)
-    A_sparse = fd_laplacian(n_fd)
+    A_sparse = fd_laplacian(n_fd).to_scipy()
     A = A_sparse.toarray()
     space_types = {
         "identity": lambda: InnerProductSpace.identity(int(rng.integers(2, 8))),

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from ssqp import bench
@@ -17,6 +18,7 @@ from ssqp.bench import (
 )
 from ssqp.diagnostics import degeneracy_report, multiplier_distance
 from ssqp.solver import SolverOptions, SolveStatus, run
+from ssqp.spaces import _sparse_bands
 
 
 class TestRegistry:
@@ -117,6 +119,25 @@ class TestEigencontrol:
         A = fd_laplacian(n).toarray()
         expect = scipy.linalg.block_diag(h * (np.eye(n) + A.T @ A), [[1.0]])
         assert_allclose(bm.problem.Z.mass, expect, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 49, 200, 1000, 2000])
+    def test_band_build_has_the_bits_of_the_scipy_sparse_build(self, n):
+        # the Laplacian, both metrics in band storage, Z's factor and G
+        # equal bit for bit what the scipy.sparse expressions give
+        h = 1.0 / (n + 1)
+        off = -np.ones(n - 1)
+        A = sp.diags([off, 2.0 * np.ones(n), off], [-1, 0, 1], format="csr") / h**2
+        assert np.array_equal(fd_laplacian(n).toarray(), A.toarray())
+        p = make_eigencontrol(n=n).problem
+        state = _sparse_bands(h * (sp.identity(n, format="csr") + A.T @ A))
+        assert np.array_equal(p.Z.parts[0]._metric.bands(), state)
+        assert np.array_equal(p.Y._metric.bands(), np.full((1, n), h))
+        stacked = np.hstack([state, [[1.0], [0.0], [0.0]]])
+        assert np.array_equal(p.Z._metric._factor,
+                              scipy.linalg.cholesky_banded(stacked, lower=True))
+        z = p.Z.vector(np.random.default_rng(n).standard_normal(n + 1))
+        u, q = z.coords[:n], z.coords[n]
+        assert np.array_equal(p.G(z).coords, fd_laplacian(n).to_scipy() @ u + q * u)
 
     def test_jacobian_singular_at_discrete_eigenvalue(self):
         bm = get_benchmark("eigencontrol-n49")

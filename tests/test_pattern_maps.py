@@ -283,6 +283,21 @@ def test_declared_eigencontrol_solve_maps_only_its_subproblems(monkeypatch):
     assert looked_up == 0
 
 
+def test_repeated_eigencontrol_builds_share_the_memos():
+    # each build makes its own Laplacian pattern, outside the pattern
+    # memo; the Jacobian's, the Hessian's and Y's M^ patterns, and the
+    # saddle plan, are made by the first build and solve and found again
+    csr._interned.cache_clear()
+    subproblem._sparse_plan.cache_clear()
+    for _ in range(4):
+        bm = make_eigencontrol(n=1000)
+        z, lam = bm.default_start()
+        report = run(bm.problem, z, lam, SolverOptions(), reference=bm.reference)
+        assert report.status.value == "Converged"
+    assert subproblem._sparse_plan.cache_info().misses == 1
+    assert csr._interned.cache_info().misses == 3
+
+
 def test_a_cancelled_product_entry_keeps_the_saddle_plan():
     # u = 0 at every other grid point stores zeros in J's last column, so
     # entries of M^ J cancel on the first subproblem and not on the

@@ -11,7 +11,8 @@ CLI's output byte for byte prints the same lines for both checkouts:
     diff before.txt after.txt
 
 The list covers every solve path: eigencontrol with its declared
-projector at n = 49 and 1000, the computed sparse projector, the trivial
+projector at n = 49 and 1000, and at n = 3 and 2000, the smallest and
+largest grids its build takes, the computed sparse projector, the trivial
 branch, a singular subproblem (exit 3, with a condition estimate), the
 sweep and diagnose commands, a cone and the degenerate line from a
 random start.  BLAS runs on one thread unless OPENBLAS_NUM_THREADS is
@@ -32,6 +33,8 @@ EIGEN = ["solve", "--benchmark", "eigencontrol-n49", "--output", "json"]
 COMMANDS = [
     EIGEN,
     EIGEN + ["--n", "1000"],
+    EIGEN + ["--n", "3"],
+    EIGEN + ["--n", "2000"],
     EIGEN + ["--n", "200", "--u-d-amp", "0.1"],
     EIGEN + ["--n", "200", "--q-d", "-9.0"],
     EIGEN + ["--n", "300", "--rho-rule", "fixed", "--rho", "0", "--tol", "1e-14"],
