@@ -197,31 +197,39 @@ def make_options(cfg: RunConfig) -> solver.SolverOptions:
         raise ConfigError(str(exc)) from exc
 
 
+def resolve_offset(bm: bench.BenchmarkProblem, cfg: RunConfig,
+                   radius: float | None = None) -> np.ndarray:
+    """The configured offset from the reference point: the benchmark's
+    default, a direction drawn from the seed at Z-norm `radius` (the
+    certified radius if None), or the given vector; with a `radius`, the
+    default and the vector are rescaled to that norm."""
+    Z = bm.problem.Z
+    spec = cfg.start_offset.strip()
+    if spec == "default":
+        offset = bm.default_start_offset.copy()
+    elif spec == "random":
+        rng = np.random.default_rng(cfg.seed)
+        direction = rng.standard_normal(Z.dim)
+        direction /= Z.norm_arr(direction)
+        return (radius if radius is not None else bm.certified_radius) * direction
+    else:
+        offset = _parse_vector(spec)
+        if offset.size != Z.dim:
+            raise ConfigError(f"start offset has size {offset.size}, expected {Z.dim}")
+    if radius is not None:
+        norm = Z.norm_arr(offset)
+        if norm > 0:
+            offset = offset * (radius / norm)
+    return offset
+
+
 def resolve_start(bm: bench.BenchmarkProblem, cfg: RunConfig,
                   radius: float | None = None):
     """z0 and lambda0 from the config's start specification."""
     problem = bm.problem
     base = (bm.reference.z_star.coords if bm.reference is not None
             else np.zeros(problem.Z.dim))
-    spec = cfg.start_offset.strip()
-    if spec == "default":
-        offset = bm.default_start_offset.copy()
-    elif spec == "random":
-        rng = np.random.default_rng(cfg.seed)
-        direction = rng.standard_normal(problem.Z.dim)
-        direction /= problem.Z.norm_arr(direction)
-        offset = (radius if radius is not None else bm.certified_radius) * direction
-    else:
-        offset = _parse_vector(spec)
-        if offset.size != problem.Z.dim:
-            raise ConfigError(
-                f"start offset has size {offset.size}, expected {problem.Z.dim}"
-            )
-    if radius is not None and spec != "random":
-        norm = problem.Z.norm_arr(offset)
-        if norm > 0:
-            offset = offset * (radius / norm)
-    z0 = problem.Z.vector(base + offset)
+    z0 = problem.Z.vector(base + resolve_offset(bm, cfg, radius))
     lam_spec = cfg.lambda0.strip()
     if lam_spec == "auto":
         lam0 = problem.Y.functional(bm.default_lambda0)
@@ -335,11 +343,8 @@ def cmd_diagnose(cfg: RunConfig, rho_grid: list[float] | None = None) -> int:
         point = bm.reference.z_star
     else:
         point = problem.Z.zero_vector()
-    if cfg.start_offset.strip() not in ("default", ""):
-        offset = _parse_vector(cfg.start_offset)
-        if offset.size != problem.Z.dim:
-            raise ConfigError("point offset has the wrong dimension")
-        point = problem.Z.vector(point.coords + offset)
+    if cfg.start_offset.strip() not in ("default", ""):  # else the point itself
+        point = problem.Z.vector(point.coords + resolve_offset(bm, cfg))
     rep = diagnostics.degeneracy_report(problem, point)
     lam = (bm.reference.lambda_star if bm.reference is not None
            else problem.Y.zero_functional())

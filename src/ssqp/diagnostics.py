@@ -212,8 +212,8 @@ def _dense_affine_hull(J: np.ndarray, g: np.ndarray, Y: InnerProductSpace,
 #: while every Ritz value is null.
 START_BLOCK = 2
 
-#: Limit on the sparse path's block sweeps and anchor refinements, which
-#: otherwise run until they stop improving.
+#: Limit on the sparse path's anchor refinements, which otherwise run
+#: while each one at least halves the residual.
 MAX_SWEEPS = 30
 
 
@@ -226,17 +226,21 @@ def _sparse_affine_hull(J: CSR, g: np.ndarray, Y: InnerProductSpace,
     saddle matrices are (`subproblem.sparse_solver`).  The top-left
     block of K^{-1} is s (J J^T - s^2 I)^{-1}: it scales N(J^T) by -1/s
     and a range direction of singular value sigma by about s / sigma^2, so
-    block inverse iteration through it finds N(J^T) without forming J J^T.
-    Each sweep orthonormalizes the block and rotates it to its Ritz
-    vectors, null ones first, which keeps the others orthogonal to N(J^T)
-    and turns them towards the smallest nonzero singular values; sweeps
-    stop when the null part stops changing.  The rank and the basis come
-    from a Rayleigh-Ritz SVD of B^T on the whitened block, and cond is
-    the largest whitened column norm over the smallest Ritz value above
-    the cut-off.  The anchor solves K [x; y] = [0; -g], which gives
-    J^T x = -g up to a relative s^2 / sigma^2, refined against the
-    residual -g - J^T x; whitened and cleared of its null-space component
-    it is the minimum-norm solution.
+    block inverse iteration through it finds N(J^T) without forming J J^T:
+    each sweep shrinks a range direction against N(J^T) by (s / sigma)^2.
+    A random block takes two sweeps.  Each solves through K,
+    orthonormalizes, and rotates the block to the Ritz vectors of J^T Q,
+    null ones first, which keeps the others orthogonal to N(J^T) and
+    turns them towards the smallest nonzero singular values.  The rank
+    and the basis come from a Rayleigh-Ritz SVD of B^T on the whitened
+    block, and cond is the largest whitened column norm over the
+    smallest Ritz value above the cut-off; while every Ritz value is
+    null, the block doubles from START_BLOCK columns and starts again.
+    The anchor solves K [x; y] = [0; -g], which gives J^T x = -g up to a
+    relative s^2 / sigma^2, and is refined against the residual
+    -g - J^T x until a refinement no longer halves it (one that does not
+    lower it is dropped), at most MAX_SWEEPS times; whitened and cleared
+    of its null-space component it is the minimum-norm solution.
     """
     n, m = J.shape
     massed, squares = _column_norms(J, Y)
@@ -259,18 +263,9 @@ def _sparse_affine_hull(J: CSR, g: np.ndarray, Y: InnerProductSpace,
     p = min(n, START_BLOCK)
     while True:
         X = rng.standard_normal((n, p))
-        null, change = np.zeros((n, 0)), np.inf
-        for _ in range(MAX_SWEEPS):
+        for _ in range(2):
             Q = np.linalg.qr(solve(X, np.zeros((m, p))))[0]
-            svals, right = _ritz(JT.dot(Q))
-            X = Q @ right[::-1].T  # ascending Ritz values: null first
-            k = int(np.count_nonzero(svals <= s))
-            previous, null = null, X[:, :k]
-            last, change = change, np.inf
-            if previous.shape[1] == k:
-                change = np.linalg.norm(null - previous @ (previous.T @ null))
-            if 0.5 * last <= change < np.inf:  # no longer shrinking
-                break
+            X = Q @ _ritz(JT.dot(Q))[1][::-1].T  # ascending Ritz values: null first
         Q = np.linalg.qr(Y.whiten_dual(X))[0]
         svals, right = _ritz(JT.dot(Y.unwhiten_dual(Q)))
         kept = svals > rcond * top

@@ -15,7 +15,9 @@ from ssqp.cli import (
     build_parser,
     load_config,
     main,
+    resolve_start,
 )
+from ssqp.diagnostics import degeneracy_report
 from ssqp.spaces import Functional
 
 SCI = r"-?\d\.\d{15}e[+-]\d{2,3}"
@@ -500,6 +502,28 @@ class TestDiagnose:
         # jacobian rows (1, 0) and (1.6, 0) at x1 = 0.3
         assert svals[1] == pytest.approx(np.hypot(1.0, 1.6), rel=1e-12)
         assert svals[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_random_offset_takes_the_solve_start(self, capsys, tmp_path):
+        cfg = tmp_path / "random.ini"
+        cfg.write_text("[run]\nbenchmark = degenerate-line\n"
+                       "start_offset = random\nseed = 4\n")
+        code, out, err = run_cli(capsys, "diagnose", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        # the seeded direction at the certified radius, as solve starts
+        bm = ssqp.bench.get_benchmark("degenerate-line")
+        z0, _ = resolve_start(bm, RunConfig(start_offset="random", seed=4))
+        offset = z0.coords - bm.reference.z_star.coords
+        assert bm.problem.Z.norm_arr(offset) == pytest.approx(bm.certified_radius,
+                                                              rel=1e-12)
+        report = degeneracy_report(bm.problem, z0)
+        assert json.loads(out)["degeneracy"]["singular_values"] == list(
+            report.singular_values)
+
+    @pytest.mark.parametrize("offset", ["", " default "])
+    def test_default_offset_is_the_reference_point(self, capsys, offset):
+        args = ("diagnose", "--benchmark", "degenerate-line")
+        assert (run_cli(capsys, *args, f"--start-offset={offset}")
+                == run_cli(capsys, *args))
 
     def test_missing_reference_yields_null_with_note(self, capsys, monkeypatch):
         bm = ssqp.bench.get_benchmark("degenerate-line")

@@ -306,6 +306,75 @@ class TestPairingConstantOnTheSet:
             assert null_dimension(csr) == null_dimension(ref) == k
 
 
+class TestComputedSparseHull:
+    """The sparse projector's inverse iteration where it is least
+    comfortable: next to its rank cut-off, and with nothing to factor."""
+
+    @staticmethod
+    def rotations(n, rng, start) -> np.ndarray:
+        """Random plane rotations of the pairs (start, start + 1), ... ."""
+        U = np.eye(n)
+        for p in range(start, n - 1, 2):
+            c, s = np.cos(angle := rng.uniform(0.0, 2 * np.pi)), np.sin(angle)
+            U[p:p + 2, p:p + 2] = [[c, -s], [s, c]]
+        return U
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_near_the_cut_off_matches_the_dense_qr(self, seed):
+        # J = U diag(sigma) V^T, U and V^T rotations of alternate pairs, is
+        # banded, with k zero singular values and the smallest nonzero one
+        # 10^3.5 times eps n: after whitening it lies 10^3-10^4 times above
+        # the projector's rank cut-off
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(20, 60)), seed % 4
+        low = 10**3.5 * np.finfo(float).eps * n
+        sigma = np.concatenate([np.geomspace(1.0, low, n - k), np.zeros(k)])
+        J = (self.rotations(n, rng, 0) * sigma[rng.permutation(n)]) @ self.rotations(n, rng, 1)
+        Y = InnerProductSpace.diagonal(rng.uniform(1.0, 2.0, n))
+        B = Y.whiten(J)
+        whitened = np.linalg.svd(B, compute_uv=False)[n - k - 1]
+        top = np.linalg.norm(B, axis=0).max()
+        assert 1e3 <= whitened / (np.finfo(float).eps * n * top) <= 1e4
+        lam_star = rng.standard_normal(n)
+        ref = ReferenceSolution(
+            z_star=InnerProductSpace.identity(n).zero_vector(),
+            j_star=sp.csr_matrix(J), g_star=-J.T @ lam_star,
+            cone=empty_cone(Y), lambda_star=Y.functional(lam_star),
+        )
+        dense = dataclasses.replace(ref, j_star=J)
+        # the set itself is only defined to eps cond: g* is rounded
+        rel = np.finfo(float).eps * top / whitened
+        for _ in range(5):
+            lam = Y.functional(lam_star + rng.standard_normal(n))
+            dist, proj = multiplier_distance(ref, lam)
+            dense_dist, dense_proj = multiplier_distance(dense, lam)
+            assert dist == pytest.approx(dense_dist, rel=rel)
+            assert_allclose(proj.coeffs, dense_proj.coeffs, rtol=0,
+                            atol=rel * np.abs(dense_proj.coeffs).max())
+        assert null_dimension(ref) == null_dimension(dense) == k
+
+    def test_zero_jacobian_fixes_every_multiplier(self):
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(0)
+        Y = InnerProductSpace(sp.csr_matrix(
+            np.diag(rng.uniform(1.0, 2.0, 6)) + np.diag(np.full(5, 0.3), 1)
+            + np.diag(np.full(5, 0.3), -1)))
+        ref = ReferenceSolution(
+            z_star=InnerProductSpace.identity(3).zero_vector(),
+            j_star=sp.csr_matrix((6, 3)), g_star=np.zeros(3),
+            cone=empty_cone(Y), lambda_star=Y.zero_functional(),
+        )
+        for _ in range(5):
+            lam = Y.functional(rng.standard_normal(6))
+            dist, proj = multiplier_distance(ref, lam)
+            assert dist == 0.0
+            assert_allclose(proj.coeffs, lam.coeffs, rtol=1e-14)
+        assert null_dimension(ref) == 6
+
+
 class TestCoercivityMargin:
     def test_zero_jacobian_leaves_hessian_spectrum(self):
         for rho in (1e-1, 1e-3, 1e-6):

@@ -150,11 +150,12 @@ def test_dense_norms_are_numpy_norms():
 
 
 def arrow_system(n: int, rho: float, zero_row: int | None = None,
-                 sparse: bool = True):
+                 sparse: bool = True, row_scale: float = 0.0):
     """An eigencontrol-shaped subproblem: n states and one control q, an
     arrow Hessian [[h I, lam], [lam^T, alpha]], a Jacobian [K | u] with K
-    tridiagonal (row `zero_row` of K zero) and u full, lumped M_Y = h I.
-    Its sparse saddle matrix is a band plus the dense row and column of q."""
+    tridiagonal (row `zero_row` of K scaled by `row_scale`, zero by
+    default) and u full, lumped M_Y = h I.  Its sparse saddle matrix is a
+    band plus the dense row and column of q."""
     rng = np.random.default_rng(n)
     h = 1.0 / (n + 1)
     H = np.diag(np.append(np.full(n, h), 4.0))
@@ -162,7 +163,7 @@ def arrow_system(n: int, rho: float, zero_row: int | None = None,
     K = (np.diag(rng.uniform(1.0, 2.0, n)) + np.diag(rng.uniform(-0.5, 0.5, n - 1), 1)
          + np.diag(rng.uniform(-0.5, 0.5, n - 1), -1))
     if zero_row is not None:
-        K[zero_row] = 0.0
+        K[zero_row] *= row_scale
     J = np.column_stack([K, rng.uniform(0.5, 1.0, n)])
     store = scipy.sparse.csr_matrix if sparse else np.asarray
     spaceZ = InnerProductSpace.identity(n + 1)
@@ -266,6 +267,27 @@ class TestBandPlan:
         assert np.linalg.matrix_rank(A.toarray()) == A.shape[0]
         assert_matches_reference(sys, arrow_system(30, 0.0, zero_row=7, sparse=False))
         assert len(splu_calls) == 1
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-14])
+    def test_refinement_repairs_a_tiny_band_pivot(self, splu_calls, rho):
+        # row 7 of K scaled by 1e-9: at small rho the band LU pivots on it,
+        # and only u, in the border column of q, keeps A at condition 1e3.
+        # The first solve misses A x = b by more than the guard allows, and
+        # refinement brings the residual down to rounding
+        from ssqp.subproblem import _factor, _factor_solve, _saddle_rhs
+
+        sys = arrow_system(30, rho, zero_row=7, row_scale=1e-9)
+        A = assemble_saddle_matrix(sys)
+        assert A.plan.order is not None and A.plan.k == 1
+        rhs = _saddle_rhs(sys)
+        _, anorm, _, first = _factor(A, rhs)
+        before = np.linalg.norm(rhs - A.dot(first))
+        assert before > 1e-15 * anorm * np.linalg.norm(first)  # a step is taken
+        after = np.linalg.norm(rhs - A.dot(_factor_solve(A, rhs)))
+        assert after <= 1e-8 * before
+        assert_matches_reference(
+            sys, arrow_system(30, rho, zero_row=7, sparse=False, row_scale=1e-9))
+        assert splu_calls == []
 
     @pytest.mark.parametrize("rho", [0.0, 1e-8, 1.0])
     def test_bordered_solve_matches_reference(self, splu_calls, rho):
