@@ -197,14 +197,21 @@ def make_options(cfg: RunConfig) -> solver.SolverOptions:
         raise ConfigError(str(exc)) from exc
 
 
+def offset_spec(cfg: RunConfig) -> str:
+    """The start_offset setting, stripped, with the empty value read as
+    `default`."""
+    return cfg.start_offset.strip() or "default"
+
+
 def resolve_offset(bm: bench.BenchmarkProblem, cfg: RunConfig,
                    radius: float | None = None) -> np.ndarray:
     """The configured offset from the reference point: the benchmark's
-    default, a direction drawn from the seed at Z-norm `radius` (the
-    certified radius if None), or the given vector; with a `radius`, the
-    default and the vector are rescaled to that norm."""
+    default (`default` or an empty value, see `offset_spec`), a direction
+    drawn from the seed at Z-norm `radius` (the certified radius if
+    None), or the given vector; with a `radius`, the default and the
+    vector are rescaled to that norm."""
     Z = bm.problem.Z
-    spec = cfg.start_offset.strip()
+    spec = offset_spec(cfg)
     if spec == "default":
         offset = bm.default_start_offset.copy()
     elif spec == "random":
@@ -343,7 +350,7 @@ def cmd_diagnose(cfg: RunConfig, rho_grid: list[float] | None = None) -> int:
         point = bm.reference.z_star
     else:
         point = problem.Z.zero_vector()
-    if cfg.start_offset.strip() not in ("default", ""):  # else the point itself
+    if offset_spec(cfg) != "default":  # else the point itself
         point = problem.Z.vector(point.coords + resolve_offset(bm, cfg))
     rep = diagnostics.degeneracy_report(problem, point)
     lam = (bm.reference.lambda_star if bm.reference is not None

@@ -25,6 +25,7 @@ from .spaces import (
     InnerProductSpace,
     PrimalVec,
     euclidean_norm,
+    max_entry,
 )
 
 
@@ -44,21 +45,21 @@ class ConeSpec:
 
     def __post_init__(self) -> None:
         self.generators = tuple(self.generators)
-        m = len(self.generators)
-        cols = [g.coords for g in self.generators]
-        self.generator_matrix = (
-            np.column_stack(cols) if m else np.zeros((self.space.dim, 0))
-        )
+        if not self.generators:  # K = {0}: no columns, so no metric work
+            self.generator_matrix = self._massed_generators = self.whitened_generators = (
+                np.zeros((self.space.dim, 0)))
+            self.gram = np.zeros((0, 0))
+            return
+        self.generator_matrix = np.column_stack([g.coords for g in self.generators])
         massed = self.space.apply_mass(self.generator_matrix)
         self.gram = self.generator_matrix.T @ massed
         self._massed_generators = massed
         #: L^T y_i for M_Y = L L^T: Y-distances to the cone become
         #: Euclidean, and <mu, y_i> = (L^T y_i) . (L^{-1} mu).
         self.whitened_generators = self.space.whiten(self.generator_matrix)
-        if m:
-            eigs = np.linalg.eigvalsh(self.gram)
-            if eigs[0] <= 1e-10 * eigs[-1]:
-                raise ValueError("cone generators are not linearly independent in Y")
+        eigs = np.linalg.eigvalsh(self.gram)
+        if eigs[0] <= 1e-10 * eigs[-1]:
+            raise ValueError("cone generators are not linearly independent in Y")
 
     @property
     def m(self) -> int:
@@ -104,13 +105,13 @@ def hessian_fault(H) -> str | None:
             H = H.to_scipy().copy()
             H.sum_duplicates()
             H = as_csr(H)
-    scale = max(_max(np.abs(H.data if sparse else H)), 1.0)
+    scale = max(max_entry(np.abs(H.data if sparse else H)), 1.0)
     if not math.isfinite(scale):
         return "not finite"
     # a - b = -(b - a) exactly, so the finite dense H - H^T is antisymmetric
     # and its largest entry is its largest absolute entry
     asym = _sparse_asymmetry(H) if sparse else H - H.T
-    if _max(asym) > 1e-10 * scale:
+    if max_entry(asym) > 1e-10 * scale:
         return "not symmetric to 1e-10"
     return None
 
@@ -123,11 +124,6 @@ def _sparse_asymmetry(H) -> np.ndarray:
     H = as_csr(H)
     mirror, stored = H.pattern.mirror
     return np.abs(H.data - np.where(stored, H.data.take(mirror), 0.0))
-
-
-def _max(entries: np.ndarray) -> float:
-    """entries.max(initial=0.0), without the method's Python wrapper."""
-    return float(np.maximum.reduce(entries, axis=None, initial=0.0))
 
 
 def to_dense(M) -> np.ndarray:

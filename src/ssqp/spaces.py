@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor
+from scipy.linalg import block_diag
 from scipy.linalg.blas import dnrm2, dtbmv, dtbsv, dtrmm, dtrmv, dtrsv
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs, dtbtrs, dtrtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs, dtrtrs
 
 from .csr import CSR, issparse, pattern_of
 
@@ -54,10 +54,10 @@ def _as_float_vector(x, dim: int, what: str) -> np.ndarray:
 def _finite(arr: np.ndarray) -> np.ndarray:
     """arr, after the check scipy's check_finite makes.
 
-    The metric's solves call LAPACK directly, without scipy's wrappers:
-    those cost ten times the solve at small sizes, and their check would
-    also rescan the whole Cholesky factor that construction has checked
-    once.
+    The metric's factorizations and solves call LAPACK directly, without
+    scipy's wrappers: those cost ten times the call at small sizes, and
+    their check would also rescan the whole Cholesky factor that
+    construction has checked once.
     """
     if not np.isfinite(arr).all():
         raise ValueError("array must not contain infs or NaNs")
@@ -70,6 +70,11 @@ def _solved(result: tuple[np.ndarray, int], routine: str) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"{routine} failed with info {info}")
     return x
+
+
+def max_entry(entries: np.ndarray) -> float:
+    """entries.max(initial=0.0), without the method's Python wrapper."""
+    return float(np.maximum.reduce(entries, axis=None, initial=0.0))
 
 
 def euclidean_norm(v: np.ndarray) -> float:
@@ -87,23 +92,32 @@ def _check_square(shape) -> int:
     return shape[0]
 
 
+def cho_factor(mass: np.ndarray) -> tuple[np.ndarray, bool]:
+    """scipy.linalg.cho_factor(mass, lower=True) of a finite square mass:
+    its LAPACK call, dpotrf, without its wrapper.  Returns (c, True), c
+    the lower Cholesky factor in Fortran order, with mass's entries left
+    above the diagonal."""
+    c, info = dpotrf(mass, lower=1, clean=0)
+    if info != 0:
+        raise ValueError("mass matrix is not positive definite")
+    return c, True
+
+
 class _DenseMetric:
     """M as an n x n array with its dense Cholesky factor M = L L^T."""
 
     def __init__(self, mass) -> None:
         mass = np.array(mass, dtype=float)
         self.dim = _check_square(mass.shape)
-        scale = max(float(np.abs(mass).max()), 1.0)
-        if float(np.abs(mass - mass.T).max()) > 1e-12 * scale:
+        _finite(mass)
+        scale = max(max_entry(np.abs(mass)), 1.0)
+        # a - b = -(b - a) exactly, so the largest entry of the finite,
+        # antisymmetric M - M^T is its largest absolute entry
+        if max_entry(mass - mass.T) > 1e-12 * scale:
             raise ValueError("mass matrix is not symmetric (1e-12 relative)")
         mass = 0.5 * (mass + mass.T)
-        try:
-            self._chol = cho_factor(mass, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("mass matrix is not positive definite") from exc
-        # cho_factor leaves junk above the diagonal; the BLAS triangular
-        # routines read only the lower triangle
-        self._lower = np.asfortranarray(self._chol[0])
+        # the BLAS triangular routines read only the lower triangle
+        self._lower = cho_factor(mass)[0]
         mass.flags.writeable = False
         self._mass = mass
 
@@ -111,7 +125,7 @@ class _DenseMetric:
         return self._mass
 
     def diagonal(self) -> np.ndarray:
-        return np.diagonal(self._mass)
+        return self._mass.diagonal()
 
     def bands(self) -> np.ndarray:
         """Lower band storage of M, to its last nonzero subdiagonal."""
@@ -126,7 +140,7 @@ class _DenseMetric:
         return self._mass.dot(x)  # @ without matmul's dispatch
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _solved(dpotrs(self._chol[0], rhs, lower=1), "dpotrs")
+        return _solved(dpotrs(self._lower, rhs, lower=1), "dpotrs")
 
     def lower_product(self, x: np.ndarray, trans: bool) -> np.ndarray:
         cols = x.reshape(self.dim, -1)

@@ -9,14 +9,17 @@ from numpy.testing import assert_allclose
 
 from ssqp import bench
 from ssqp.bench import (
+    BenchmarkProblem,
     fd_eigenvalue,
     fd_laplacian,
     get_benchmark,
     list_benchmarks,
+    make_cone_instance,
     make_degenerate_line,
     make_eigencontrol,
 )
-from ssqp.diagnostics import degeneracy_report, multiplier_distance
+from ssqp.diagnostics import ReferenceSolution, degeneracy_report, multiplier_distance
+from ssqp.model import ProblemDef
 from ssqp.solver import SolverOptions, SolveStatus, run
 from ssqp.spaces import _sparse_bands
 
@@ -41,6 +44,50 @@ class TestRegistry:
         kkt = bm.problem.kkt_residual(bm.reference.z_star,
                                       bm.reference.lambda_star)
         assert kkt.total <= 1e-9
+
+
+class TestCertification:
+    @pytest.mark.parametrize("passed", [False, True])
+    def test_failing_reference_raises_naming_the_benchmark(self, passed):
+        # (0.5, 0) with its own stored multiplier: stationary, since
+        # J^T (-1.5, 0) = -f'(z), but G(z) = (0.5, 0.75) is not in K = {0}
+        p = make_degenerate_line().problem
+        z = p.Z.vector([0.5, 0.0])
+        lam = p.Y.functional([-1.5, 0.0])
+        ref = ReferenceSolution(z_star=z, j_star=p.jac_G(z),
+                                g_star=p.grad_f(z).coeffs, cone=p.cone,
+                                lambda_star=lam)
+        kkt = p.kkt_residual(z, lam) if passed else None
+        with pytest.raises(ValueError,
+                           match=r"^moved-line: reference fails the KKT test \(9\.01"):
+            BenchmarkProblem(name="moved-line", problem=p, reference=ref,
+                             certified_radius=0.1, describe=str,
+                             reference_kkt=kkt)
+
+    @pytest.mark.parametrize("build, kwargs, calls", [
+        (make_degenerate_line, {}, 1),
+        (make_degenerate_line, {"mass_z": np.array([[2.0, 0.5], [0.5, 1.0]]),
+                                "mass_y": np.array([[1.0, -0.3], [-0.3, 3.0]])}, 1),
+        (make_cone_instance, {}, 1),
+        # both branches certified, and the reference not again
+        (make_eigencontrol, {}, 2),
+        (make_eigencontrol, {"n": 49, "q_d": -2.0, "u_d_amp": 0.3}, 2),
+        # the eigen branch's multiplier overflows: only the trivial one
+        (make_eigencontrol, {"n": 5, "u_d_amp": 1e-300, "q_d": -3.0}, 1),
+    ])
+    def test_one_kkt_residual_per_certified_point(self, monkeypatch, build,
+                                                  kwargs, calls):
+        counted = []
+        kkt_residual = ProblemDef.kkt_residual
+
+        def counting(self, *args, **kw):
+            counted.append(args)
+            return kkt_residual(self, *args, **kw)
+
+        monkeypatch.setattr(ProblemDef, "kkt_residual", counting)
+        bm = build(**kwargs)
+        assert len(counted) == calls
+        assert bm.reference_kkt.total <= bench.KKT_TOL
 
 
 class TestDegenerateLine:

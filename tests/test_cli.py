@@ -89,6 +89,13 @@ class TestSolve:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("offset", ["", " ", " default "])
+    def test_empty_offset_is_the_default_start(self, capsys, offset):
+        args = ("solve", "--benchmark", "degenerate-line")
+        default = run_cli(capsys, *args)
+        assert default[0] == 0
+        assert run_cli(capsys, *args, f"--start-offset={offset}") == default
+
     def test_usage_error_exits_1(self, capsys):
         # argparse's own message, but exit 1 (configuration error) rather
         # than argparse's 2, which here means "iteration limit"

@@ -7,6 +7,7 @@ that every patched attribute is the original again."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import numpy.linalg
 import scipy.optimize
 
@@ -56,6 +57,10 @@ def test_tracer_patches_and_restores_its_targets():
         patched = changed(before, attributes())
         assert solve_degenerate_line() == expected
         bench.make_eigencontrol(n=20)
+        factored_before = tracer.totals.get("spaces.factor", [0])[0]
+        # dense metrics are the ones factored by spaces.cho_factor
+        bench.make_degenerate_line(np.array([[2.0, 0.5], [0.5, 1.0]]),
+                                   np.array([[1.0, -0.3], [-0.3, 3.0]]))
     finally:
         uninstall()
     assert changed(before, attributes()) == set()
@@ -65,3 +70,7 @@ def test_tracer_patches_and_restores_its_targets():
                  "subproblem.solve", "model.kkt", "spaces.metric",
                  "bench.build"):
         assert tracer.totals[span][0] > 0, span
+    # the two dense metrics, each factored once and timed as spaces.factor
+    factored = tracer.totals["spaces.factor"]
+    assert factored[0] - factored_before == 2
+    assert factored[1] > 0.0

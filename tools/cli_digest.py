@@ -15,8 +15,14 @@ projector at n = 49 and 1000, and at n = 3 and 2000, the smallest and
 largest grids its build takes, the computed sparse projector, the trivial
 branch, a singular subproblem (exit 3, with a condition estimate), the
 sweep and diagnose commands, a cone and the degenerate line from a
-random start.  BLAS runs on one thread unless OPENBLAS_NUM_THREADS is
-set, so the rounding is that of the tier-1 tests.
+random start.  The degenerate line also runs with the dense metrics of
+`tools/digest-dense-metric.ini`, solved and diagnosed at an offset
+point over a rho grid, which reach the dense Cholesky factor and the
+dense projector's pivoted QR, and with the indefinite metric of
+`tools/digest-indefinite-metric.ini` (exit 1).  Every process runs in
+the directory above this script, where those files are found, whichever
+checkout it runs.  BLAS runs on one thread unless OPENBLAS_NUM_THREADS
+is set, so the rounding is that of the tier-1 tests.
 """
 
 from __future__ import annotations
@@ -42,6 +48,11 @@ COMMANDS = [
     ["diagnose", "--benchmark", "eigencontrol-n49", "--n", "200", "--seed", "3"],
     ["solve", "--benchmark", "cone-active", "--output", "json"],
     ["solve", "--benchmark", "degenerate-line", "--start-offset", "random", "--seed", "4"],
+    ["solve", "--benchmark", "degenerate-line", "--config", "tools/digest-dense-metric.ini"],
+    ["diagnose", "--benchmark", "degenerate-line", "--config",
+     "tools/digest-dense-metric.ini", "--start-offset", "0.05,-0.02", "--grid", "0.1,0.01"],
+    ["solve", "--benchmark", "degenerate-line", "--config",
+     "tools/digest-indefinite-metric.ini"],
 ]
 
 
@@ -50,14 +61,15 @@ def main(argv: list[str] | None = None) -> int:
     if len(args) > 1:
         print("usage: cli_digest.py [CHECKOUT]", file=sys.stderr)
         return 2
-    root = Path(args[0]) if args else Path(__file__).resolve().parents[1]
+    here = Path(__file__).resolve().parents[1]
+    root = Path(args[0]) if args else here
     src = root.resolve() / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
     for command in COMMANDS:
         done = subprocess.run([sys.executable, "-m", "ssqp", *command], env=env,
-                              capture_output=True)
+                              cwd=here, capture_output=True)
         digest = hashlib.sha256(done.stdout + done.stderr).hexdigest()
         print(f"{digest}  {done.returncode}  {' '.join(command)}")
     return 0
