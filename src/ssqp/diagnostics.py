@@ -200,10 +200,10 @@ def _dense_affine_hull(J: np.ndarray, g: np.ndarray, Y: InnerProductSpace,
 
     The LAPACK calls scipy.linalg.qr(pivoting=True) and solve_triangular
     make, with the workspace sizes scipy asks for, without their
-    wrappers, which take five times the calls at 12 x 12.
+    wrappers, which at small sizes cost more than the calls.
     """
     B = _finite(Y.whiten(J))
-    m, n = B.shape
+    m = B.shape[0]
     qr, piv, tau = _lapack(dgeqp3, B, overwrite_a=1)[:3]
     piv -= 1  # LAPACK counts columns from 1
     diag = np.abs(np.diagonal(qr))
@@ -213,8 +213,10 @@ def _dense_affine_hull(J: np.ndarray, g: np.ndarray, Y: InnerProductSpace,
     Q = np.empty((m, m), order="F")
     Q[:, : tau.size] = qr[:, : tau.size]
     Q = _lapack(dorgqr, Q, tau, overwrite_a=1)[0]
-    # B[:, piv] = Q R, so B^T w = -g reads R^T (Q^T w) = -g[piv]; the
-    # lower triangle of R's transpose holds R^T
+    # B[:, piv] = Q R, so B^T w = -g reads R^T (Q^T w) = -g[piv]; R^T is
+    # the lower triangle of the transposed block (its upper one holds
+    # reflectors, which dtrtrs does not read), the form solve_triangular
+    # passes, whose rounding differs from an upper transposed solve's
     coords = (_solved(dtrtrs(qr[:rank, :rank].T, -g[piv[:rank]], lower=1), "dtrtrs")
               if rank else np.zeros(0))
     basis = Q[:, rank:].copy()  # keeps k columns, not all of Q
