@@ -18,9 +18,11 @@ scipy.sparse matrix, such as other callbacks' output, is taken in by
 
 The products call scipy.sparse's matvec kernels on the arrays, the
 functions scipy's own product calls, so every value has scipy's bits.
-Those kernels are private to scipy: `_kernels` checks them once against
-scipy's public product, and where they are gone or disagree the products
-take the public route, a scipy matrix on the same arrays.
+Their module is loaded by `_scipy.extension`, without scipy.sparse's
+package import.  Those kernels are private to scipy: `_kernels` checks
+them once against scipy's public product, and where they are gone or
+disagree the products take the public route, a scipy matrix on the same
+arrays.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from ._scipy import extension
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -43,8 +47,9 @@ def issparse(M) -> bool:
     """Whether M is a `CSR` (or its transpose) or a scipy.sparse matrix.
 
     scipy.sparse is not imported for the test, so problems with dense
-    callbacks never pay for that import (about 30 ms of every CLI
-    process): no scipy.sparse matrix exists before some code imported it.
+    callbacks never pay for that import (about 0.1 s of a CLI process,
+    with the scipy layers it loads): no scipy.sparse matrix exists before
+    some code imported it.
     """
     if isinstance(M, CSR):
         return True
@@ -130,8 +135,7 @@ def _kernels():
     scipy has no such kernels or they miss, on one small matrix, the
     exact product (its entries are small dyadic numbers)."""
     try:
-        from scipy.sparse import _sparsetools
-
+        _sparsetools = extension("sparse", "_sparsetools")
         kernels = {(kind, block): getattr(_sparsetools, f"{kind}_matvec{'s' * block}")
                    for kind in ("csr", "csc") for block in (False, True)}
         pattern = Pattern((2, 3), np.array([0, 2, 3]), np.array([0, 2, 1]))

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
+from ._scipy import lapack
 from .csr import CSR, pattern_of
 from .model import ConeSpec, ProblemDef, as_matrix, issparse, nnls, to_dense, transpose_dot
 from .spaces import (Functional, InnerProductSpace, PrimalVec, _finite, _solved,
@@ -204,7 +203,7 @@ def _dense_affine_hull(J: np.ndarray, g: np.ndarray, Y: InnerProductSpace,
     """
     B = _finite(Y.whiten(J))
     m = B.shape[0]
-    qr, piv, tau = _lapack(dgeqp3, B, overwrite_a=1)[:3]
+    qr, piv, tau = _lapack(lapack.dgeqp3, B, overwrite_a=1)[:3]
     piv -= 1  # LAPACK counts columns from 1
     diag = np.abs(np.diagonal(qr))
     rank = int(np.count_nonzero(diag > rcond * diag[0]))
@@ -212,12 +211,12 @@ def _dense_affine_hull(J: np.ndarray, g: np.ndarray, Y: InnerProductSpace,
     # dorgqr sets the others before it reads them
     Q = np.empty((m, m), order="F")
     Q[:, : tau.size] = qr[:, : tau.size]
-    Q = _lapack(dorgqr, Q, tau, overwrite_a=1)[0]
+    Q = _lapack(lapack.dorgqr, Q, tau, overwrite_a=1)[0]
     # B[:, piv] = Q R, so B^T w = -g reads R^T (Q^T w) = -g[piv]; R^T is
     # the lower triangle of the transposed block (its upper one holds
     # reflectors, which dtrtrs does not read), the form solve_triangular
     # passes, whose rounding differs from an upper transposed solve's
-    coords = (_solved(dtrtrs(qr[:rank, :rank].T, -g[piv[:rank]], lower=1), "dtrtrs")
+    coords = (_solved(lapack.dtrtrs(qr[:rank, :rank].T, -g[piv[:rank]], lower=1), "dtrtrs")
               if rank else np.zeros(0))
     basis = Q[:, rank:].copy()  # keeps k columns, not all of Q
     cond = diag[0] / diag[rank - 1] if rank else 1.0
@@ -416,8 +415,20 @@ def coercivity_margin(H, J, Z: InnerProductSpace, Y: InnerProductSpace,
         A += H
         A += A.T  # numpy reads the overlapping A.T from a copy
         A *= 0.5
-        margins.append(float(scipy.linalg.eigvalsh(A, subset_by_index=[0, 0])[0]))
+        margins.append(_smallest_eigenvalue(A))
     return margins if np.ndim(rho) else margins[0]
+
+
+def _smallest_eigenvalue(A: np.ndarray) -> float:
+    """scipy.linalg.eigvalsh(A, subset_by_index=[0, 0])[0] of a symmetric
+    A: its LAPACK call, dsyevr for the first eigenvalue only, with the
+    workspace sizes dsyevr_lwork reports, without its wrapper."""
+    lwork, liwork, _ = lapack.dsyevr_lwork(A.shape[0], lower=1)
+    w, _, _, _, info = lapack.dsyevr(_finite(A), compute_v=0, range="I", il=1, iu=1,
+                                     lower=1, lwork=int(lwork), liwork=int(liwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+    return float(w[0])
 
 
 @dataclass

@@ -225,7 +225,8 @@ def nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     polar part of multiplier-set projections both reduce to it once the
     metric is whitened away.
     """
-    # scipy.optimize takes a quarter second to import; only cones need it
+    # scipy.optimize, with the scipy.linalg and scipy.sparse packages it
+    # loads, takes about 0.28 s to import; only cones need it
     from scipy.optimize import nnls as lawson_hanson
 
     x, rnorm = lawson_hanson(A, b)

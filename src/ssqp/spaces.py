@@ -28,11 +28,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.linalg.blas import dnrm2, dtbmv, dtbsv, dtrmm, dtrmv, dtrsv
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs, dtrtrs
 
+from ._scipy import blas, lapack
 from .csr import CSR, issparse, pattern_of
+
+dnrm2, dtbmv, dtbsv, dtrmm, dtrmv, dtrsv = (
+    blas.dnrm2, blas.dtbmv, blas.dtbsv, blas.dtrmm, blas.dtrmv, blas.dtrsv)
+dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs, dtrtrs = (
+    lapack.dpbtrf, lapack.dpbtrs, lapack.dpotrf, lapack.dpotrs, lapack.dtbtrs, lapack.dtrtrs)
 
 
 class DimensionMismatch(ValueError):
@@ -504,7 +507,10 @@ class ProductSpace(InnerProductSpace):
         bounds = np.cumsum([0] + [p.dim for p in parts])
         self._bounds = tuple(int(b) for b in bounds)
         if all(isinstance(m, _DenseMetric) for m in metrics):
-            self._set_metric(_DenseMetric(block_diag(*(m.dense() for m in metrics))))
+            mass = np.zeros((self._bounds[-1],) * 2)
+            for m, lo, hi in zip(metrics, self._bounds, self._bounds[1:]):
+                mass[lo:hi, lo:hi] = m.dense()
+            self._set_metric(_DenseMetric(mass))
         else:
             # the Cholesky factor of a block-diagonal matrix stacks its
             # blocks' factors: a banded part's is at hand, a dense part's

@@ -70,7 +70,8 @@ same bits:
 A subproblem of a few unknowns costs microseconds, so each step calls
 its numpy and LAPACK routines directly: `ndarray.dot` makes the BLAS call
 of `@` without matmul's dispatch, and `lapack.dsy*` are scipy's raw
-wrappers.  The arithmetic is that of the spelled-out forms.
+wrappers, loaded without scipy.linalg (see `_scipy`).  The arithmetic is
+that of the spelled-out forms.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import lapack
 
+from ._scipy import lapack
 from .csr import CSC, CSR, PLAN_CACHE_SIZE, Pattern, as_csr
 from .model import ConeSpec, hessian_fault, issparse
 from .spaces import Functional, InnerProductSpace, PrimalVec, euclidean_norm
@@ -423,8 +424,9 @@ def sparse_solver(A: CSC, *rhs: np.ndarray):
         lu, piv, info = lapack.dgbtrf(work[: ldab * nb].reshape((ldab, nb), order="F"),
                                       kl, ku, overwrite_ab=1)
     if order is None or info > 0:
-        # imported here to keep scipy.sparse.linalg out of `import ssqp`;
-        # by now `_sparse_plan`'s scipy.sparse.csgraph import has loaded it
+        # imported here to keep scipy.sparse.linalg (about 40 ms after
+        # scipy.sparse) out of `import ssqp`; by now `_sparse_plan`'s
+        # scipy.sparse.csgraph import has loaded it
         from scipy.sparse.linalg import splu
 
         try:

@@ -580,27 +580,15 @@ def _python(code: str) -> str:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs a quarter second per process; only cone
-    # problems need it, and import it late.  scipy.sparse (about 30 ms) is
-    # loaded by eigencontrol's sparse callbacks only, scipy.sparse.linalg
-    # (17 ms more) by sparse solves only
+    # scipy.optimize costs about 0.28 s per process; only cone problems
+    # need it, and import it late.  scipy.sparse (about 0.1 s) is loaded
+    # by sparse plans and scipy.sparse callbacks only, scipy.sparse.linalg
+    # (about 40 ms more) with a sparse plan's scipy.sparse.csgraph
     assert _python(
         "import sys, ssqp.cli; "
         "print(*(name in sys.modules for name in "
         "('scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg')))"
     ) == "False False False"
-
-
-def test_dense_reference_projection_leaves_scipy_sparse_unloaded():
-    # a dense j_star keeps the pivoted QR; only a sparse one takes the
-    # sparse projector and its imports
-    assert _python(
-        "import contextlib, io, sys, ssqp.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = ssqp.cli.main(['solve', '--benchmark', 'degenerate-line'])\n"
-        "print(code, *(name in sys.modules for name in "
-        "('scipy.sparse', 'scipy.sparse.linalg')))"
-    ) == "0 False False"
 
 
 def test_eigencontrol_diagnose_leaves_scipy_optimize_unloaded():

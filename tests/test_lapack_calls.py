@@ -1,10 +1,13 @@
-"""The dense metric and the dense multiplier-set hull call LAPACK directly.
+"""The dense metric, the dense multiplier-set hull and the coercivity
+margin call LAPACK directly.
 
-They make the calls scipy.linalg.cho_factor, qr(pivoting=True) and
-solve_triangular make, with the same arguments and workspace sizes, so
-every factor, Q, R and pivot must have scipy's bits; and invalid masses
-must fail as they did through scipy's wrappers.  The scipy routes are
-kept here as the references.
+They make the calls scipy.linalg.cho_factor, qr(pivoting=True),
+solve_triangular and eigvalsh make, with the same arguments and
+workspace sizes, so every factor, Q, R, pivot and eigenvalue must have
+scipy's bits; and invalid masses must fail as they did through scipy's
+wrappers.  A product of dense spaces places its parts' masses as
+scipy.linalg.block_diag does.  The scipy routes are kept here as the
+references.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 import scipy.linalg
 
 from ssqp import spaces
-from ssqp.diagnostics import _dense_affine_hull
+from ssqp.diagnostics import _dense_affine_hull, _smallest_eigenvalue
 from ssqp.spaces import InnerProductSpace
 
 pytest.importorskip("hypothesis")  # declared in the `test` extra
@@ -156,3 +159,49 @@ def test_hull_of_a_non_finite_whitened_jacobian_fails_as_scipys():
         _former_hull(J, np.zeros(2), Y, 1e-15)
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
         _dense_affine_hull(J, np.zeros(2), Y, 1e-15)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric matrix of size 1-60: definite, indefinite or
+    rank-deficient (a share of its eigenvalues exactly 0 before
+    rounding), scaled by 10^[-3, 3]."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["definite", "indefinite", "rank-deficient"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eigs = 10.0 ** (draw(st.integers(-3, 3)) - 6.0 * rng.uniform(0.0, 1.0, n))
+    if kind != "definite":
+        eigs *= rng.choice([-1.0, 1.0], n)
+    if kind == "rank-deficient":
+        eigs[rng.random(n) < rng.uniform(0.1, 1.0)] = 0.0
+    Q = _orthogonal(rng, n)
+    A = (Q * eigs) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+@PROPERTY
+@given(symmetric_matrices())
+def test_smallest_eigenvalue_is_scipys(A):
+    got = _smallest_eigenvalue(A)
+    want = scipy.linalg.eigvalsh(A, subset_by_index=[0, 0])[0]
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_smallest_eigenvalue_of_a_non_finite_matrix_fails_as_scipys():
+    A = np.array([[1.0, np.nan], [np.nan, 2.0]])
+    for smallest in (_smallest_eigenvalue,
+                     lambda A: scipy.linalg.eigvalsh(A, subset_by_index=[0, 0])):
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            smallest(A)
+
+
+@PROPERTY
+@given(st.lists(spd_masses(), min_size=1, max_size=4))
+def test_dense_product_mass_and_factor_are_scipys(masses):
+    parts = [InnerProductSpace(mass) for mass in masses]
+    product = spaces.ProductSpace(parts)
+    want = InnerProductSpace(scipy.linalg.block_diag(*(p.mass for p in parts)))
+    assert product.mass.tobytes() == want.mass.tobytes()
+    got_factor, want_factor = product._metric._lower, want._metric._lower
+    assert got_factor.tobytes(order="A") == want_factor.tobytes(order="A")
+    assert got_factor.flags.f_contiguous == want_factor.flags.f_contiguous
