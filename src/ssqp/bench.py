@@ -32,7 +32,7 @@ import numpy as np
 from .csr import CSR, Pattern, pattern_of
 from .diagnostics import ReferenceSolution, degeneracy_report
 from .model import ConeSpec, KKTResidual, ProblemDef, empty_cone
-from .spaces import Functional, InnerProductSpace, PrimalVec, ProductSpace
+from .spaces import Functional, InnerProductSpace, PrimalVec
 
 #: eigencontrol's build and solve are O(n): sparse callbacks, banded
 #: metrics and a closed-form reference.  The cap stays for what reads the
@@ -321,8 +321,12 @@ def make_eigencontrol(
         raise ValueError("need at least 3 interior grid points")
     if n > MAX_GRID_POINTS:
         raise ValueError(f"the build supports at most {MAX_GRID_POINTS} points")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    # each comparison fails for NaN
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    for name, value in (("q_d", q_d), ("u_d_amp", u_d_amp)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not 1 <= u_d_mode <= n:
         raise ValueError(f"u_d_mode must lie in 1..{n}")
 
@@ -336,20 +340,23 @@ def make_eigencontrol(
     phi = np.sin(u_d_mode * np.pi * x_grid)
     u_d = u_d_amp * phi
 
-    # Both metrics are written in band storage.  h (I + A^T A) is
-    # pentadiagonal: with A's stencil a, d, row i of A^T A sums
-    # a a + d d + a a on the diagonal (the first and last rows miss one
-    # a a), d a + a d next to it and a a two off; so summed, the bands
-    # have the bits of scipy.sparse's h * (I + A.T @ A).
+    # Both metrics are written in band storage.  Z's is block diagonal:
+    # the state's h (I + A^T A) in the first n columns, the control's mass
+    # 1 in the last, with no coupling.  h (I + A^T A) is pentadiagonal:
+    # with A's stencil a, d, row i of A^T A sums a a + d d + a a on the
+    # diagonal (the first and last rows miss one a a), d a + a d next to
+    # it and a a two off; so summed, the bands have the bits of
+    # scipy.sparse's h * (I + A.T @ A).
     a, d = _fd_stencil(n)
     state_bands = np.zeros((3, n))
     state_bands[0] = 1.0 + (d * d + a * a + a * a)
     state_bands[0, [0, -1]] = 1.0 + (d * d + a * a)
     state_bands[1, :-1] = d * a + a * d
     state_bands[2, :-2] = a * a
-    state_space = InnerProductSpace._banded(h * state_bands)
-    control_space = InnerProductSpace.identity(1)
-    Z = ProductSpace([state_space, control_space])
+    z_bands = np.zeros((3, n + 1))
+    z_bands[:, :n] = h * state_bands
+    z_bands[0, n] = 1.0
+    Z = InnerProductSpace._banded(z_bands)
     Y = InnerProductSpace.diagonal(np.full(n, h))
 
     def split(z: PrimalVec) -> tuple[np.ndarray, float]:

@@ -114,15 +114,14 @@ def _interned(shape: tuple[int, int], indptr: bytes, indices: bytes) -> Pattern:
 
 def _mirror_map(pattern: Pattern) -> tuple[np.ndarray, np.ndarray]:
     """(mirror, stored) of a canonical square pattern: for entry (i, j)
-    the position of entry (j, i), found by binary search in row-major
-    order, and whether the pattern stores it (where it does not, mirror
-    is some valid position)."""
+    the position of entry (j, i) in intp, found by binary search in
+    row-major order, and whether the pattern stores it (where it does
+    not, mirror is some valid position)."""
     n = pattern.shape[0]
     rows, indices = pattern.major, pattern.indices
     keys, mirror_keys = rows * n + indices, indices * n + rows
     mirror = np.minimum(np.searchsorted(keys, mirror_keys), max(keys.size - 1, 0))
     stored = keys.take(mirror) == mirror_keys
-    mirror = mirror.astype(np.min_scalar_type(max(keys.size - 1, 0)))
     for a in (mirror, stored):
         a.flags.writeable = False  # every caller shares them
     return mirror, stored

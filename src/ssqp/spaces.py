@@ -17,6 +17,8 @@ The mass matrix has one of two storages, chosen from the input:
   factorization and O(n b) per metric operation.  `identity` and
   `diagonal` give banded storage with b = 0.
 
+A `ProductSpace` is built from its block-diagonal mass by the same rule.
+
 Both storages offer the same operations, and norms are computed in
 whitened form on both.
 """
@@ -130,15 +132,6 @@ class _DenseMetric:
     def diagonal(self) -> np.ndarray:
         return self._mass.diagonal()
 
-    def bands(self) -> np.ndarray:
-        """Lower band storage of M, to its last nonzero subdiagonal."""
-        rows, cols = np.nonzero(self._mass)
-        b = int((rows - cols).max(initial=0))
-        ab = np.zeros((b + 1, self.dim))
-        for i in range(b + 1):
-            ab[i, : self.dim - i] = np.diagonal(self._mass, -i)
-        return ab
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._mass.dot(x)  # @ without matmul's dispatch
 
@@ -202,29 +195,23 @@ def _along(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return v if x.ndim == 1 else v[:, None]
 
 
-def _band_cholesky(ab: np.ndarray) -> np.ndarray:
-    """The lower banded Cholesky factor of the lower band storage ab, by
-    the LAPACK call scipy's cholesky_banded makes, without its wrapper."""
-    factor, info = dpbtrf(_finite(ab), lower=1)
-    if info != 0:
-        raise ValueError("mass matrix is not positive definite")
-    return factor
-
-
 class _BandMetric:
     """M in symmetric lower band storage ab[i, j] = M[j + i, j], i <= b,
-    with its banded Cholesky factor M = L L^T in the same layout: the
-    `factor` given, or else computed from ab."""
+    with its banded Cholesky factor M = L L^T in the same layout."""
 
-    def __init__(self, ab: np.ndarray, factor: np.ndarray | None = None) -> None:
-        ab = np.array(ab, dtype=float, order="F")  # a copy the caller cannot edit
+    def __init__(self, ab: np.ndarray) -> None:
+        # a copy the caller cannot edit, in Fortran order, which LAPACK and
+        # BLAS take without a copy
+        ab = np.array(ab, dtype=float, order="F")
         self.dim = ab.shape[1]
         if self.dim == 0:
             raise ValueError("mass matrix must have positive dimension")
         self.b = ab.shape[0] - 1
-        # Fortran order, which LAPACK and BLAS take without a copy
-        self._factor = (_band_cholesky(ab) if factor is None
-                        else np.asfortranarray(factor))
+        # the LAPACK call scipy's cholesky_banded makes, without its wrapper
+        factor, info = dpbtrf(_finite(ab), lower=1)
+        if info != 0:
+            raise ValueError("mass matrix is not positive definite")
+        self._factor = factor
         self._ab = ab
 
     def dense(self) -> np.ndarray:
@@ -492,11 +479,12 @@ class Functional:
 class ProductSpace(InnerProductSpace):
     """Block product of spaces with block-diagonal mass.
 
-    The product of dense parts is dense.  A product with a banded part is
-    banded, with the largest bandwidth of its parts (a dense part counts
-    to its last nonzero subdiagonal), and its banded Cholesky factor is
-    its parts' ones stacked.  Provides `split`/`join` between the
-    stacked coordinate vector and the per-part coordinate vectors.
+    The product is the `InnerProductSpace` of that mass: a dense array
+    for dense parts, or else their scipy.sparse `block_diag` (scipy.sparse
+    is imported for it), banded with the largest bandwidth of its parts
+    (a dense part counts to its last nonzero subdiagonal) and factored
+    once.  Provides `split`/`join` between the stacked coordinate vector
+    and the per-part coordinate vectors.
     """
 
     def __init__(self, parts) -> None:
@@ -510,19 +498,11 @@ class ProductSpace(InnerProductSpace):
             mass = np.zeros((self._bounds[-1],) * 2)
             for m, lo, hi in zip(metrics, self._bounds, self._bounds[1:]):
                 mass[lo:hi, lo:hi] = m.dense()
-            self._set_metric(_DenseMetric(mass))
         else:
-            # the Cholesky factor of a block-diagonal matrix stacks its
-            # blocks' factors: a banded part's is at hand, a dense part's
-            # is factored from its bands
-            bands = [m.bands() for m in metrics]
-            shape = (max(ab.shape[0] for ab in bands), self._bounds[-1])
-            ab, factor = np.zeros(shape, order="F"), np.zeros(shape, order="F")
-            for m, part, lo, hi in zip(metrics, bands, self._bounds, self._bounds[1:]):
-                ab[: part.shape[0], lo:hi] = part
-                factor[: part.shape[0], lo:hi] = (
-                    m._factor if isinstance(m, _BandMetric) else _band_cholesky(part))
-            self._set_metric(_BandMetric(ab, factor))
+            import scipy.sparse as sp
+
+            mass = sp.block_diag([m.csr().to_scipy() for m in metrics])
+        super().__init__(mass)
         self.parts = parts
 
     def join(self, part_coords) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -21,7 +22,7 @@ from ssqp.bench import (
 from ssqp.diagnostics import ReferenceSolution, degeneracy_report, multiplier_distance
 from ssqp.model import ProblemDef
 from ssqp.solver import SolverOptions, SolveStatus, run
-from ssqp.spaces import _sparse_bands
+from ssqp.spaces import InnerProductSpace, ProductSpace, _sparse_bands
 
 
 class TestRegistry:
@@ -177,7 +178,8 @@ class TestEigencontrol:
         assert np.array_equal(fd_laplacian(n).toarray(), A.toarray())
         p = make_eigencontrol(n=n).problem
         state = _sparse_bands(h * (sp.identity(n, format="csr") + A.T @ A))
-        assert np.array_equal(p.Z.parts[0]._metric.bands(), state)
+        assert np.array_equal(p.Z._metric.bands()[:, :n], state)
+        assert np.array_equal(p.Z._metric.bands()[:, n], [1.0, 0.0, 0.0])
         assert np.array_equal(p.Y._metric.bands(), np.full((1, n), h))
         stacked = np.hstack([state, [[1.0], [0.0], [0.0]]])
         assert np.array_equal(p.Z._metric._factor,
@@ -185,6 +187,25 @@ class TestEigencontrol:
         z = p.Z.vector(np.random.default_rng(n).standard_normal(n + 1))
         u, q = z.coords[:n], z.coords[n]
         assert np.array_equal(p.G(z).coords, fd_laplacian(n).to_scipy() @ u + q * u)
+
+    @pytest.mark.parametrize("n", [3, 4, 49, 200, 1000, 2000])
+    def test_z_has_the_bytes_of_the_product_of_state_and_control(self, n):
+        # Z's bands are written as one array, and its factor is one
+        # factorization of them: the bytes of the product space of the
+        # state and the control, and of the state's factor stacked on the
+        # control's 1, which is how the product once built it
+        h = 1.0 / (n + 1)
+        A = fd_laplacian(n).to_scipy()
+        state = InnerProductSpace(h * (sp.identity(n, format="csr") + A.T @ A))
+        product = ProductSpace([state, InnerProductSpace.identity(1)])
+        Z = make_eigencontrol(n=n).problem.Z
+        stacked = np.hstack([state._metric._factor, [[1.0], [0.0], [0.0]]])
+        for got, want in [(Z._metric.bands(), product._metric.bands()),
+                          (Z._metric._factor, product._metric._factor),
+                          (Z._metric._factor, stacked)]:
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        assert Z.mass_scale.hex() == product.mass_scale.hex()
 
     def test_jacobian_singular_at_discrete_eigenvalue(self):
         bm = get_benchmark("eigencontrol-n49")
@@ -304,6 +325,11 @@ class TestEigencontrol:
             make_eigencontrol(n=15, u_d_mode=0)
         with pytest.raises(ValueError):
             make_eigencontrol(n=15, u_d_mode=16)
+        # non-finite parameters, NaN included, before any arithmetic on them
+        for name in ("alpha", "q_d", "u_d_amp"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    make_eigencontrol(n=15, **{name: value})
 
     def test_quadratic_convergence_from_certified_start(self):
         bm = get_benchmark("eigencontrol-n49")

@@ -159,6 +159,22 @@ class TestSolve:
                                  "degenerate-line", *flags)
         assert (code, out, err) == (1, "", message)
 
+    @pytest.mark.parametrize("command", ["solve", "diagnose"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "nan"], "error: alpha must be finite and positive, got nan\n"),
+        (["--alpha", "inf"], "error: alpha must be finite and positive, got inf\n"),
+        (["--q-d", "nan"], "error: q_d must be finite, got nan\n"),
+        (["--q-d=-inf"], "error: q_d must be finite, got -inf\n"),
+        (["--u-d-amp", "nan"], "error: u_d_amp must be finite, got nan\n"),
+        (["--u-d-amp", "inf"], "error: u_d_amp must be finite, got inf\n"),
+    ])
+    def test_non_finite_eigencontrol_parameter_exits_1(self, capsys, command,
+                                                        flags, message):
+        # the build rejects it, before any solve or report
+        code, out, err = run_cli(capsys, command, "--benchmark",
+                                 "eigencontrol-n49", *flags)
+        assert (code, out, err) == (1, "", message)
+
     def test_non_finite_sweep_value_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--benchmark", "degenerate-line",
                                  "--sweep", "rho_fixed", "--grid", "0.1,nan")

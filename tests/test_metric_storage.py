@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.linalg import cholesky_banded
 
-from ssqp.spaces import InnerProductSpace, ProductSpace
+from ssqp.spaces import InnerProductSpace, ProductSpace, _BandMetric
 
 pytest.importorskip("hypothesis")  # declared in the `test` extra
 from hypothesis import given, settings
@@ -104,13 +104,15 @@ def product_parts(draw):
 
 @PROPERTY
 @given(product_parts())
-def test_a_product_stacks_its_parts_band_factors(parts):
-    # the product's factor is its parts' own banded factors stacked (a
-    # dense part's factored from its bands); up to the unblocked
-    # bandwidth it has the bits of a factorization of the stacked bands,
-    # past it it agrees to rounding, |dL| <= (b + 1) eps max sqrt(M_ii)
+def test_a_product_factors_its_stacked_bands(parts):
+    # the product's bands are its parts' stacked (a dense part's to its
+    # last nonzero subdiagonal), factored once: the bits of one
+    # cholesky_banded of them at every bandwidth.  Up to the unblocked
+    # bandwidth that is also the parts' own factors stacked, bit for bit;
+    # past it they agree to rounding, |dL| <= (b + 1) eps max sqrt(M_ii)
     product = ProductSpace(parts)
-    bands = [p._metric.bands() for p in parts]
+    bands = [p._metric.bands() if isinstance(p._metric, _BandMetric)
+             else _dense_bands(p.mass) for p in parts]
     rows = max(ab.shape[0] for ab in bands)
 
     def stacked(arrays):
@@ -118,12 +120,20 @@ def test_a_product_stacks_its_parts_band_factors(parts):
 
     factor = product._metric._factor
     assert np.array_equal(product._metric.bands(), stacked(bands))
-    assert np.array_equal(factor, stacked([cholesky_banded(ab, lower=True)
-                                           for ab in bands]))
-    refactored = cholesky_banded(stacked(bands), lower=True)
+    assert np.array_equal(factor, cholesky_banded(stacked(bands), lower=True))
+    parts_factors = stacked([cholesky_banded(ab, lower=True) for ab in bands])
     if rows - 1 <= UNBLOCKED_BANDWIDTH:
-        assert np.array_equal(factor, refactored)
+        assert np.array_equal(factor, parts_factors)
     else:
         scale = math.sqrt(product._metric.bands()[0].max())
-        assert_allclose(factor, refactored, rtol=0.0,
+        assert_allclose(factor, parts_factors, rtol=0.0,
                         atol=rows * np.finfo(float).eps * scale)
+
+
+def _dense_bands(M: np.ndarray) -> np.ndarray:
+    """Lower band storage of a symmetric M, to its last nonzero subdiagonal."""
+    rows, cols = np.nonzero(M)
+    ab = np.zeros((int((rows - cols).max(initial=0)) + 1, M.shape[0]))
+    for i in range(ab.shape[0]):
+        ab[i, : M.shape[0] - i] = np.diagonal(M, -i)
+    return ab

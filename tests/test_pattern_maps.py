@@ -176,7 +176,8 @@ def test_keys_past_int32_give_scipys_csc():
 @given(matrices(square=True), st.booleans())
 def test_asymmetry_is_the_transposes(drawn, symmetric):
     # one map for every pattern: a symmetric one stores each mirror, any
-    # other meets zero where it stores none
+    # other meets zero where it stores none.  The map's positions are
+    # intp, the index dtype every iterate's take reads without a cast
     rng, M = drawn
     n = M.shape[0]
     mask = _mask(M) | (rng.random((n, n)) < 0.3)
@@ -185,7 +186,8 @@ def test_asymmetry_is_the_transposes(drawn, symmetric):
     elif n > 1:  # (0, n - 1) stored without its mirror
         mask[0, n - 1], mask[n - 1, 0] = True, False
     H = _csr(rng, mask, rng.random() < 0.5)
-    _, stored = _mirror_map(as_csr(H).pattern)
+    mirror, stored = _mirror_map(as_csr(H).pattern)
+    assert mirror.dtype == np.intp
     assert stored.all() == np.array_equal(mask, mask.T)
     assert _same(_sparse_asymmetry(H), _dense_asymmetry(H))
 
